@@ -7,7 +7,7 @@ samplers, characteristic-function oracles, W1 estimators, step-schedule
 diagnostics, and a reproducible parallel ensemble engine.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .cf_oracle import (
     first_order_cf_coefficient,

@@ -190,8 +190,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "one_sided": one_sided,
         "slope_tol": cfg.slope_tol,
     })
-    if one_sided:
-        verdict = bool(fit.slope >= target - 0.1)
+    if scheme == STABLE_EM:
+        # The gamma^{1/alpha} rate is promised only under the step-size
+        # hypothesis omega < rho; outside it the gate has nothing to test.
+        rho_drift = drift_by_name(cfg.drift, cfg.dim).dissip_theta1
+        inside = bool(summary["omega"] < rho_drift)
+        summary["rho_drift"] = rho_drift
+        summary["step_size_hypothesis"] = inside
+        verdict = bool(fit.slope >= target - 0.1) if inside else None
     else:
         verdict = bool(abs(fit.slope - target) <= cfg.slope_tol and fit.r_squared >= 0.9)
     return ExperimentReport("rate", rows, summary, verdict)
@@ -388,56 +394,57 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     schedule = cfg.build_schedule()
+    if schedule.family == "explicit" and len(schedule.values) < cfg.n_max:
+        raise ConfigError(
+            f"n_max = {cfg.n_max} exceeds the explicit schedule's {len(schedule.values)} steps"
+        )
     alpha = float(cfg.alpha) if cfg.alpha else 1.5
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 
     # Numerical tail estimate of omega for cross-checking the closed form.
+    # An explicit schedule has no closed form: omega_of already estimates
+    # it from the tail, so there is nothing to cross-check.
     th = schedule.theta
     if schedule.family == "explicit":
-        omega_numeric = diag.omega  # omega_of already estimates from the tail
+        omega_numeric = None
     else:
         k = cfg.n_max * 10
         gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
-        omega_numeric = (gk**th - gk1**th) / gk1 ** (1.0 + th)
+        omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
 
-    rows = []
-    n = 1
-    while n <= cfg.n_max:
-        rows.append({
+    ns = [1]
+    while ns[-1] * 2 <= cfg.n_max:
+        ns.append(ns[-1] * 2)
+    if ns[-1] != cfg.n_max:
+        ns.append(cfg.n_max)
+    rows = [
+        {
             "n": n,
             "t_n": float(diag.t[n]),
             "gamma_n": schedule.gamma_at(n),
             "v_over_gamma_theta": float(diag.v_over_gamma_theta[n - 1]),
             "bound": diag.bound,
             "exp_decay_ratio": float(diag.exp_decay_ratio[n - 1]),
-            "windowed_sum_ratio": float(diag.windowed_sum_ratio[n - 1])
-            if n >= 2
-            else float("nan"),
-        })
-        n *= 2
-    if rows[-1]["n"] != cfg.n_max:
-        rows.append({
-            "n": cfg.n_max,
-            "t_n": float(diag.t[cfg.n_max]),
-            "gamma_n": schedule.gamma_at(cfg.n_max),
-            "v_over_gamma_theta": float(diag.v_over_gamma_theta[-1]),
-            "bound": diag.bound,
-            "exp_decay_ratio": float(diag.exp_decay_ratio[-1]),
-            "windowed_sum_ratio": float(diag.windowed_sum_ratio[-1]),
-        })
+            "windowed_sum_ratio": diag.windowed_sum_ratio(n) if n >= 2 else float("nan"),
+        }
+        for n in ns
+    ]
 
     summary = _base_summary(cfg, schedule)
     summary.update({
         "omega_closed_form": diag.omega,
-        "omega_numeric_tail": float(omega_numeric),
+        "omega_numeric_tail": omega_numeric,
         "rho_theory_d1": rho_theory(alpha, 1),
         "recurrence_bound": diag.bound,
         "v_ratio_final": rows[-1]["v_over_gamma_theta"],
         "exp_decay_ratio_final": rows[-1]["exp_decay_ratio"],
     })
+    omega_ok = omega_numeric is None or (
+        abs(omega_numeric - diag.omega) <= 0.01 * max(abs(diag.omega), 1e-30)
+    )
     verdict = bool(
         rows[-1]["v_over_gamma_theta"] <= diag.bound
-        and abs(omega_numeric - diag.omega) <= 0.01 * max(abs(diag.omega), 1e-30)
+        and omega_ok
         and rows[-1]["exp_decay_ratio"] < 1e-3
     )
     return ExperimentReport("schedule", rows, summary, verdict)

@@ -8,8 +8,10 @@ A schedule is one of three families:
 
 Alongside the steps themselves the module computes the partial sums t_n,
 the limsup quantity omega, the theoretical ergodicity constant rho, and
-the v_n / n* / windowed-sum sequences used to sanity-check the step-size
-decay recurrence numerically.
+the v_n / n* sequences used to sanity-check the step-size decay recurrence
+numerically.  The windowed sum over the last unit of time before t_n is
+evaluated on demand, only at the n a caller asks for
+(``ScheduleDiagnostics.windowed_sum_ratio``).
 """
 
 from __future__ import annotations
@@ -172,18 +174,35 @@ class ScheduleDiagnostics:
     omega: float
     rho: float
     theta: float
+    alpha: float
+    g: np.ndarray = field(repr=False)  # g[k - 1] = gamma_k
+    t: np.ndarray = field(repr=False)  # t[n] = t_n, t[0] = 0
     n_star: np.ndarray          # n*[n] = max{i : t_n - t_i > 1}, -1 when t_n <= 1
     v: np.ndarray               # v[n], v[0] = 0
     v_over_gamma_theta: np.ndarray
     exp_decay_ratio: np.ndarray  # e^{-rho t_n} / gamma_n^theta
-    windowed_sum_ratio: np.ndarray  # sum_{i=n*+1}^{n-1} (t_n-t_i)^{-1/alpha} gamma_i^{1+theta} / gamma_n^theta
     bound: float                # 2/(rho-omega) * exp((rho-omega) gamma_1 / 2)
-    t: np.ndarray = field(repr=False, default=None)
 
     def v_direct(self, n: int) -> float:
         """Direct summation of v_n, for cross-checking the recurrence."""
         g = np.diff(self.t[: n + 1])
         return float(np.sum(g ** (1.0 + self.theta) * np.exp(-self.rho * (self.t[n] - self.t[1 : n + 1]))))
+
+    def windowed_sum_ratio(self, n: int) -> float:
+        """sum_{i=n*+1}^{n-1} (t_n - t_i)^{-1/alpha} gamma_i^{1+theta} / gamma_n^theta.
+
+        The window holds the steps within one unit of time before t_n; an
+        empty window gives 0.0.
+        """
+        if not 1 <= n <= self.g.size:
+            raise ValueError(f"n must lie in 1..{self.g.size}, got {n}")
+        lo = max(int(self.n_star[n - 1]) + 1, 1)
+        if lo >= n:
+            return 0.0
+        terms = (self.t[n] - self.t[lo:n]) ** (-1.0 / self.alpha) * self.g[lo - 1 : n - 1] ** (1.0 + self.theta)
+        # NumPy's array power can differ from its scalar power in the last
+        # bit; raise gamma_n as an array, as every other ratio here does.
+        return float(np.sum(terms) / (self.g[n - 1 : n] ** self.theta)[0])
 
 
 def decay_diagnostics(
@@ -212,28 +231,17 @@ def decay_diagnostics(
     # n*[n] = max{i : t_n - t_i > 1}; -1 if no such i (t_n <= 1).
     n_star = np.searchsorted(t, t[1:] - 1.0, side="left") - 1
 
-    win = np.full(n_max, np.nan)
-    inv_a = 1.0 / alpha
-    for n in range(2, n_max + 1):
-        lo = n_star[n - 1] + 1
-        if lo < 1:
-            lo = 1
-        i = np.arange(lo, n)
-        if i.size == 0:
-            win[n - 1] = 0.0
-            continue
-        win[n - 1] = np.sum((t[n] - t[i]) ** (-inv_a) * g[i - 1] ** (1.0 + th)) / gth[n - 1]
-
     bound = 2.0 / (rho - omega) * math.exp((rho - omega) * s.gamma_at(1) / 2.0)
     return ScheduleDiagnostics(
         omega=omega,
         rho=rho,
         theta=th,
+        alpha=alpha,
+        g=g,
+        t=t,
         n_star=n_star,
         v=v,
         v_over_gamma_theta=v_ratio,
         exp_decay_ratio=decay_ratio,
-        windowed_sum_ratio=win,
         bound=bound,
-        t=t,
     )

@@ -1,9 +1,13 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import stableem
 from stableem.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_schedule_subcommand_smoke(tmp_path, capsys):
@@ -18,6 +22,64 @@ def test_schedule_subcommand_smoke(tmp_path, capsys):
     assert summary["seed"] == 0
     assert "omega" in summary and "rho_toy" in summary
     assert os.path.exists(out + ".csv")
+
+
+def test_schedule_csv_matches_benchmark_reference(tmp_path):
+    # The config of the benchmark's schedule-diag workload; its reference CSV
+    # was written before the windowed sum became lazy.
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "experiment = schedule\nalpha = 1.5\nschedule = c-over-rho-n:2,0.5\n"
+        "rho_toy = 0.5\nn_max = 100000\nseed = 42\n"
+    )
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--config", str(cfg), "--out", out]) == 0
+    reference = (ROOT / "perfbench" / "reference" / "schedule-diag.csv").read_bytes()
+    assert Path(out + ".csv").read_bytes() == reference
+
+
+def test_explicit_schedule_shorter_than_n_max_is_config_error(tmp_path, capsys):
+    code = main([
+        "schedule", "--schedule", "explicit:0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n_max" in err and "8 steps" in err
+
+
+def test_explicit_schedule_has_no_omega_cross_check(tmp_path):
+    cfg = tmp_path / "cfg"
+    steps = ",".join(["0.5"] * 64)
+    cfg.write_text(f"experiment = schedule\nschedule = explicit:{steps}\nrho_toy = 1.0\nn_max = 64\n")
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--config", str(cfg), "--out", out]) == 0
+    summary = json.load(open(out + ".json"))
+    assert summary["omega_numeric_tail"] is None
+    assert summary["verdict"] is True
+
+
+@pytest.mark.parametrize("c, inside, verdict", [("0.5", False, None), ("0.9", True, True)])
+def test_stable_em_gate_runs_only_inside_step_size_hypothesis(tmp_path, capsys, c, inside, verdict):
+    # At alpha = 1.2 and theta = 1/alpha, c-over-n:c has omega = 1/(alpha c):
+    # 1.67 at c = 0.5, above rho = theta1 = 1 of b(x) = -x, and 0.93 at c = 0.9.
+    out = str(tmp_path / "rate")
+    code = main([
+        "rate", "--scheme", "stable-em", "--reference", "oracle", "--alpha", "1.2",
+        "--schedule", f"c-over-n:{c}", "--out", out,
+    ])
+    assert code == 0
+    summary = json.load(open(out + ".json"))
+    assert summary["rho_drift"] == 1.0
+    assert summary["step_size_hypothesis"] is inside
+    assert summary["verdict"] is verdict
+    assert ("informational" in capsys.readouterr().out) is (verdict is None)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert stableem.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def test_config_file_drives_run(tmp_path, capsys):

@@ -98,7 +98,66 @@ def test_v_ratio_respects_bound():
     s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
     diag = decay_diagnostics(s, rho=0.5, n_max=5000, alpha=1.5)
     assert np.all(diag.v_over_gamma_theta <= diag.bound)
-    assert np.all(np.isfinite(diag.windowed_sum_ratio[1:]))
+    assert all(math.isfinite(diag.windowed_sum_ratio(n)) for n in range(2, 5001))
+
+
+def test_windowed_sum_equals_whole_array_loop():
+    # The loop that once filled a windowed-sum array for every n, kept as the
+    # reference: the accessor does the same arithmetic, so it must agree bit
+    # for bit (at theta = 2/3 a scalar power of gamma_n differs from the
+    # array power in the last bit at some n).
+    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    alpha, n_max = 1.5, 500
+    diag = decay_diagnostics(s, rho=0.5, n_max=n_max, alpha=alpha)
+    g, t, th = s.gammas(n_max), s.t_grid(n_max), s.theta
+    gth = g**th
+    for n in range(2, n_max + 1):
+        i = np.arange(max(diag.n_star[n - 1] + 1, 1), n)
+        expected = np.sum((t[n] - t[i]) ** (-1.0 / alpha) * g[i - 1] ** (1.0 + th)) / gth[n - 1] if i.size else 0.0
+        assert diag.windowed_sum_ratio(n) == expected, n
+
+
+def _windowed_sum_by_definition(s, alpha, n):
+    """sum_{i=n*+1}^{n-1} (t_n - t_i)^{-1/alpha} gamma_i^{1+theta} / gamma_n^theta, term by term."""
+    g = [float(v) for v in s.gammas(n)]
+    t = [math.fsum(g[:i]) for i in range(n + 1)]
+    n_star = -1
+    for i in range(n + 1):
+        if t[n] - t[i] > 1.0:
+            n_star = i
+    th = s.theta
+    terms = [(t[n] - t[i]) ** (-1.0 / alpha) * g[i - 1] ** (1.0 + th) for i in range(max(n_star + 1, 1), n)]
+    return math.fsum(terms) / g[n - 1] ** th
+
+
+_WINDOW_SCHEDULES = {
+    "c-over-rho-n": (StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0), 0.5),
+    "c-over-rho-n-small": (StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=0.5), 1.5),
+    "poly": (StepSchedule.polynomial(gamma1=0.3, a=0.5, theta=0.5), 0.5),
+    "explicit": (
+        StepSchedule.explicit([2.0, 1.5, 1.2] + [1.0 / k for k in range(2, 1500)], theta=0.7),
+        1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_SCHEDULES))
+def test_windowed_sum_matches_definition(name):
+    s, rho = _WINDOW_SCHEDULES[name]
+    n_max, alpha = 1500, 1.5
+    diag = decay_diagnostics(s, rho=rho, n_max=n_max, alpha=alpha)
+    first_past_one = int(np.argmax(diag.t > 1.0))
+    empty = [n for n in range(2, n_max + 1) if s.gamma_at(n) > 1.0]  # t_n - t_{n-1} > 1
+    for n in sorted({2, first_past_one, n_max, *empty}):
+        assert diag.windowed_sum_ratio(n) == pytest.approx(
+            _windowed_sum_by_definition(s, alpha, n), rel=1e-12, abs=0.0
+        ), n
+    for n in empty:
+        assert diag.windowed_sum_ratio(n) == 0.0
+    assert bool(empty) == (name in ("c-over-rho-n", "explicit"))
+    for n in (0, -1, n_max + 1):
+        with pytest.raises(ValueError):
+            diag.windowed_sum_ratio(n)
 
 
 def test_theta_validation():
