@@ -10,6 +10,7 @@ diagnostics, and a reproducible parallel ensemble engine.
 __version__ = "0.1.0"
 
 from .cf_oracle import (
+    OracleW1,
     first_order_cf_coefficient,
     pareto_cf,
     pareto_em_chain_cf,

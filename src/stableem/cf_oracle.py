@@ -5,12 +5,25 @@ tests on the 1-D OU drift: the Pareto-EM chain law is an explicit product
 of innovation CFs, the stable-EM chain law is a pure stable law whose
 scale obeys a one-line recurrence, and W1 distances between symmetric
 laws reduce to quadratures of CF differences.
+
+The Pareto-EM chain CF prod_j phi(c_j l) has one accumulator,
+``_log_chain_cf``.  For 0 <= x <= r (r = ``_LOG_SERIES_RADIUS``)
+
+    log phi(x) = sum_t a_t x^{e_t},   e_t = p alpha + 2k,
+
+so the steps with c_j |l| <= r contribute sum_t a_t |l|^{e_t} S_t, where
+S_t sums c_j^{e_t} over those steps: a cumulative sum over the ascending
+coefficients, read at the split.  Only the few steps with c_j |l| > r are
+evaluated one by one.  r = 0.1 (halved for alpha close to 2, where the
+expansion would not converge at 0.1); terms below 2^-64 |log phi(r)| at
+x = r are dropped (``_log_series``).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -20,6 +33,11 @@ from .schedule import StepSchedule
 
 _SERIES_CUTOFF = 10.0
 _SERIES_TERMS = 40
+# Split radius of the log-series: at 0.3 its majorant exceeds 1 at alpha = 1.8
+# and the expansion diverges; at 0.1 it stays below 1/2 up to alpha ~ 1.96.
+_LOG_SERIES_RADIUS = 0.1
+_LOG_SERIES_TOL = 2.0**-64  # dropped terms, relative to |log phi(r)|
+_GAP_LAM_MIN = 1e-14  # lower end of the W1 oracle's CF-gap quadrature
 
 
 @lru_cache(maxsize=32)
@@ -70,14 +88,124 @@ def pareto_cf(alpha: float, lam):
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    lam_arr = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
-    out = np.empty_like(lam_arr)
-    small = lam_arr <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = 1.0 + _pareto_cf_m1_series(alpha, lam_arr[small])
-    for i in np.nonzero(~small)[0]:
-        out[i] = _pareto_cf_quad(alpha, float(lam_arr[i]))
+    out = 1.0 + _pareto_cf_m1(alpha, np.abs(np.atleast_1d(np.asarray(lam, dtype=float))))
     return float(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
+
+
+def _pareto_cf_m1(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
+    """phi - 1 at |l| values: the series up to the cutoff, quadrature beyond."""
+    small = lam_abs <= _SERIES_CUTOFF
+    out = np.empty_like(lam_abs)
+    out[small] = _pareto_cf_m1_series(alpha, lam_abs[small])
+    for i in np.nonzero(~small)[0]:
+        out[i] = _pareto_cf_quad(alpha, float(lam_abs[i])) - 1.0
+    return out
+
+
+@lru_cache(maxsize=32)
+def _log_series(alpha: float):
+    """(a, e, r): log phi(x) = sum_t a_t x^{e_t} to double precision on [0, r].
+
+    log phi = log(1 + m) with m(x) = -C x^alpha + alpha sum_k c_k x^{2k}
+    (``first_order_cf_coefficient`` and ``_series_coeffs``), and
+    sum_q (-1)^{q+1} m^q / q collects into monomials x^{p alpha + 2k}.  At
+    x = r the order-q part is at most mu^q / q, where mu = C r^alpha +
+    alpha sum_k |c_k| r^{2k} majorizes m.  Truncation: r starts at
+    ``_LOG_SERIES_RADIUS`` and is halved (only for alpha close to 2) until
+    mu <= 1/2; the orders stop at the first q with mu^q below the tolerance;
+    of the collected terms, those below the tolerance at x = r are dropped.
+    The tolerance is ``_LOG_SERIES_TOL`` |log phi(r)|.  Each dropped term
+    shrinks faster than log phi as x decreases, so x = r is the worst case.
+    Terms are returned in ascending order of exponent.
+    """
+    big_c = first_order_cf_coefficient(alpha)
+    c = alpha * _series_coeffs(alpha)
+    two_k = 2.0 * np.arange(1, c.size + 1)
+
+    def majorant(x):
+        return big_c * x**alpha + float(np.sum(np.abs(c) * x**two_k))
+
+    r = _LOG_SERIES_RADIUS
+    while majorant(r) > 0.5:
+        r /= 2.0
+    tol = _LOG_SERIES_TOL * abs(math.log1p(float(_pareto_cf_m1_series(alpha, np.array([r]))[0])))
+    q_max = math.ceil(math.log(tol) / math.log(majorant(r)))
+    last_k = int(np.flatnonzero(np.abs(c) * r**two_k >= tol)[-1]) + 1
+    c = c[: min(last_k, q_max)]
+    # m as a polynomial in (x^alpha, x^2): entry [p, k] is the coefficient of
+    # x^{p alpha + 2k}.  The order-q part has p <= q; its k exceeds q only
+    # through factors c_j x^{2j} with j >= 2, each far smaller than
+    # (c_1 x^2)^j, so q_max + 1 columns suffice as well.
+    m = np.zeros((q_max + 1, q_max + 1))
+    m[1, 0] = -big_c
+    m[0, 1 : c.size + 1] = c
+    power = m.copy()
+    acc = np.zeros_like(m)
+    for q in range(1, q_max + 1):
+        acc += (-1.0) ** (q + 1) / q * power
+        nxt = np.zeros_like(power)
+        nxt[1:] -= big_c * power[:-1]
+        for k in range(1, c.size + 1):
+            nxt[:, k:] += c[k - 1] * power[:, :-k]
+        power = nxt
+    p, k = np.nonzero(acc)
+    a, e = acc[p, k], p * alpha + 2.0 * k
+    keep = np.abs(a) * r**e >= tol
+    order = np.argsort(e[keep], kind="stable")
+    return a[keep][order], e[keep][order], r
+
+
+def _log_abs_pareto_cf(alpha: float, x: np.ndarray):
+    """log|phi(x)| and phi(x) < 0 for x >= 0, one argument at a time.
+
+    log1p of phi - 1 keeps full accuracy where phi is near 1.
+    """
+    m1 = _pareto_cf_m1(alpha, x)
+    phi = 1.0 + m1
+    with np.errstate(divide="ignore"):
+        return np.log1p(np.where(phi > 0.0, m1, np.abs(phi) - 1.0)), phi < 0.0
+
+
+def _log_chain_cf(alpha: float, coef: np.ndarray, lam: np.ndarray):
+    """log|prod_j phi(c_j l)| and its sign at each l in lam.
+
+    The steps with c_j |l| <= r enter through the power sums of the module
+    docstring; the rest go through ``_log_abs_pareto_cf``.  Power sums are
+    taken over c_j / max c, so they cannot overflow; a node whose scaled
+    powers (|l| max c)^e could overflow takes the one-by-one path for every
+    step.
+    """
+    a, e, r = _log_series(alpha)
+    lam = np.abs(np.asarray(lam, dtype=float))
+    cs = np.sort(coef)
+    n, c_max = cs.size, float(cs[-1])
+    with np.errstate(divide="ignore"):
+        split = np.searchsorted(cs, r / lam, side="right")
+        scaled = lam * c_max
+        split[e[-1] * np.log(scaled) > math.log(np.finfo(float).max / n)] = 0
+    # S[i, t] = sum_{j < split_i} (c_j / c_max)^{e_t}, read from cumulative
+    # sums of positive terms taken in step blocks of bounded memory.
+    reads, row_of = np.unique(split, return_inverse=True)
+    sums = np.zeros((reads.size, e.size))
+    carry = np.zeros(e.size)
+    block = max(1, (1 << 20) // e.size)
+    w = cs / c_max
+    for j0 in range(0, n, block):
+        cum = np.cumsum(w[j0 : j0 + block, None] ** e, axis=0) + carry
+        hit = (reads > j0) & (reads <= j0 + cum.shape[0])
+        sums[hit] = cum[reads[hit] - j0 - 1]
+        carry = cum[-1]
+    log_mag = np.zeros(lam.size)
+    inner = split > 0
+    log_mag[inner] = (scaled[inner, None] ** e * sums[row_of[inner]]) @ a
+    # The c_j |l| > r remainder, flattened over (node, step).
+    count = n - split
+    node = np.repeat(np.arange(lam.size), count)
+    step = np.arange(node.size) - np.repeat(np.cumsum(count) - count - split, count)
+    log_abs, negative = _log_abs_pareto_cf(alpha, cs[step] * lam[node])
+    log_mag += np.bincount(node, log_abs, minlength=lam.size)
+    flips = np.bincount(node, negative, minlength=lam.size)
+    return log_mag, np.where(flips % 2 == 1, -1.0, 1.0)
 
 
 def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int, beta: float):
@@ -100,13 +228,12 @@ def pareto_em_chain_cf(
     n: int,
     lam,
     beta: float | None = None,
-    log_space: bool = True,
 ):
     """Exact CF of the Pareto-EM chain on the 1-D OU drift after n steps.
 
     E[e^{i l Y_n}] = e^{i l P_1 x0} * prod_j phi((gamma_j^{1/alpha}/beta) P_{j+1} l)
-    with P_j = prod_{k=j}^n (1 - gamma_k).  Products run in log space by
-    default; log_space=False multiplies linearly (regression knob only).
+    with P_j = prod_{k=j}^n (1 - gamma_k).  The product runs in log space
+    through ``_log_chain_cf``.
     """
     if beta is None:
         beta = _beta_1d(alpha)
@@ -115,26 +242,8 @@ def pareto_em_chain_cf(
         out = np.exp(1j * lam_arr * x0)
         return complex(out[0]) if np.ndim(lam) == 0 else out
     coef, p1 = _pareto_chain_coeffs(alpha, schedule, n, beta)
-    # Accumulate the product in step chunks so memory stays bounded at
-    # O(chunk * len(lam)) no matter how deep the chain is.
-    chunk = max(1, (1 << 23) // max(1, lam_arr.size))
-    if log_space:
-        log_mag = np.zeros(lam_arr.size)
-        sign = np.ones(lam_arr.size)
-        for j0 in range(0, n, chunk):
-            args = np.abs(coef[j0 : j0 + chunk, None] * lam_arr[None, :])
-            phi = pareto_cf(alpha, args.ravel()).reshape(args.shape)
-            sign *= np.prod(np.sign(phi), axis=0)
-            with np.errstate(divide="ignore"):
-                log_mag += np.sum(np.log(np.abs(phi)), axis=0)
-        prod = sign * np.exp(log_mag)
-    else:
-        prod = np.ones(lam_arr.size)
-        for j0 in range(0, n, chunk):
-            args = np.abs(coef[j0 : j0 + chunk, None] * lam_arr[None, :])
-            phi = pareto_cf(alpha, args.ravel()).reshape(args.shape)
-            prod = prod * np.prod(phi, axis=0)
-    out = np.exp(1j * lam_arr * p1 * x0) * prod
+    log_mag, sign = _log_chain_cf(alpha, coef, lam_arr)
+    out = np.exp(1j * lam_arr * p1 * x0) * sign * np.exp(log_mag)
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
 
@@ -182,16 +291,30 @@ def exact_ou_scale_pow(alpha: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class OracleW1(NamedTuple):
+    """A deterministic W1 with its sign and error estimate.
+
+    ``signed_error`` is E|Y| - E|X_inf|, whose absolute value is ``w1``;
+    ``oracle_err`` estimates the evaluation error of ``w1`` (0.0 for the
+    closed forms).
+    """
+
+    w1: float
+    signed_error: float
+    oracle_err: float
+
+
 @lru_cache(maxsize=32)
-def _gap_nodes(alpha: float):
-    """Composite Gauss-Legendre nodes on log panels of (0, lam_max].
+def _gap_nodes(alpha: float, stride: int = 1):
+    """Composite Gauss-Legendre nodes on log panels of [_GAP_LAM_MIN, lam_max].
 
     The integrand (phi_n - phi_nu)/l^2 behaves like l^{alpha-2} near 0, so
     panels extend down to 1e-14 where the neglected mass is O(1e-3)
-    relative even at alpha close to 1.
+    relative even at alpha close to 1.  ``stride`` keeps every stride-th
+    of the 240 panel edges: the coarser rule of the error estimate.
     """
     lam_max = (40.0 * alpha) ** (1.0 / alpha) + 10.0
-    edges = np.geomspace(1e-14, lam_max, 240)
+    edges = np.geomspace(_GAP_LAM_MIN, lam_max, 240)[::stride]
     xg, wg = np.polynomial.legendre.leggauss(12)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -200,58 +323,65 @@ def _gap_nodes(alpha: float):
     return nodes, weights
 
 
-def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -> float:
+def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -> OracleW1:
     """W1 between the Pareto-EM chain law (x0=0) and the OU invariant law.
 
     Both laws are symmetric; their CDFs cross only at the origin for the
     schedules of interest (verified numerically in the test suite), so W1
     equals |E|Y_n| - E|X_inf|| = (2/pi) |int (phi_n - phi_nu)/l^2 dl|.
 
-    The CF gap is formed in log space with log1p/expm1: near the origin
-    both CFs are within an ulp of 1.0, and a direct subtraction would turn
-    rounding noise into an n-independent bias once divided by l^2.
+    The CF gap is formed in log space with expm1: near the origin both CFs
+    are within an ulp of 1.0, and a direct subtraction would turn rounding
+    noise into an n-independent bias once divided by l^2.  ``oracle_err``
+    adds |W1 on the 240-edge rule - W1 on the rule that keeps every other
+    edge| (both rules share one ``_log_chain_cf`` call over their joined
+    nodes) and the leading-order mass below l = eps = _GAP_LAM_MIN that
+    both rules drop: near 0 the gap is (C sum_j c_j^alpha - 1/alpha) l^{alpha-2},
+    so that mass is (2/pi) |C sum_j c_j^alpha - 1/alpha| eps^{alpha-1}/(alpha-1).
     """
-    nodes, weights = _gap_nodes(alpha)
-    beta = _beta_1d(alpha)
-    coef, _ = _pareto_chain_coeffs(alpha, schedule, n, beta)
-    if float(coef.max()) * float(nodes[-1]) > _SERIES_CUTOFF:
+    rules = [_gap_nodes(alpha, stride) for stride in (1, 2)]
+    nodes = np.concatenate([nodes for nodes, _ in rules])
+    coef, _ = _pareto_chain_coeffs(alpha, schedule, n, _beta_1d(alpha))
+    if float(coef.max()) * float(nodes.max()) > _SERIES_CUTOFF:
         raise ValueError(
             "innovation coefficients exceed the CF series range; "
             "this oracle needs gamma_1 < 1 schedules at moderate depth"
         )
-    log_phi_n = np.zeros_like(nodes)
-    sign = np.ones_like(nodes)
-    chunk = max(1, (1 << 23) // nodes.size)
-    for j0 in range(0, n, chunk):
-        m1 = _pareto_cf_m1_series(alpha, coef[j0 : j0 + chunk, None] * nodes[None, :])
-        phi = 1.0 + m1
-        sign *= np.prod(np.sign(phi), axis=0)
-        # log1p(m1) where phi > 0 keeps full accuracy near phi = 1;
-        # |phi| - 1 handles the (large-argument) sign flips exactly as log|phi|
-        log_phi_n += np.sum(np.log1p(np.where(phi > 0.0, m1, np.abs(phi) - 1.0)), axis=0)
+    log_phi_n, sign = _log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
     gap = np.where(
         sign > 0.0,
         np.exp(log_phi_inv) * np.expm1(log_phi_n - log_phi_inv),
         -np.exp(log_phi_n) - np.exp(log_phi_inv),
     ) / nodes**2
-    return abs(float(np.dot(weights, gap))) * 2.0 / math.pi
+    (_, w_fine), (_, w_coarse) = rules
+    fine = -float(w_fine @ gap[: w_fine.size]) * 2.0 / math.pi
+    coarse = -float(w_coarse @ gap[w_fine.size :]) * 2.0 / math.pi
+    drift = first_order_cf_coefficient(alpha) * float(np.sum(coef**alpha)) - 1.0 / alpha
+    tail = 2.0 / math.pi * abs(drift) * _GAP_LAM_MIN ** (alpha - 1.0) / (alpha - 1.0)
+    return OracleW1(abs(fine), fine, float(abs(abs(fine) - abs(coarse)) + tail))
 
 
-def w1_stable_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -> float:
+def _closed_form_w1(alpha: float, scale_pow: float) -> OracleW1:
+    # Centered stable laws: W1 = |s^{1/a} - (1/a)^{1/a}| E|Z| exactly
+    # (scale families are monotone-coupled).
+    gap = scale_pow ** (1.0 / alpha) - (1.0 / alpha) ** (1.0 / alpha)
+    signed = float(gap * stable_mean_abs(alpha))
+    return OracleW1(abs(signed), signed, 0.0)
+
+
+def w1_stable_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -> OracleW1:
     """W1 between the stable-EM chain law (x0=0) and the OU invariant law.
 
     Both are centered stable laws, so W1 = |s_n^{1/a} - (1/a)^{1/a}| E|Z|
-    exactly (scale families are monotone-coupled).
+    exactly.
     """
-    s_n = stable_em_chain_scale_pow(alpha, schedule, n)
-    return abs(s_n ** (1.0 / alpha) - (1.0 / alpha) ** (1.0 / alpha)) * stable_mean_abs(alpha)
+    return _closed_form_w1(alpha, stable_em_chain_scale_pow(alpha, schedule, n))
 
 
-def w1_exact_ou_vs_invariant(alpha: float, t: float) -> float:
+def w1_exact_ou_vs_invariant(alpha: float, t: float) -> OracleW1:
     """W1 between the exact OU law at time t (x0=0) and the invariant law."""
-    s_t = exact_ou_scale_pow(alpha, t)
-    return abs(s_t ** (1.0 / alpha) - (1.0 / alpha) ** (1.0 / alpha)) * stable_mean_abs(alpha)
+    return _closed_form_w1(alpha, exact_ou_scale_pow(alpha, t))
 
 
 def pareto_chain_cdf_gap(alpha: float, schedule: StepSchedule, n: int, xs) -> np.ndarray:

@@ -58,7 +58,6 @@ class EnsembleRun:
     x0: np.ndarray
     checkpoints: tuple[int, ...]
     master_seed: int
-    stream_offset: int = 0  # reserved offsets pick reference ensembles
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -246,9 +245,7 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set):
     if 0 in cp_set:
         out[:, cp_index[0], :] = x
 
-    gens = [
-        rngmod.derive_stream(cfg.master_seed, cfg.stream_offset + i) for i in range(lo, hi)
-    ]
+    gens = [rngmod.derive_stream(cfg.master_seed, i) for i in range(lo, hi)]
     n = 0
     while n < n_max:
         n1 = min(n + _STEP_CHUNK, n_max)
@@ -362,7 +359,6 @@ def make_exact_ou_run(
     x0: float,
     checkpoints,
     master_seed: int,
-    stream_offset: int = 0,
 ) -> EnsembleRun:
     """Convenience constructor for the exact 1-D OU reference ensemble."""
     return EnsembleRun(
@@ -374,5 +370,4 @@ def make_exact_ou_run(
         x0=np.array([x0]),
         checkpoints=tuple(checkpoints),
         master_seed=master_seed,
-        stream_offset=stream_offset,
     )

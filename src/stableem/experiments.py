@@ -9,7 +9,10 @@ when their W1 exceeds five times the floor.  ``oracle`` (1-D OU only)
 computes the distance between the *laws* deterministically from exact
 characteristic functions, which has no statistical floor at all; this is
 the only estimator able to resolve the deep-checkpoint signal for heavy
-tails, where the empirical-W1 floor decays like m^{1/alpha - 1}.
+tails, where the empirical-W1 floor decays like m^{1/alpha - 1}.  Its rows
+also carry the signed error E|Y_n| - E|X_inf|, the log-log slope to the
+previous checkpoint and the oracle's error estimate, and its summary flags
+a fit whose checkpoints straddle a sign change of that error.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .em import (
     exact_ou_sigma,
     run_ensemble,
 )
-from .metrics import bootstrap_w1_stderr, ecf, rate_fit, w1_sliced, w1_sorted_1d
+from .metrics import bootstrap_w1_stderr, ecf, rate_fit, w1_sorted_1d
 from .sampling import (
     StableSpec,
     noise_constants,
@@ -56,6 +59,15 @@ class ExperimentReport:
     rows: list
     summary: dict
     verdict: bool | None  # None: informational only, exit 0
+
+
+def _require_steps(schedule, key: str, n: int) -> None:
+    """An explicit schedule must hold the n steps that ``key`` asks for."""
+    if schedule.family == "explicit" and len(schedule.values) < n:
+        raise ConfigError(
+            f"{key} asks for {n} steps, but the explicit schedule has only "
+            f"{len(schedule.values)} steps"
+        )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -93,6 +105,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     schedule = cfg.build_schedule()
     checkpoints = tuple(c for c in cfg.checkpoint_list() if c >= 1)
+    _require_steps(schedule, "checkpoints", max(checkpoints, default=0))
     scheme = cfg.scheme
     target, one_sided = _target_exponent(scheme, alpha)
     is_1d_ou = cfg.dim == 1 and cfg.drift == "ou"
@@ -103,20 +116,28 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rows = []
         for n in checkpoints:
             if scheme == PARETO_EM:
-                w1 = w1_pareto_chain_vs_invariant(alpha, schedule, n)
+                oracle = w1_pareto_chain_vs_invariant(alpha, schedule, n)
             elif scheme == STABLE_EM:
-                w1 = w1_stable_chain_vs_invariant(alpha, schedule, n)
+                oracle = w1_stable_chain_vs_invariant(alpha, schedule, n)
             else:
-                w1 = w1_exact_ou_vs_invariant(alpha, schedule.t_at(n))
+                oracle = w1_exact_ou_vs_invariant(alpha, schedule.t_at(n))
             rows.append({
                 "n": n,
                 "t_n": schedule.t_at(n),
                 "gamma_n": schedule.gamma_at(n),
-                "w1": w1,
+                "w1": oracle.w1,
                 "stderr": 0.0,
                 "floor": 0.0,
                 "used": 1,
+                "signed_error": oracle.signed_error,
+                "local_slope": None,
+                "oracle_err": oracle.oracle_err,
             })
+        for prev, row in zip(rows, rows[1:]):
+            if prev["w1"] > 0.0 and row["w1"] > 0.0:  # a law can round onto nu exactly
+                row["local_slope"] = math.log(row["w1"] / prev["w1"]) / math.log(
+                    row["gamma_n"] / prev["gamma_n"]
+                )
         floor = 0.0
     else:
         if not is_1d_ou:
@@ -166,6 +187,12 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         summary["kappa"] = cfg.kappa
         summary["moment_bounded"] = bool(max(moments) <= 2.0 * moments[0])
     usable = [(r["gamma_n"], r["w1"]) for r in rows if r["used"]]
+    if cfg.reference == "oracle":
+        # A fit across a sign change of E|Y_n| - E|X_inf| can steepen the
+        # slope without any convergence; reported, not gated.  A W1 of exactly
+        # 0.0 has no sign.
+        signs = {np.sign(r["signed_error"]) for r in rows if r["used"] and r["signed_error"]}
+        summary["fit_spans_sign_change"] = len(signs) > 1
 
     if scheme == EXACT_OU:
         # No discretization error: the verdict is floor-indistinguishability
@@ -296,6 +323,7 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     schedule = cfg.build_schedule()
     checkpoints = tuple(c for c in cfg.checkpoint_list() if c >= 1)
+    _require_steps(schedule, "checkpoints", max(checkpoints, default=0))
     from .em import make_exact_ou_run
 
     runs = {}
@@ -349,6 +377,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     schedule = cfg.build_schedule()
     n = cfg.n
+    _require_steps(schedule, "n", n)
     run = EnsembleRun(
         scheme=PARETO_EM,
         spec=StableSpec.isotropic(alpha, 1),
@@ -394,10 +423,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     schedule = cfg.build_schedule()
-    if schedule.family == "explicit" and len(schedule.values) < cfg.n_max:
-        raise ConfigError(
-            f"n_max = {cfg.n_max} exceeds the explicit schedule's {len(schedule.values)} steps"
-        )
+    _require_steps(schedule, "n_max", cfg.n_max)
     alpha = float(cfg.alpha) if cfg.alpha else 1.5
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 

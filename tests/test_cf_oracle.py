@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from stableem.cf_oracle import (
+    _SERIES_CUTOFF,
+    _beta_1d,
     _gap_nodes,
+    _log_series,
+    _pareto_cf_m1_series,
+    _pareto_chain_coeffs,
     exact_ou_scale_pow,
     first_order_cf_coefficient,
     pareto_cf,
@@ -21,6 +26,44 @@ from stableem.sampling import StableSpec, noise_constants
 from stableem.schedule import StepSchedule
 
 HALF_N = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=2.0 / 3.0)  # gamma_n = 1/(2n)
+
+
+def _direct_log_chain_cf(alpha, coef, lam):
+    """Reference: log|prod_j phi(c_j l)| and its sign, one (step, l) pair at a time.
+
+    Step chunks of about 2^16 pairs stay in cache.  Arguments up to the
+    series cutoff take log1p of the series value of phi - 1; beyond it,
+    log|phi| of the quadrature.
+    """
+    lam = np.abs(np.asarray(lam, dtype=float))
+    log_mag = np.zeros(lam.size)
+    sign = np.ones(lam.size)
+    chunk = max(1, (1 << 16) // lam.size)
+    for j0 in range(0, coef.size, chunk):
+        x = coef[j0 : j0 + chunk, None] * lam[None, :]
+        m1 = _pareto_cf_m1_series(alpha, np.minimum(x, _SERIES_CUTOFF))
+        phi = np.where(x <= _SERIES_CUTOFF, 1.0 + m1, 0.0)
+        for i, j in zip(*np.nonzero(x > _SERIES_CUTOFF)):
+            phi[i, j] = pareto_cf(alpha, float(x[i, j]))
+            m1[i, j] = phi[i, j] - 1.0
+        sign *= np.prod(np.sign(phi), axis=0)
+        with np.errstate(divide="ignore"):
+            log_mag += np.sum(np.log1p(np.where(phi > 0.0, m1, np.abs(phi) - 1.0)), axis=0)
+    return log_mag, sign
+
+
+def _direct_w1_pareto(alpha, schedule, n):
+    """Reference W1 oracle: the same CF-gap quadrature over the direct product."""
+    nodes, weights = _gap_nodes(alpha)
+    coef, _ = _pareto_chain_coeffs(alpha, schedule, n, _beta_1d(alpha))
+    log_phi_n, sign = _direct_log_chain_cf(alpha, coef, nodes)
+    log_phi_inv = -(nodes**alpha) / alpha
+    gap = np.where(
+        sign > 0.0,
+        np.exp(log_phi_inv) * np.expm1(log_phi_n - log_phi_inv),
+        -np.exp(log_phi_n) - np.exp(log_phi_inv),
+    ) / nodes**2
+    return abs(float(np.dot(weights, gap))) * 2.0 / math.pi
 
 
 def test_pareto_cf_at_zero_and_bounds():
@@ -90,11 +133,60 @@ def test_chain_cf_one_step_brute_force():
     assert pareto_em_chain_cf(alpha, s, x0, 1, lam) == pytest.approx(want, abs=1e-14)
 
 
-def test_chain_cf_log_and_linear_products_agree():
-    lams = np.array([0.25, 1.0, 2.0])
-    a = pareto_em_chain_cf(1.5, HALF_N, 0.5, 512, lams, log_space=True)
-    b = pareto_em_chain_cf(1.5, HALF_N, 0.5, 512, lams, log_space=False)
-    np.testing.assert_allclose(a, b, atol=1e-9)
+@pytest.mark.parametrize("n, lam_max", [(16, 300.0), (512, 30.0)])
+def test_chain_cf_matches_direct_product(n, lam_max):
+    # The grid has nodes whose steps split between the power sums and the
+    # one-by-one path; at n = 16 the largest c_j l also pass the series
+    # cutoff, so the quadrature branch runs.
+    alpha, x0 = 1.5, 0.5
+    grid = np.geomspace(1e-3, lam_max, 120)
+    lams = np.concatenate([-grid[::-1], [0.0], grid])
+    coef, p1 = _pareto_chain_coeffs(alpha, HALF_N, n, _beta_1d(alpha))
+    r = _log_series(alpha)[2]
+    assert np.any((coef.min() * np.abs(lams) <= r) & (coef.max() * np.abs(lams) > r))
+    assert (float(coef.max()) * lam_max > _SERIES_CUTOFF) is (n == 16)
+    log_mag, sign = _direct_log_chain_cf(alpha, coef, lams)
+    want = np.exp(1j * lams * p1 * x0) * sign * np.exp(log_mag)
+    got = pareto_em_chain_cf(alpha, HALF_N, x0, n, lams)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_chain_cf_far_nodes_take_direct_path():
+    # Coefficients spanning 22 decades: at l = 1e13 the scaled powers
+    # (l max c)^e overflow, so that node must skip the power sums.
+    s = StepSchedule.explicit([0.99] * 12 + [0.001] * 4)
+    coef, _ = _pareto_chain_coeffs(1.5, s, 16, _beta_1d(1.5))
+    lams = np.array([1e3, 1e9, 1e13])
+    log_mag, sign = _direct_log_chain_cf(1.5, coef, lams)
+    got = pareto_em_chain_cf(1.5, s, 0.0, 16, lams)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(np.log(np.abs(got)), log_mag, rtol=1e-12)
+    np.testing.assert_array_equal(np.sign(got.real), sign)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_log_series_matches_log1p_at_split_radius(alpha):
+    a, e, r = _log_series(alpha)
+    assert r == 0.1  # the split radius is not halved below alpha ~ 1.96
+    for x in (r, r / 3.0, r / 100.0):
+        want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([x]))[0]))
+        assert math.fsum(a * x**e) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_log_series_radius_shrinks_near_two():
+    # The majorant of m passes 1/2 at r = 0.1 once alpha nears 2; the halved
+    # radius keeps the series exact there.  The reference loses digits of its
+    # own as alpha -> 2, where C x^alpha and alpha c_1 x^2 in m nearly cancel.
+    for alpha in (1.97, 1.995):
+        a, e, r = _log_series(alpha)
+        assert r < 0.1
+        want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([r]))[0]))
+        assert math.fsum(a * r**e) == pytest.approx(want, rel=1e-13, abs=0.0)
+    coef, _ = _pareto_chain_coeffs(1.97, HALF_N, 256, _beta_1d(1.97))
+    lams = np.linspace(0.0, 20.0, 41)
+    got = pareto_em_chain_cf(1.97, HALF_N, 0.0, 256, lams)
+    log_mag, sign = _direct_log_chain_cf(1.97, coef, lams)
+    np.testing.assert_allclose(got, sign * np.exp(log_mag), rtol=0.0, atol=1e-12)
 
 
 def test_chain_cf_modulus_bounded():
@@ -128,8 +220,8 @@ def test_stable_mean_abs_frozen():
 def test_w1_exact_ou_limits():
     alpha = 1.5
     # at t = 0 the chain is a point mass at 0, so W1 = E|invariant draw|
-    assert w1_exact_ou_vs_invariant(alpha, 0.0) == pytest.approx(1.301513567054718, abs=1e-12)
-    assert w1_exact_ou_vs_invariant(alpha, 60.0) < 1e-12
+    assert w1_exact_ou_vs_invariant(alpha, 0.0).w1 == pytest.approx(1.301513567054718, abs=1e-12)
+    assert w1_exact_ou_vs_invariant(alpha, 60.0).w1 < 1e-12
 
 
 def test_gap_quadrature_matches_stable_closed_form():
@@ -140,14 +232,54 @@ def test_gap_quadrature_matches_stable_closed_form():
     s_n = stable_em_chain_scale_pow(alpha, HALF_N, n)
     gap = (np.exp(-s_n * nodes**alpha) - stable_ou_invariant_cf(alpha, nodes)) / nodes**2
     via_quad = abs(float(weights @ gap)) * 2.0 / math.pi
-    closed = w1_stable_chain_vs_invariant(alpha, HALF_N, n)
+    closed = w1_stable_chain_vs_invariant(alpha, HALF_N, n).w1
     # the naive subtraction above loses digits once the CF gap is tiny, so
     # only expect agreement to ~1e-4 relative
     assert via_quad == pytest.approx(closed, rel=1e-4)
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_w1_pareto_power_sums_match_direct_product(alpha):
+    # the 21 checkpoints of acceptance criterion 1
+    for n in (128, 256, 512, 1024, 2048, 4096, 8192):
+        want = _direct_w1_pareto(alpha, HALF_N, n)
+        assert w1_pareto_chain_vs_invariant(alpha, HALF_N, n).w1 == pytest.approx(want, rel=1e-10)
+
+
+def test_w1_oracles_report_sign_and_error():
+    res = w1_pareto_chain_vs_invariant(1.5, HALF_N, 512)
+    assert res.signed_error == -res.w1  # the chain's E|Y_n| is below the invariant E|X|
+    assert 0.0 < res.oracle_err < 1e-6 * res.w1
+    closed = w1_stable_chain_vs_invariant(1.5, HALF_N, 512)
+    assert closed.w1 == abs(closed.signed_error) > 0.0
+    assert closed.oracle_err == 0.0
+    exact = w1_exact_ou_vs_invariant(1.5, 0.0)
+    assert exact.signed_error == pytest.approx(-1.301513567054718, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, n", [(1.2, 128), (1.2, 8192), (1.5, 512)])
+def test_pareto_oracle_err_covers_mass_below_quadrature(alpha, n):
+    # Integrate the CF gap over [1e-24, 1e-14], below the oracle's rule; the
+    # rest of (0, 1e-24] is ~1e-2 of that at alpha = 1.2.  oracle_err must
+    # cover this dropped mass and, where it dominates, measure it.
+    res = w1_pareto_chain_vs_invariant(alpha, HALF_N, n)
+    edges = np.geomspace(1e-24, 1e-14, 41)
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg).ravel()
+    weights = (half[:, None] * wg).ravel()
+    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n, _beta_1d(alpha))
+    log_phi_n, _ = _direct_log_chain_cf(alpha, coef, nodes)
+    log_phi_inv = -(nodes**alpha) / alpha
+    gap = np.exp(log_phi_inv) * np.expm1(log_phi_n - log_phi_inv) / nodes**2
+    dropped = abs(float(weights @ gap)) * 2.0 / math.pi
+    assert res.oracle_err >= dropped
+    if dropped > 1e-4 * res.w1:
+        assert res.oracle_err == pytest.approx(dropped, rel=0.05)
+
+
 def test_w1_pareto_chain_decreases():
-    vals = [w1_pareto_chain_vs_invariant(1.5, HALF_N, n) for n in (64, 256, 1024)]
+    vals = [w1_pareto_chain_vs_invariant(1.5, HALF_N, n).w1 for n in (64, 256, 1024)]
     assert vals[0] > vals[1] > vals[2] > 0.0
 
 

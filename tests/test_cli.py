@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 from pathlib import Path
 
@@ -46,6 +48,79 @@ def test_explicit_schedule_shorter_than_n_max_is_config_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "n_max" in err and "8 steps" in err
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("rate", "checkpoints"), ("ergodicity", "checkpoints"), ("cf-check", "n"),
+])
+def test_explicit_schedule_shorter_than_run_is_config_error(tmp_path, capsys, experiment, key):
+    args = ["--reference", "oracle"] if experiment == "rate" else []
+    code = main([
+        experiment, "--alpha", "1.5", *args,
+        "--schedule", "explicit:0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} asks for" in err and "only 8 steps" in err
+
+
+@pytest.mark.parametrize("c, spans", [("0.5", True), ("0.9", False)])
+def test_oracle_rate_rows_carry_signed_error_and_local_slope(tmp_path, c, spans):
+    # Stable-EM at alpha = 1.5: on c-over-n:0.5 s_n^{1/alpha} - alpha^{-1/alpha}
+    # changes sign between n = 2048 and 4096, on c-over-n:0.9 it does not.
+    out = str(tmp_path / "rate")
+    main([
+        "rate", "--scheme", "stable-em", "--reference", "oracle", "--alpha", "1.5",
+        "--schedule", f"c-over-n:{c}", "--out", out,
+    ])
+    summary = json.load(open(out + ".json"))
+    assert summary["fit_spans_sign_change"] is spans
+    with open(out + ".csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["local_slope"] == ""
+    for prev, row in zip(rows, rows[1:]):
+        slope = math.log(float(row["w1"]) / float(prev["w1"])) / math.log(
+            float(row["gamma_n"]) / float(prev["gamma_n"])
+        )
+        assert float(row["local_slope"]) == pytest.approx(slope, rel=1e-12)
+    for row in rows:
+        assert abs(float(row["signed_error"])) == float(row["w1"])
+        assert float(row["oracle_err"]) == 0.0
+    signs = {float(r["signed_error"]) > 0 for r in rows}
+    assert (len(signs) > 1) is spans
+
+
+def test_local_slope_is_empty_where_w1_is_zero(tmp_path):
+    # gamma_n = 4/n: t_n passes 25 early, so the exact OU law rounds onto
+    # the invariant one and W1 is exactly 0.0 at the deep checkpoints
+    out = str(tmp_path / "rate")
+    code = main([
+        "rate", "--scheme", "exact-ou", "--reference", "oracle", "--alpha", "1.5",
+        "--schedule", "c-over-rho-n:2,0.5", "--checkpoints", "4..8192 geometric", "--out", out,
+    ])
+    assert code == 0
+    with open(out + ".csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert float(rows[-1]["w1"]) == 0.0 and rows[-1]["local_slope"] == ""
+    assert rows[1]["local_slope"] != ""
+    # negative signed errors, then zeros: no sign change
+    assert json.load(open(out + ".json"))["fit_spans_sign_change"] is False
+
+
+def test_pareto_oracle_rows_carry_quadrature_error(tmp_path):
+    out = str(tmp_path / "rate")
+    main([
+        "rate", "--scheme", "pareto-em", "--reference", "oracle", "--alpha", "1.5",
+        "--checkpoints", "128..1024 geometric", "--out", out,
+    ])
+    with open(out + ".csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        w1 = float(row["w1"])
+        assert float(row["signed_error"]) == -w1  # E|Y_n| < E|X_inf| on this chain
+        assert 0.0 <= float(row["oracle_err"]) < 1e-6 * w1
+    assert json.load(open(out + ".json"))["fit_spans_sign_change"] is False
 
 
 def test_explicit_schedule_has_no_omega_cross_check(tmp_path):
