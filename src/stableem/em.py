@@ -5,6 +5,16 @@ executes many chains with the same per-chain random streams but draws and
 transforms innovations in blocks for speed.  Chain i of an ensemble always
 consumes stream (master_seed, i) in a fixed scheme-defined order, so output
 is bit-reproducible for a fixed configuration regardless of worker count.
+
+A block of chains builds no per-chain objects: it takes one Philox
+generator from ``rng.derive_stream`` and moves it from chain to chain with
+``rng.reposition``.  Each chain draws whole chunks of _STEP_CHUNK steps
+(``_draws_per_step`` gives the order within a chunk), so _STEP_CHUNK is
+part of the draw order; a chain that spans several chunks resumes its own
+stream from the state the previous chunk left it in.  Draws go into a small
+tile, are transformed there by the samplers' transforms and land in a
+(step, chain, d) array, so each step reads one contiguous row and updates
+the positions in place with the rounding of the single-chain steps.
 """
 
 from __future__ import annotations
@@ -22,6 +32,10 @@ from .drift import DriftModel, builtin_ou
 from .sampling import (
     NoiseConstants,
     StableSpec,
+    _cms_symmetric,
+    _pareto_isotropic,
+    _pareto_signed,
+    _stable_isotropic,
     noise_constants,
     sample_pareto_vec,
     sample_stable_vec,
@@ -34,8 +48,11 @@ EXACT_OU = "exact-ou"
 SCHEMES = (STABLE_EM, PARETO_EM, EXACT_OU)
 
 # Fixed internals of the block engine; never depend on worker count.
+# _STEP_CHUNK is part of the draw order: each chain draws a whole chunk of
+# steps at a time (see _draws_per_step).
 _STEP_CHUNK = 8192
 _BLOCK_DOUBLES = 1 << 25  # ~256 MiB of innovation doubles per block
+_TILE_DOUBLES = 1 << 16  # draws per tile: drawn, transformed and placed at a time
 
 #: Fraction of chains allowed to hit non-finite positions before the run fails.
 ABORT_BUDGET = 1e-3
@@ -170,57 +187,66 @@ def step_exact_ou(
 # ---------------------------------------------------------------------------
 
 
-def _draw_block_innovations(scheme, alpha, d, seeds, n0, n1):
-    """Innovations for steps n0..n1-1 of a block of chains; shape (B, C, d).
+def _draws_per_step(scheme: str, d: int) -> tuple[int, int, int]:
+    """Uniforms, exponentials and normals that one chain draws per step.
 
-    Per chain and step chunk the draw order is fixed by the scheme:
-    stable/exact-ou draw a uniform block then an exponential block (plus a
-    normal block for d > 1); pareto draws a radius-uniform block then a
-    sign-uniform (d = 1) or normal (d > 1) block.
+    Per chain and step chunk of C steps the stream yields all the uniforms,
+    then all the exponentials, then all the normals: stable/exact-ou draw C
+    angle uniforms and C exponentials (plus C*d normals for d > 1); pareto
+    draws C radius uniforms, then C sign uniforms (d = 1) or C*d normals.
     """
-    B, C = len(seeds), n1 - n0
-    if scheme in (STABLE_EM, EXACT_OU) and d == 1:
-        u = np.empty((B, C))
-        w = np.empty((B, C))
-        for i, gen in enumerate(seeds):
-            u[i] = gen.random(C)
-            w[i] = gen.standard_exponential(C)
-        u = np.pi * (u - 0.5)
-        z = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos(u - alpha * u) / w
-        ) ** ((1.0 - alpha) / alpha)
-        return z[:, :, None]
-    if scheme == STABLE_EM:
-        rho = alpha / 2.0
-        th = np.empty((B, C))
-        w = np.empty((B, C))
-        g = np.empty((B, C, d))
-        for i, gen in enumerate(seeds):
-            th[i] = gen.random(C)
-            w[i] = gen.standard_exponential(C)
-            g[i] = gen.standard_normal((C, d))
-        th *= np.pi
-        s = (
-            np.sin(rho * th)
-            * np.sin((1.0 - rho) * th) ** ((1.0 - rho) / rho)
-            / np.sin(th) ** (1.0 / rho)
-        ) * w ** (-(1.0 - rho) / rho)
-        return np.sqrt(2.0 * s)[:, :, None] * g
-    # pareto
-    v = np.empty((B, C))
-    if d == 1:
-        su = np.empty((B, C))
-        for i, gen in enumerate(seeds):
-            v[i] = gen.random(C)
-            su[i] = gen.random(C)
-        r = v ** (-1.0 / alpha)
-        return (np.where(su < 0.5, -r, r))[:, :, None]
-    g = np.empty((B, C, d))
-    for i, gen in enumerate(seeds):
-        v[i] = gen.random(C)
-        g[i] = gen.standard_normal((C, d))
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
-    return (v ** (-1.0 / alpha))[:, :, None] * g
+    if scheme == PARETO_EM:
+        return (2, 0, 0) if d == 1 else (1, 0, d)
+    return (1, 1, 0) if d == 1 else (1, 1, d)
+
+
+def _fill_chunk(cfg: EnsembleRun, gen, lo, z, scale, states, keep):
+    """Innovations of the next C steps of chains lo, lo+1, ..., into z (C, B, d).
+
+    Tile by tile of about _TILE_DOUBLES draws: the one generator ``gen`` is
+    moved to each chain's stream in turn (to its start on the first chunk,
+    or to the state ``states[i]`` in which the previous chunk left chain
+    lo+i) and draws into that chain's row of the tile.  The tile is
+    transformed in this (chain, step) layout, multiplied by ``scale`` (C,)
+    unless it is None, and copied into its (step, chain) place in z.  With
+    ``keep`` the chains' states at the end of the chunk are returned.
+    """
+    scheme, alpha = cfg.scheme, cfg.spec.alpha
+    C, B, d = z.shape
+    nu, ne, nn = _draws_per_step(scheme, d)
+    e0, g0, end = nu * C, (nu + ne) * C, (nu + ne + nn) * C
+    tile = min(B, max(1, _TILE_DOUBLES // end))
+    raw = np.empty((tile, end))
+    buf = np.empty((tile, C, d))
+    bitgen = gen.bit_generator
+    saved = [] if keep else None
+    for i0 in range(0, B, tile):
+        r, t = raw[: B - i0], buf[: B - i0]
+        for i, row in enumerate(r, start=i0):
+            if states is None:
+                rngmod.reposition(gen, cfg.master_seed, lo + i)
+            else:
+                bitgen.state = states[i]
+            gen.random(out=row[:e0])
+            if ne:
+                gen.standard_exponential(out=row[e0:g0])
+            if nn:
+                gen.standard_normal(out=row[g0:])
+            if keep:
+                saved.append(bitgen.state)
+        u, w = r[:, :C], r[:, C : 2 * C]
+        if scheme == PARETO_EM and d == 1:
+            _pareto_signed(alpha, u, w, out=t[..., 0])
+        elif scheme == PARETO_EM:
+            _pareto_isotropic(alpha, u, r[:, C:].reshape(len(r), C, d), out=t)
+        elif d == 1:
+            _cms_symmetric(alpha, u, w, out=t[..., 0])
+        else:
+            _stable_isotropic(alpha, u, w, r[:, 2 * C :].reshape(len(r), C, d), out=t)
+        if scale is not None:
+            t *= scale[:, None]
+        z[:, i0 : i0 + len(r)] = t.transpose(1, 0, 2)
+    return saved
 
 
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set):
@@ -245,20 +271,31 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set):
     if 0 in cp_set:
         out[:, cp_index[0], :] = x
 
-    gens = [rngmod.derive_stream(cfg.master_seed, i) for i in range(lo, hi)]
+    innov = np.empty((min(n_max, _STEP_CHUNK), B, d))
+    gen = rngmod.derive_stream(cfg.master_seed, lo)
+    states = None
     n = 0
     while n < n_max:
         n1 = min(n + _STEP_CHUNK, n_max)
-        innov = _draw_block_innovations(cfg.scheme, alpha, d, gens, n, n1)
+        z = innov[: n1 - n]
+        states = _fill_chunk(
+            cfg, gen, lo, z, scale[n:n1] if identity_a else None, states, keep=n1 < n_max
+        )
         for s in range(n1 - n):
             step = n + s  # advancing from step index `step` to `step + 1`
-            zeta = innov[:, s, :]
+            zeta = z[s]
             if not identity_a:
                 zeta = zeta @ a_mat.T
+                zeta *= scale[step]
+            # In place, with the rounding of decay*x + scale*zeta and of
+            # (x + g*b(x)) + scale*zeta.
             if cfg.scheme == EXACT_OU:
-                x = decay[step] * x + scale[step] * zeta
+                x *= decay[step]
             else:
-                x = x + g[step] * cfg.drift(x) + scale[step] * zeta
+                drift = g[step] * cfg.drift(x)
+                drift += x
+                x = drift
+            x += zeta
             if (step + 1) in cp_set:
                 out[:, cp_index[step + 1], :] = x
         n = n1

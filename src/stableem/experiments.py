@@ -161,9 +161,11 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         floor = w1_sorted_1d(ref_a, ref_b).value
         boot_rng = rngmod.derive_stream(cfg.seed, rngmod.AUX_STREAM)
         rows = []
+        m_used = cfg.m
         for j, snap in enumerate(result.snapshots):
             xs = snap.samples[:, 0]
             xs = xs[np.isfinite(xs)]
+            m_used = min(m_used, int(xs.size))
             ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
             est = w1_sorted_1d(xs, ref)
             stderr = bootstrap_w1_stderr(xs, ref, boot_rng, n_boot=200)
@@ -180,6 +182,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             })
 
     summary = _base_summary(cfg, schedule)
+    if cfg.reference == "ensemble":
+        # Chains that went non-finite, and the fewest finite ones a checkpoint used.
+        summary["abort_count"] = result.abort_count
+        summary["m_used"] = m_used
     summary["floor"] = floor
     summary["target_exponent"] = target
     moments = [r["moment_kappa"] for r in rows if "moment_kappa" in r]
@@ -411,6 +417,8 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
             "threshold": threshold,
         })
     summary = _base_summary(cfg, schedule)
+    summary["abort_count"] = result.abort_count
+    summary["m_used"] = int(xs.size)
     summary["n"] = n
     summary["threshold"] = threshold
     return ExperimentReport("cf-check", rows, summary, bool(ok))

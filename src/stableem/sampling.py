@@ -78,15 +78,62 @@ def sample_stable_1d(alpha: float, rng: np.random.Generator, size=None):
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    u = np.pi * (rng.random(size) - 0.5)
+    u = rng.random(size)
     w = rng.standard_exponential(size)
     return _cms_symmetric(alpha, u, w)
 
 
-def _cms_symmetric(alpha, u, w):
-    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-        np.cos(u - alpha * u) / w
-    ) ** ((1.0 - alpha) / alpha)
+# ---------------------------------------------------------------------------
+# Transforms: pure functions of supplied uniforms u, v, s on [0, 1), standard
+# exponentials w and standard normals g.  The samplers here and the ensemble
+# engine both use them, so each variate has one definition.  Scalars stay
+# scalars (NumPy's scalar and array power may differ in the last bit);
+# ``out`` receives the result where the engine writes it in place.
+# ---------------------------------------------------------------------------
+
+
+def _cms_symmetric(alpha, u, w, out=None):
+    """Chambers-Mallows-Stuck: symmetric alpha-stable from u and w."""
+    phi = np.pi * (u - 0.5)
+    a_phi = alpha * phi
+    return np.multiply(
+        np.sin(a_phi) / np.cos(phi) ** (1.0 / alpha),
+        (np.cos(phi - a_phi) / w) ** ((1.0 - alpha) / alpha),
+        out=out,
+    )
+
+
+def _kanter(rho, u, w):
+    """Kanter's form of the one-sided CMS transform: positive rho-stable from u and w."""
+    theta = np.pi * u
+    a = (
+        np.sin(rho * theta)
+        * np.sin((1.0 - rho) * theta) ** ((1.0 - rho) / rho)
+        / np.sin(theta) ** (1.0 / rho)
+    )
+    return a * w ** (-(1.0 - rho) / rho)
+
+
+def _stable_isotropic(alpha, u, w, g, out=None):
+    """Gaussian subordination sqrt(2 S) G, S = Kanter(alpha/2); g has the extra last axis d."""
+    s = _kanter(alpha / 2.0, u, w)
+    return np.multiply(np.sqrt(2.0 * s)[..., None], g, out=out)
+
+
+def _pareto_signed(alpha, v, s, out=None):
+    """1-D Pareto: radius v^{-1/alpha}, negated where the sign uniform s < 1/2.
+
+    s - 1/2 is negative exactly where s < 1/2, so copying its sign onto the
+    positive radius is that negation.
+    """
+    r = np.power(v, -1.0 / alpha, out=out)
+    return np.copysign(r, s - 0.5, out=r)
+
+
+def _pareto_isotropic(alpha, v, g, out=None):
+    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d."""
+    direction = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.multiply((v ** (-1.0 / alpha))[..., None], direction, out=out)
 
 
 def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
@@ -96,14 +143,9 @@ def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    theta = np.pi * rng.random(size)
+    u = rng.random(size)
     w = rng.standard_exponential(size)
-    a = (
-        np.sin(rho * theta)
-        * np.sin((1.0 - rho) * theta) ** ((1.0 - rho) / rho)
-        / np.sin(theta) ** (1.0 / rho)
-    )
-    return a * w ** (-(1.0 - rho) / rho)
+    return _kanter(rho, u, w)
 
 
 def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size=None):
@@ -115,9 +157,10 @@ def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size=None):
     """
     scalar = size is None
     m = 1 if scalar else int(size)
-    s = sample_one_sided_stable(spec.alpha / 2.0, rng, m)
+    u = rng.random(m)
+    w = rng.standard_exponential(m)
     g = rng.standard_normal((m, spec.dim))
-    z = np.sqrt(2.0 * s)[:, None] * g
+    z = _stable_isotropic(spec.alpha, u, w, g)
     return z[0] if scalar else z
 
 
@@ -134,12 +177,8 @@ def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size=Non
     scalar = size is None
     m = 1 if scalar else int(size)
     v = rng.random(m)
-    r = v ** (-1.0 / alpha)
     if dim == 1:
-        sign = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        z = (r * sign)[:, None]
+        z = _pareto_signed(alpha, v, rng.random(m))[:, None]
     else:
-        g = rng.standard_normal((m, dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        z = r[:, None] * g
+        z = _pareto_isotropic(alpha, v, rng.standard_normal((m, dim)))
     return z[0] if scalar else z

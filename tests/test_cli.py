@@ -4,6 +4,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stableem
@@ -205,3 +206,44 @@ def test_rerun_is_byte_identical(tmp_path):
         assert code in (0, 2)
         outs.append(open(out + ".csv", "rb").read())
     assert outs[0] == outs[1]
+
+
+def _with_aborts(monkeypatch):
+    """Make the engine return three non-finite chains at the last checkpoint, one earlier."""
+    import stableem.experiments as experiments
+
+    real = experiments.run_ensemble
+
+    def run_ensemble(run, workers=1):
+        result = real(run, workers=workers)
+        result.snapshots[-1].samples[:3] = np.nan
+        result.snapshots[0].samples[0] = np.nan
+        result.abort_count = 3
+        return result
+
+    monkeypatch.setattr(experiments, "run_ensemble", run_ensemble)
+
+
+@pytest.mark.parametrize("experiment, keys", [
+    ("rate", "scheme = exact-ou\nreference = ensemble\ncheckpoints = 8..32 geometric\n"),
+    ("cf-check", "n = 16\n"),
+])
+def test_ensemble_summary_reports_aborted_chains(tmp_path, monkeypatch, experiment, keys):
+    _with_aborts(monkeypatch)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"experiment = {experiment}\nalpha = 1.5\nm = 400\n{keys}")
+    out = str(tmp_path / "run")
+    assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
+    summary = json.load(open(out + ".json"))
+    assert summary["abort_count"] == 3
+    assert summary["m_used"] == 397
+    with open(out + ".csv") as fh:
+        header = next(csv.reader(fh))
+    assert "abort_count" not in header and "m_used" not in header
+
+
+def test_oracle_rate_summary_has_no_abort_count(tmp_path):
+    out = str(tmp_path / "run")
+    main(["rate", "--alpha", "1.5", "--reference", "oracle", "--checkpoints", "8..64 geometric",
+          "--out", out])
+    assert "abort_count" not in json.load(open(out + ".json"))

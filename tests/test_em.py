@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stableem.drift import builtin_ou, DriftModel
+from stableem import em
+from stableem.drift import builtin_ou, builtin_perturbed_ou, DriftModel
 from stableem.em import (
     ChainState,
     EnsembleRun,
@@ -97,6 +98,130 @@ def test_worker_count_does_not_change_output():
     b = _run("pareto-em", 4000, (8, 64), seed=3, workers=4)
     for sa, sb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(sa.samples, sb.samples)
+
+
+def _reference_innovations(scheme, alpha, d, gens, C):
+    """One chunk of C steps, drawn chain by chain: shape (m, C, d)."""
+    m = len(gens)
+    if scheme in ("stable-em", "exact-ou") and d == 1:
+        u, w = np.empty((m, C)), np.empty((m, C))
+        for i, gen in enumerate(gens):
+            u[i] = gen.random(C)
+            w[i] = gen.standard_exponential(C)
+        u = np.pi * (u - 0.5)
+        z = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+            np.cos(u - alpha * u) / w
+        ) ** ((1.0 - alpha) / alpha)
+        return z[:, :, None]
+    if scheme == "stable-em":
+        rho = alpha / 2.0
+        th, w, g = np.empty((m, C)), np.empty((m, C)), np.empty((m, C, d))
+        for i, gen in enumerate(gens):
+            th[i] = gen.random(C)
+            w[i] = gen.standard_exponential(C)
+            g[i] = gen.standard_normal((C, d))
+        th *= np.pi
+        s = (
+            np.sin(rho * th)
+            * np.sin((1.0 - rho) * th) ** ((1.0 - rho) / rho)
+            / np.sin(th) ** (1.0 / rho)
+        ) * w ** (-(1.0 - rho) / rho)
+        return np.sqrt(2.0 * s)[:, :, None] * g
+    v = np.empty((m, C))
+    if d == 1:
+        su = np.empty((m, C))
+        for i, gen in enumerate(gens):
+            v[i] = gen.random(C)
+            su[i] = gen.random(C)
+        r = v ** (-1.0 / alpha)
+        return np.where(su < 0.5, -r, r)[:, :, None]
+    g = np.empty((m, C, d))
+    for i, gen in enumerate(gens):
+        v[i] = gen.random(C)
+        g[i] = gen.standard_normal((C, d))
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    return (v ** (-1.0 / alpha))[:, :, None] * g
+
+
+def _reference_ensemble(cfg):
+    """The engine as it was with one derive_stream generator per chain.
+
+    Chain i draws whole chunks of em._STEP_CHUNK steps from stream
+    (seed, i), continuing the same stream from chunk to chunk.
+    """
+    alpha, d, a_mat = cfg.spec.alpha, cfg.spec.dim, cfg.spec.matrix_a
+    identity_a = np.allclose(a_mat, np.eye(d))
+    n_max = cfg.checkpoints[-1]
+    g = cfg.schedule.gammas(n_max)
+    if cfg.scheme == "stable-em":
+        scale = g ** (1.0 / alpha)
+    elif cfg.scheme == "pareto-em":
+        scale = g ** (1.0 / alpha) / noise_constants(cfg.spec).beta
+    else:
+        scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
+        decay = np.exp(-g)
+    gens = [derive_stream(cfg.master_seed, i) for i in range(cfg.m_chains)]
+    x = np.tile(cfg.x0, (cfg.m_chains, 1))
+    snaps = {0: x}
+    n = 0
+    while n < n_max:
+        n1 = min(n + em._STEP_CHUNK, n_max)
+        innov = _reference_innovations(cfg.scheme, alpha, d, gens, n1 - n)
+        for s in range(n1 - n):
+            step = n + s
+            zeta = innov[:, s, :]
+            if not identity_a:
+                zeta = zeta @ a_mat.T
+            if cfg.scheme == "exact-ou":
+                x = decay[step] * x + scale[step] * zeta
+            else:
+                x = x + g[step] * cfg.drift(x) + scale[step] * zeta
+            snaps[step + 1] = x
+        n = n1
+    return [snaps[n] for n in cfg.checkpoints]
+
+
+_A2 = np.array([[1.5, 0.4], [0.4, 0.8]])
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "scheme, d, matrix_a, drift",
+    [
+        ("stable-em", 1, None, "ou"),
+        ("stable-em", 3, None, "ou"),
+        ("pareto-em", 1, None, "ou"),
+        ("pareto-em", 3, None, "ou"),
+        ("exact-ou", 1, None, "ou"),
+        ("stable-em", 2, _A2, "perturbed"),
+        ("pareto-em", 2, _A2, "ou"),
+        ("pareto-em", 1, np.array([[1.7]]), "perturbed"),
+    ],
+)
+def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, matrix_a, drift):
+    # Small blocks and tiles, so that workers 2 shares the chains out and the
+    # transforms run tile by tile.  With chunk = 5 and n_max = 13 every chain's
+    # stream has to continue across two chunk boundaries.
+    monkeypatch.setattr(em, "_BLOCK_DOUBLES", 70 * d)
+    monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
+    if chunk is not None:
+        monkeypatch.setattr(em, "_STEP_CHUNK", chunk)
+    spec = StableSpec(ALPHA, d, np.eye(d) if matrix_a is None else matrix_a)
+    cfg = EnsembleRun(
+        scheme=scheme,
+        spec=spec,
+        drift=builtin_ou(d) if drift == "ou" else builtin_perturbed_ou(d, 0.3),
+        schedule=SCHED,
+        m_chains=23,
+        x0=np.linspace(0.5, -0.5, d),
+        checkpoints=(0, 4, 5, 11, 13),
+        master_seed=2024,
+    )
+    want = _reference_ensemble(cfg)
+    got = run_ensemble(cfg, workers=workers)
+    for snap, ref in zip(got.snapshots, want):
+        np.testing.assert_array_equal(snap.samples, ref)
 
 
 def test_exact_ou_one_step_law():
