@@ -33,18 +33,12 @@ from .em import (
     EXACT_OU,
     PARETO_EM,
     STABLE_EM,
-    ChainState,
     EnsembleResult,
     EnsembleRun,
     Snapshot,
     empirical_moment,
     exact_ou_sigma,
-    make_exact_ou_run,
     run_ensemble,
-    save_snapshot,
-    step_exact_ou,
-    step_pareto,
-    step_stable,
 )
 from .experiments import ExperimentReport, emit_outputs, run_experiment
 from .metrics import (

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Each subcommand runs one experiment and writes ``<out>.csv`` and
-``<out>.json``.  Exit codes: 0 on pass (or informational runs), 2 when a
-quantitative gate fails, 1 on configuration or runtime errors.
+``<out>.json``.  It takes ``--config FILE`` and a flag for each key of
+_OVERRIDES that its experiment reads; flags replace the file's values.
+Exit codes: 0 on pass (or informational runs), 2 when a quantitative gate
+fails, 1 on usage, configuration or runtime errors.
 """
 
 from __future__ import annotations
@@ -10,26 +12,31 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config
+from .config import (
+    EXPERIMENT_KEYS,
+    EXPERIMENTS,
+    ConfigError,
+    ExperimentConfig,
+    flag_values,
+    load_config,
+)
 from .experiments import run_experiment, emit_outputs
 
+# Keys settable by flag; a subcommand takes those its experiment reads.
 _OVERRIDES = (
-    ("--seed", "seed", int),
-    ("--alpha", "alpha", float),
-    ("--scheme", "scheme", str),
-    ("--dim", "dim", int),
-    ("--drift", "drift", str),
-    ("--schedule", "schedule", str),
-    ("--m", "m", int),
-    ("--checkpoints", "checkpoints", str),
-    ("--x0", "x0", float),
-    ("--workers", "workers", int),
-    ("--reference", "reference", str),
+    "seed", "out", "alpha", "scheme", "dim", "drift", "schedule", "m", "checkpoints", "x0",
+    "workers", "reference",
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error is an input error (exit 1); exit 2 means a failed gate.
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stableem",
         description="Euler-Maruyama schemes with decreasing steps for stable-driven SDEs",
     )
@@ -37,35 +44,31 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", default=name, help="output path prefix (default: %(default)s)")
-        for flag, _, typ in _OVERRIDES:
-            p.add_argument(flag, type=typ, default=None)
+        for key in _OVERRIDES:
+            if key in EXPERIMENT_KEYS[name]:
+                p.add_argument(f"--{key}")
     return parser
 
 
 def _load(args) -> ExperimentConfig:
-    overrides = {
-        key: getattr(args, key) for _, key, _ in _OVERRIDES if getattr(args, key) is not None
-    }
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.experiment != args.experiment:
-            raise ConfigError(
-                f"config file is for {cfg.experiment!r}, subcommand is {args.experiment!r}"
-            )
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        cfg.__post_init__()  # re-validate after overrides
-        return cfg
-    return ExperimentConfig(experiment=args.experiment, **overrides)
+    flags = flag_values(
+        {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key, None) is not None}
+    )
+    if not args.config:
+        return ExperimentConfig(args.experiment, **flags)
+    cfg = load_config(args.config, flags)
+    if cfg.experiment != args.experiment:
+        raise ConfigError(
+            f"config file is for {cfg.experiment!r}, subcommand is {args.experiment!r}"
+        )
+    return cfg
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = _load(_build_parser().parse_args(argv))
         report = run_experiment(cfg)
-        emit_outputs(report, cfg.out or args.out)
+        emit_outputs(report, cfg.out or cfg.experiment)
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

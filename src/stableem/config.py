@@ -1,154 +1,34 @@
-"""Flat key=value experiment configuration.
+"""Experiment configuration: one key table, one key set per experiment.
 
-Files are UTF-8 ``key = value`` lines with ``#`` comments.  Parsing is
-strict: unknown keys are rejected with their line number, and each
-experiment validates the keys it needs at load time.
+Files are UTF-8 ``key = value`` lines with ``#`` comments.  Every key is
+defined once in KEYS, with the parser that checks its value and its
+default; EXPERIMENT_KEYS names the keys each experiment reads, and only
+those can be set.  A key outside that set, or a value its parser refuses,
+is a ConfigError naming the key and where it was given: the file and line,
+or the command-line flag.  Structured values (schedules, checkpoint lists,
+grids, drift names) are parsed when the config is built and kept as
+written.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
+from .drift import drift_by_name
 from .schedule import StepSchedule
-
-EXPERIMENTS = (
-    "rate",
-    "weak-error",
-    "ergodicity",
-    "cf-check",
-    "schedule",
-    "sample",
-    "certify-drift",
-)
-
-_SCHEME_ALIASES = {
-    "pareto": "pareto-em",
-    "pareto-em": "pareto-em",
-    "stable": "stable-em",
-    "stable-em": "stable-em",
-    "exact-ou": "exact-ou",
-}
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    alpha: float = None
-    scheme: str = "pareto-em"
-    dim: int = 1
-    drift: str = "ou"
-    schedule: str = "c-over-n:0.5"
-    theta: float | None = None
-    m: int = 200_000
-    checkpoints: str = "128..8192 geometric"
-    x0: float = 0.0
-    kappa: float = 1.2
-    seed: int = 0
-    out: str | None = None
-    reference: str = "ensemble"
-    workers: int = 0  # 0 -> env override or 1
-    slope_tol: float = 0.15
-    n: int = 512
-    lambdas: str = "0.25,0.5,1,2"
-    gammas: str = "2^-3..2^-9"
-    mc: int = 10_000_000
-    x: float = 5.0
-    y: float = -5.0
-    rho_toy: float = 0.5
-    n_max: int = 100_000
-    box: float = 20.0
-    pairs: int = 10_000
-    sampler: str = "stable-1d"
-    count: int = 10_000
-    test_fn: str = "cos"
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.scheme not in _SCHEME_ALIASES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        self.scheme = _SCHEME_ALIASES[self.scheme]
-        if self.alpha is None and self.experiment not in ("schedule",):
-            raise ConfigError("missing required key: alpha")
-        if self.alpha is not None and not 1.0 < float(self.alpha) < 2.0:
-            raise ConfigError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if self.reference not in ("ensemble", "oracle"):
-            raise ConfigError(f"reference must be 'ensemble' or 'oracle', got {self.reference!r}")
-
-    @property
-    def effective_theta(self) -> float:
-        if self.theta is not None:
-            return float(self.theta)
-        return 1.0 / float(self.alpha) if self.alpha else 1.0
-
-    @property
-    def effective_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("STABLEEM_WORKERS")
-        return int(env) if env else 1
-
-    def build_schedule(self) -> StepSchedule:
-        return parse_schedule(self.schedule, self.effective_theta)
-
-    def checkpoint_list(self) -> tuple[int, ...]:
-        return parse_checkpoints(self.checkpoints)
-
-    def gamma_grid(self) -> tuple[float, ...]:
-        return parse_gamma_grid(self.gammas)
-
-    def lambda_list(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.lambdas.split(","))
-
-    def echo(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ConfigError(ValueError):
     pass
 
 
-_FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
-_INT_KEYS = {"dim", "m", "seed", "n", "mc", "n_max", "pairs", "count", "workers"}
-_FLOAT_KEYS = {"alpha", "theta", "x0", "kappa", "slope_tol", "x", "y", "rho_toy", "box"}
-
-
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a key=value config file into an ExperimentConfig (strict keys)."""
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = _coerce(key, value, f"{path}:{lineno}")
-    if "experiment" not in values:
-        raise ConfigError(f"{path}: missing required key: experiment")
-    return ExperimentConfig(**values)
-
-
-def _coerce(key: str, value: str, where: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value.replace("_", ""))
-        if key in _FLOAT_KEYS:
-            return _parse_number(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {value!r}") from exc
-    return value
-
-
-def _parse_number(value: str) -> float:
-    if "^" in value:  # allow 2^-9 style exponents
+def _number(value) -> float:
+    """A float, also written as a power ``2^-9`` or a ratio ``3/2``."""
+    if not isinstance(value, str):
+        return float(value)
+    if "^" in value:
         base, _, exp = value.partition("^")
         return float(base) ** float(exp)
     if "/" in value:
@@ -157,20 +37,56 @@ def _parse_number(value: str) -> float:
     return float(value)
 
 
+def _integer(value) -> int:
+    return int(value.replace("_", "")) if isinstance(value, str) else operator.index(value)
+
+
+def _bounded(parse, test, text):
+    def check(value):
+        parsed = parse(value)
+        if not test(parsed):
+            raise ValueError(f"must {text}")
+        return parsed
+
+    return check
+
+
+def _one_of(*choices, **aliases):
+    def check(value):
+        value = aliases.get(value, value)
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+
+    return check
+
+
+def _spec(parse):
+    """Text that ``parse`` accepts, kept as written (it is parsed again where used)."""
+
+    def check(value):
+        if not isinstance(value, str):
+            raise TypeError(f"expected text, got {type(value).__name__}")
+        parse(value)
+        return value
+
+    return check
+
+
 def parse_schedule(spec: str, theta: float) -> StepSchedule:
     """Schedule syntax: c-over-n:G1 | c-over-rho-n:C,RHO | poly:G1,A | explicit:v1,v2,..."""
     name, _, rest = spec.partition(":")
     try:
         if name == "c-over-n":
-            return StepSchedule.c_over_rho_n(c=_parse_number(rest), rho=1.0, theta=theta)
+            return StepSchedule.c_over_rho_n(c=_number(rest), rho=1.0, theta=theta)
         if name == "c-over-rho-n":
-            c, rho = (_parse_number(v) for v in rest.split(","))
+            c, rho = (_number(v) for v in rest.split(","))
             return StepSchedule.c_over_rho_n(c=c, rho=rho, theta=theta)
         if name == "poly":
-            g1, a = (_parse_number(v) for v in rest.split(","))
+            g1, a = (_number(v) for v in rest.split(","))
             return StepSchedule.polynomial(gamma1=g1, a=a, theta=theta)
         if name == "explicit":
-            return StepSchedule.explicit([_parse_number(v) for v in rest.split(",")], theta=theta)
+            return StepSchedule.explicit([_number(v) for v in rest.split(",")], theta=theta)
     except ValueError as exc:
         raise ConfigError(f"bad schedule spec {spec!r}") from exc
     raise ConfigError(f"unknown schedule family {name!r}")
@@ -201,7 +117,7 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
     spec = spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
-        lo, hi = _parse_number(lo_s), _parse_number(hi_s)
+        lo, hi = _number(lo_s), _number(hi_s)
         if not 0 < hi <= lo:
             raise ConfigError(f"bad gamma grid {spec!r}")
         out = []
@@ -210,4 +126,184 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
             out.append(g)
             g /= 2.0
         return tuple(out)
-    return tuple(_parse_number(v) for v in spec.split(","))
+    return tuple(_number(v) for v in spec.split(","))
+
+
+def parse_lambdas(spec: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in spec.split(","))
+
+
+class Key(NamedTuple):
+    parse: Callable  # text (or a Python value) -> value; raises ValueError or TypeError
+    default: object
+
+
+REQUIRED = object()  # default of a key that must be given
+
+_alpha = _bounded(_number, lambda a: 1.0 < a < 2.0, "lie in (1, 2)")
+_count = _bounded(_integer, lambda n: n >= 1, "be at least 1")
+
+#: Every key, its parser and its default.
+KEYS = {
+    "alpha": Key(_alpha, REQUIRED),
+    "scheme": Key(
+        _one_of("pareto-em", "stable-em", "exact-ou", pareto="pareto-em", stable="stable-em"),
+        "pareto-em",
+    ),
+    "dim": Key(_count, 1),
+    "drift": Key(_spec(lambda v: drift_by_name(v, 1)), "ou"),
+    "schedule": Key(_spec(lambda v: parse_schedule(v, 1.0)), "c-over-n:0.5"),
+    "theta": Key(_bounded(_number, lambda t: 0.0 < t <= 1.0, "lie in (0, 1]"), None),  # None: 1/alpha
+    "m": Key(_count, 200_000),
+    "checkpoints": Key(_spec(parse_checkpoints), "128..8192 geometric"),
+    "x0": Key(_number, 0.0),
+    "kappa": Key(_number, 1.2),
+    "reference": Key(_one_of("ensemble", "oracle"), "ensemble"),
+    "workers": Key(_bounded(_integer, lambda n: n >= 0, "be at least 0"), 0),  # 0: env or 1
+    "slope_tol": Key(_number, 0.15),
+    "n": Key(_count, 512),
+    "lambdas": Key(_spec(parse_lambdas), "0.25,0.5,1,2"),
+    "gammas": Key(_spec(parse_gamma_grid), "2^-3..2^-9"),
+    "mc": Key(_count, 10_000_000),
+    "test_fn": Key(_one_of("cos", "invquad"), "cos"),
+    "x": Key(_number, 5.0),
+    "y": Key(_number, -5.0),
+    "rho_toy": Key(_number, 0.5),
+    "n_max": Key(_count, 100_000),
+    "sampler": Key(_one_of("stable-1d", "stable-vec", "pareto"), "stable-1d"),
+    "count": Key(_count, 10_000),
+    "pairs": Key(_count, 10_000),
+    "box": Key(_number, 20.0),
+    "seed": Key(_integer, 0),
+    "out": Key(str, None),  # None: the experiment's name
+}
+
+#: The keys each experiment reads; no other key can be set for it.
+EXPERIMENT_KEYS = {
+    name: keys + ("seed", "out")
+    for name, keys in {
+        "rate": (
+            "alpha", "scheme", "dim", "drift", "schedule", "theta", "m", "checkpoints",
+            "x0", "kappa", "reference", "workers", "slope_tol",
+        ),
+        "weak-error": ("alpha", "x0", "gammas", "mc", "test_fn"),
+        "ergodicity": ("alpha", "schedule", "theta", "m", "checkpoints", "x", "y", "workers"),
+        "cf-check": (
+            "alpha", "scheme", "schedule", "theta", "m", "n", "x0", "lambdas", "workers",
+        ),
+        "schedule": ("alpha", "schedule", "theta", "rho_toy", "n_max"),
+        "sample": ("alpha", "sampler", "dim", "count"),
+        "certify-drift": ("drift", "dim", "pairs", "box"),
+    }.items()
+}
+EXPERIMENTS = tuple(EXPERIMENT_KEYS)
+
+# Where one experiment reads a key with another default or fewer values.
+_PER_EXPERIMENT = {
+    ("weak-error", "x0"): Key(_number, 0.5),
+    ("schedule", "alpha"): Key(_alpha, 1.5),
+    ("cf-check", "scheme"): Key(_one_of("pareto-em", pareto="pareto-em"), "pareto-em"),
+}
+
+
+def key_spec(experiment: str, key: str) -> Key:
+    return _PER_EXPERIMENT.get((experiment, key), KEYS[key])
+
+
+class _Located(NamedTuple):
+    """A value with where it was given, for error messages: ``file:line: `` or ``--flag: ``."""
+
+    value: object
+    where: str
+
+
+def _unpack(value) -> tuple:
+    return value if isinstance(value, _Located) else (value, "")
+
+
+class ExperimentConfig:
+    """The settings of one experiment: exactly the keys in EXPERIMENT_KEYS[experiment].
+
+    Keyword values go through the key table like file values, and may be
+    given located (see ``flag_values``); unset keys take their defaults.
+    """
+
+    def __init__(self, experiment: str, **values):
+        experiment, where = _unpack(experiment)
+        if experiment not in EXPERIMENT_KEYS:
+            raise ConfigError(f"{where}unknown experiment {experiment!r}")
+        self.experiment = experiment
+        keys = EXPERIMENT_KEYS[experiment]
+        for key, given in values.items():
+            value, where = _unpack(given)
+            if key not in KEYS:
+                raise ConfigError(f"{where}unknown key {key!r}")
+            if key not in keys:
+                raise ConfigError(f"{where}key {key!r} does not apply to experiment {experiment!r}")
+            try:
+                setattr(self, key, key_spec(experiment, key).parse(value))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{where}bad value for {key!r}: {value!r} ({exc})") from None
+        for key in keys:
+            if key not in vars(self):
+                default = key_spec(experiment, key).default
+                if default is REQUIRED:
+                    raise ConfigError(f"missing required key: {key}")
+                setattr(self, key, default)
+
+    @property
+    def effective_theta(self) -> float:
+        return float(self.theta) if self.theta is not None else 1.0 / self.alpha
+
+    @property
+    def effective_workers(self) -> int:
+        if self.workers > 0:
+            return self.workers
+        env = os.environ.get("STABLEEM_WORKERS")
+        return int(env) if env else 1
+
+    def build_schedule(self) -> StepSchedule:
+        return parse_schedule(self.schedule, self.effective_theta)
+
+    def checkpoint_list(self) -> tuple[int, ...]:
+        return parse_checkpoints(self.checkpoints)
+
+    def gamma_grid(self) -> tuple[float, ...]:
+        return parse_gamma_grid(self.gammas)
+
+    def lambda_list(self) -> tuple[float, ...]:
+        return parse_lambdas(self.lambdas)
+
+    def echo(self) -> dict:
+        return {key: getattr(self, key) for key in EXPERIMENT_KEYS[self.experiment]}
+
+
+def flag_values(flags: dict) -> dict:
+    """Command-line values, located by their flag for error messages."""
+    return {key: _Located(value, f"--{key}: ") for key, value in flags.items()}
+
+
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse a key = value file into the config of its experiment.
+
+    ``overrides`` (from ``flag_values``) replace the file's values before
+    the config is built.
+    """
+    values: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}: "
+            if "=" not in line:
+                raise ConfigError(f"{where}expected 'key = value', got {raw.rstrip()!r}")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key in values:
+                raise ConfigError(f"{where}duplicate key {key!r}")
+            values[key] = _Located(value, where)
+    if "experiment" not in values:
+        raise ConfigError(f"{path}: missing required key: experiment")
+    values.update(overrides or {})
+    return ExperimentConfig(**values)

@@ -1,10 +1,9 @@
 """The two decreasing-step EM iterations, the exact 1-D OU reference, ensembles.
 
-Single-chain step operations are the reference semantics; run_ensemble
-executes many chains with the same per-chain random streams but draws and
-transforms innovations in blocks for speed.  Chain i of an ensemble always
-consumes stream (master_seed, i) in a fixed scheme-defined order, so output
-is bit-reproducible for a fixed configuration regardless of worker count.
+run_ensemble advances many chains; ``_run_block`` holds the one definition
+of each scheme's step.  Chain i of an ensemble always consumes stream
+(master_seed, i) in a fixed scheme-defined order, so output is
+bit-reproducible for a fixed configuration regardless of worker count.
 
 A block of chains builds no per-chain objects: it takes one Philox
 generator from ``rng.derive_stream`` and moves it from chain to chain with
@@ -14,31 +13,26 @@ part of the draw order; a chain that spans several chunks resumes its own
 stream from the state the previous chunk left it in.  Draws go into a small
 tile, are transformed there by the samplers' transforms and land in a
 (step, chain, d) array, so each step reads one contiguous row and updates
-the positions in place with the rounding of the single-chain steps.
+the positions in place.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .drift import DriftModel, builtin_ou
+from .drift import DriftModel
 from .sampling import (
-    NoiseConstants,
     StableSpec,
     _cms_symmetric,
     _pareto_isotropic,
     _pareto_signed,
     _stable_isotropic,
     noise_constants,
-    sample_pareto_vec,
-    sample_stable_vec,
 )
 from .schedule import StepSchedule
 
@@ -56,13 +50,6 @@ _TILE_DOUBLES = 1 << 16  # draws per tile: drawn, transformed and placed at a ti
 
 #: Fraction of chains allowed to hit non-finite positions before the run fails.
 ABORT_BUDGET = 1e-3
-
-
-@dataclass(frozen=True)
-class ChainState:
-    x: np.ndarray  # d-vector
-    n: int
-    t: float
 
 
 @dataclass(frozen=True)
@@ -113,73 +100,9 @@ class EnsembleResult:
     m_chains: int
 
 
-# ---------------------------------------------------------------------------
-# Single-chain reference steps.
-# ---------------------------------------------------------------------------
-
-
-def step_stable(
-    state: ChainState,
-    drift: DriftModel,
-    spec: StableSpec,
-    schedule: StepSchedule,
-    rng: np.random.Generator,
-    innovation=None,
-) -> ChainState:
-    """x' = x + gamma b(x) + gamma^{1/alpha} A zeta, gamma = gamma_{n+1}."""
-    gamma = schedule.gamma_at(state.n + 1)
-    zeta = sample_stable_vec(spec, rng) if innovation is None else np.asarray(innovation, float)
-    x = np.asarray(state.x, dtype=float).ravel()
-    xp = x + gamma * drift(x[None, :])[0] + gamma ** (1.0 / spec.alpha) * spec.matrix_a @ zeta
-    return ChainState(x=xp, n=state.n + 1, t=state.t + gamma)
-
-
-def step_pareto(
-    state: ChainState,
-    drift: DriftModel,
-    spec: StableSpec,
-    schedule: StepSchedule,
-    constants: NoiseConstants,
-    rng: np.random.Generator,
-    innovation=None,
-) -> ChainState:
-    """x' = x + gamma b(x) + (gamma^{1/alpha}/beta) A Ztilde."""
-    gamma = schedule.gamma_at(state.n + 1)
-    if innovation is None:
-        z = sample_pareto_vec(spec.alpha, spec.dim, rng)
-    else:
-        z = np.asarray(innovation, dtype=float)
-    x = np.asarray(state.x, dtype=float).ravel()
-    scale = gamma ** (1.0 / spec.alpha) / constants.beta
-    xp = x + gamma * drift(x[None, :])[0] + scale * spec.matrix_a @ z
-    return ChainState(x=xp, n=state.n + 1, t=state.t + gamma)
-
-
 def exact_ou_sigma(alpha: float, gamma: float) -> float:
     """Innovation scale of the exact OU transition: ((1-e^{-alpha g})/alpha)^{1/alpha}."""
     return ((1.0 - math.exp(-alpha * gamma)) / alpha) ** (1.0 / alpha)
-
-
-def step_exact_ou(
-    state: ChainState,
-    alpha: float,
-    schedule: StepSchedule,
-    rng: np.random.Generator,
-    innovation=None,
-) -> ChainState:
-    """Exact transition of dX = -X dt + dZ over one step: x' = e^{-g} x + sigma(g) zeta."""
-    x = np.asarray(state.x, dtype=float).ravel()
-    if x.size != 1:
-        raise ValueError("exact OU stepping is 1-D only")
-    gamma = schedule.gamma_at(state.n + 1)
-    if innovation is None:
-        from .sampling import sample_stable_1d
-
-        zeta = sample_stable_1d(alpha, rng)
-    else:
-        zeta = float(np.asarray(innovation).ravel()[0])
-    xp = math.exp(-gamma) * x + exact_ou_sigma(alpha, gamma) * zeta
-    return ChainState(x=xp, n=state.n + 1, t=state.t + gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +173,12 @@ def _fill_chunk(cfg: EnsembleRun, gen, lo, z, scale, states, keep):
 
 
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set):
+    """Chains lo..hi-1 through every checkpoint, with the step gamma = g[n] from x_n to x_{n+1}:
+
+    stable-em  x' = x + gamma b(x) + gamma^{1/alpha} A zeta,
+    pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) A Ztilde,
+    exact-ou   x' = e^{-gamma} x + exact_ou_sigma(alpha, gamma) zeta   (b = -x, A = 1).
+    """
     alpha, d = cfg.spec.alpha, cfg.spec.dim
     a_mat = cfg.spec.matrix_a
     identity_a = np.allclose(a_mat, np.eye(d))
@@ -367,44 +296,3 @@ def empirical_moment(snap: Snapshot, kappa: float, alpha: float) -> float:
         raise ValueError("kappa must be >= 1")
     norms = np.linalg.norm(snap.samples, axis=1)
     return float(np.nanmean(norms**kappa))
-
-
-# ---------------------------------------------------------------------------
-# Snapshot serialization: CSV of positions plus a JSON sidecar.
-# ---------------------------------------------------------------------------
-
-
-def save_snapshot(snap: Snapshot, prefix: str, meta: dict) -> None:
-    d = snap.samples.shape[1]
-    with open(f"{prefix}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain_index"] + [f"x{j}" for j in range(d)])
-        for i, row in enumerate(snap.samples):
-            writer.writerow([i] + [repr(float(v)) for v in row])
-    sidecar = dict(meta)
-    sidecar.update({"n": snap.n, "t": snap.t, "gamma_n": snap.gamma_n,
-                    "generator": rngmod.GENERATOR_NAME})
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def make_exact_ou_run(
-    alpha: float,
-    schedule: StepSchedule,
-    m_chains: int,
-    x0: float,
-    checkpoints,
-    master_seed: int,
-) -> EnsembleRun:
-    """Convenience constructor for the exact 1-D OU reference ensemble."""
-    return EnsembleRun(
-        scheme=EXACT_OU,
-        spec=StableSpec.isotropic(alpha, 1),
-        drift=builtin_ou(1),
-        schedule=schedule,
-        m_chains=m_chains,
-        x0=np.array([x0]),
-        checkpoints=tuple(checkpoints),
-        master_seed=master_seed,
-    )

@@ -247,3 +247,57 @@ def test_oracle_rate_summary_has_no_abort_count(tmp_path):
     main(["rate", "--alpha", "1.5", "--reference", "oracle", "--checkpoints", "8..64 geometric",
           "--out", out])
     assert "abort_count" not in json.load(open(out + ".json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--n_max", "5"],  # a key schedule reads, but not settable by flag
+    ["schedule", "--m", "5", "--schedule", "c-over-rho-n:2,0.5"],  # a key schedule does not read
+    ["rate", "--alpha"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cf_check_rejects_a_scheme_it_does_not_run(tmp_path, capsys):
+    out = str(tmp_path / "cf")
+    assert main(["cf-check", "--alpha", "1.5", "--scheme", "stable-em", "--out", out]) == 1
+    assert "--scheme: bad value for 'scheme'" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+def test_weak_error_runs_at_an_explicit_zero_x0(tmp_path):
+    summaries, tables = [], []
+    for tag, line in (("zero", "x0 = 0\n"), ("default", "")):
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(f"experiment = weak-error\nalpha = 1.5\nmc = 4000\n{line}")
+        out = str(tmp_path / tag)
+        assert main(["weak-error", "--config", str(cfg), "--out", out]) in (0, 2)
+        summaries.append(json.load(open(out + ".json")))
+        tables.append(open(out + ".csv").read())
+    assert [s["x0"] for s in summaries] == [0.0, 0.5]
+    assert [s["config"]["x0"] for s in summaries] == [0.0, 0.5]
+    assert tables[0] != tables[1]
+
+
+def test_schedule_theta_is_one_over_its_default_alpha(tmp_path):
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--schedule", "c-over-rho-n:2,0.5", "--out", out]) == 0
+    summary = json.load(open(out + ".json"))
+    alpha = summary["config"]["alpha"]
+    assert alpha == 1.5
+    theta = float(summary["schedule"].rpartition("theta=")[2])
+    assert theta == pytest.approx(1.0 / alpha)
+    assert summary["omega"] == pytest.approx(1.0 / 6.0)
+
+
+def test_summary_has_schedule_keys_only_where_a_schedule_is_built(tmp_path):
+    rate, drift = str(tmp_path / "rate"), str(tmp_path / "drift")
+    main(["rate", "--alpha", "1.5", "--reference", "oracle", "--checkpoints", "8..64 geometric",
+          "--out", rate])
+    main(["certify-drift", "--out", drift])
+    rate, drift = json.load(open(rate + ".json")), json.load(open(drift + ".json"))
+    assert "schedule" in rate and "omega" in rate and "rho_toy" not in rate
+    assert not {"schedule", "omega", "rho_toy"} & set(drift)

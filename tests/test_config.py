@@ -1,13 +1,21 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from stableem.config import (
+    EXPERIMENT_KEYS,
+    REQUIRED,
     ConfigError,
     ExperimentConfig,
+    key_spec,
     load_config,
     parse_checkpoints,
     parse_gamma_grid,
     parse_schedule,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, text):
@@ -125,3 +133,77 @@ def test_workers_env_override(monkeypatch):
     assert cfg.effective_workers == 6
     cfg.workers = 2
     assert cfg.effective_workers == 2
+
+
+def _minimal(experiment):
+    return {} if experiment in ("schedule", "certify-drift") else {"alpha": 1.5}
+
+
+def test_each_experiment_echoes_exactly_its_keys():
+    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 62
+    for experiment, keys in EXPERIMENT_KEYS.items():
+        assert {"seed", "out"} <= set(keys)
+        cfg = ExperimentConfig(experiment=experiment, **_minimal(experiment))
+        assert list(cfg.echo()) == list(keys)
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("rate", "n", "64"),
+    ("weak-error", "schedule", "c-over-n:0.5"),
+    ("ergodicity", "x0", "1.0"),
+    ("cf-check", "checkpoints", "8..64 geometric"),
+    ("schedule", "m", "1000"),
+    ("sample", "schedule", "c-over-n:0.5"),
+    ("certify-drift", "alpha", "1.5"),
+])
+def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, value):
+    lines = [f"experiment = {experiment}", "seed = 3", f"{key} = {value}"]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=rf"cfg:3: key '{key}' does not apply to experiment"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"'{key}' does not apply"):
+        ExperimentConfig(experiment=experiment, **{key: value})
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("rate", "checkpoints", "8,16,x"),
+    ("cf-check", "lambdas", "0.5,abc"),
+    ("rate", "drift", "foo"),
+    ("certify-drift", "drift", "perturbed-ou:x"),
+    ("weak-error", "gammas", "2^-3..abc"),
+    ("ergodicity", "schedule", "poly:0.1"),
+])
+def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):
+    lines = [f"experiment = {experiment}"]
+    lines += [f"{k} = {v}" for k, v in _minimal(experiment).items()] + [f"{key} = {value}"]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=rf"cfg:{len(lines)}: bad value for '{key}'"):
+        load_config(path)
+
+
+def test_cf_check_accepts_only_pareto_em():
+    assert ExperimentConfig(experiment="cf-check", alpha=1.5, scheme="pareto").scheme == "pareto-em"
+    with pytest.raises(ConfigError, match="scheme"):
+        ExperimentConfig(experiment="cf-check", alpha=1.5, scheme="stable-em")
+
+
+def _readme_table():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config keys", 1)[1].split("\n###", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[1])
+    return table
+
+
+def test_readme_key_table_matches_schema():
+    want = {}
+    for experiment, keys in EXPERIMENT_KEYS.items():
+        want[experiment] = []
+        for key in keys:
+            default = key_spec(experiment, key).default
+            unset = default is None or default is REQUIRED
+            want[experiment].append(key if unset else f"{key} = {default}")
+    assert _readme_table() == want

@@ -5,18 +5,7 @@ import pytest
 
 from stableem import em
 from stableem.drift import builtin_ou, builtin_perturbed_ou, DriftModel
-from stableem.em import (
-    ChainState,
-    EnsembleRun,
-    empirical_moment,
-    exact_ou_sigma,
-    make_exact_ou_run,
-    run_ensemble,
-    save_snapshot,
-    step_exact_ou,
-    step_pareto,
-    step_stable,
-)
+from stableem.em import EnsembleRun, empirical_moment, exact_ou_sigma, run_ensemble
 from stableem.metrics import ecf
 from stableem.rng import derive_stream
 from stableem.sampling import StableSpec, noise_constants
@@ -26,29 +15,6 @@ ALPHA = 1.5
 SPEC = StableSpec.isotropic(ALPHA, 1)
 SCHED = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / ALPHA)
 OU = builtin_ou(1)
-
-
-def test_step_stable_forced_innovation():
-    st = ChainState(x=np.array([2.0]), n=0, t=0.0)
-    out = step_stable(st, OU, SPEC, SCHED, None, innovation=np.array([0.7]))
-    g = 0.5
-    assert out.x[0] == pytest.approx(2.0 - g * 2.0 + g ** (1 / ALPHA) * 0.7)
-    assert out.n == 1 and out.t == pytest.approx(g)
-
-
-def test_step_pareto_forced_innovation():
-    nc = noise_constants(SPEC)
-    st = ChainState(x=np.array([1.0]), n=1, t=0.5)
-    out = step_pareto(st, OU, SPEC, SCHED, nc, None, innovation=np.array([-1.2]))
-    g = 0.25
-    assert out.x[0] == pytest.approx(1.0 - g + g ** (1 / ALPHA) / nc.beta * (-1.2))
-
-
-def test_step_exact_ou_forced_innovation():
-    st = ChainState(x=np.array([3.0]), n=0, t=0.0)
-    out = step_exact_ou(st, ALPHA, SCHED, None, innovation=0.5)
-    g = 0.5
-    assert out.x[0] == pytest.approx(math.exp(-g) * 3.0 + exact_ou_sigma(ALPHA, g) * 0.5)
 
 
 def test_exact_ou_sigma_small_gamma():
@@ -78,8 +44,9 @@ def test_checkpoint_zero_is_initial_condition():
 
 
 def test_engine_matches_single_chain_steps():
-    # chain i consumes stream (seed, i): replay chain 1 with the reference
-    # step operation using the engine's documented draw order
+    # chain i consumes stream (seed, i): replay chain 1 with the stable-EM
+    # step x <- x - gamma x + gamma^{1/alpha} zeta on b(x) = -x, drawing in
+    # the engine's documented order
     res = _run("stable-em", 3, (1, 2, 3, 4), seed=11)
     gen = derive_stream(11, 1)
     u = np.pi * (gen.random(4) - 0.5)
@@ -87,10 +54,11 @@ def test_engine_matches_single_chain_steps():
     z = (np.sin(ALPHA * u) / np.cos(u) ** (1 / ALPHA)) * (
         np.cos(u - ALPHA * u) / w
     ) ** ((1 - ALPHA) / ALPHA)
-    st = ChainState(x=np.array([0.0]), n=0, t=0.0)
+    x = 0.0
     for k in range(4):
-        st = step_stable(st, OU, SPEC, SCHED, None, innovation=np.array([z[k]]))
-        assert res.snapshots[k].samples[1, 0] == pytest.approx(st.x[0], rel=1e-12)
+        g = SCHED.gamma_at(k + 1)
+        x = x - g * x + g ** (1 / ALPHA) * z[k]
+        assert res.snapshots[k].samples[1, 0] == pytest.approx(x, rel=1e-12)
 
 
 def test_worker_count_does_not_change_output():
@@ -226,8 +194,7 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
 
 def test_exact_ou_one_step_law():
     m = 100_000
-    res = make_exact_ou_run(ALPHA, SCHED, m, 2.0, (1,), 17)
-    snap = run_ensemble(res).snapshots[0]
+    snap = _run("exact-ou", m, (1,), seed=17, x0=2.0).snapshots[0]
     g = SCHED.gamma_at(1)
     lams = np.array([0.5, 1.0, 2.0])
     want = np.exp(1j * lams * math.exp(-g) * 2.0 - exact_ou_sigma(ALPHA, g) ** ALPHA * lams**ALPHA)
@@ -285,20 +252,3 @@ def test_empirical_moment():
         empirical_moment(snap, 1.5, ALPHA)  # kappa must stay below alpha
     with pytest.raises(ValueError):
         empirical_moment(snap, 0.5, ALPHA)
-
-
-def test_save_snapshot_roundtrip(tmp_path):
-    import csv as csvmod
-    import json
-
-    snap = _run("stable-em", 4, (2,), x0=0.25).snapshots[0]
-    prefix = str(tmp_path / "snap")
-    save_snapshot(snap, prefix, {"note": "test"})
-    with open(prefix + ".csv", newline="") as fh:
-        rows = list(csvmod.reader(fh))
-    assert rows[0] == ["chain_index", "x0"]
-    assert len(rows) == 5
-    assert float(rows[1][1]) == snap.samples[0, 0]  # repr round-trips exactly
-    meta = json.load(open(prefix + ".json"))
-    assert meta["n"] == 2 and meta["note"] == "test"
-    assert "philox" in meta["generator"]
