@@ -56,12 +56,7 @@ def _load(args) -> ExperimentConfig:
     )
     if not args.config:
         return ExperimentConfig(args.experiment, **flags)
-    cfg = load_config(args.config, flags)
-    if cfg.experiment != args.experiment:
-        raise ConfigError(
-            f"config file is for {cfg.experiment!r}, subcommand is {args.experiment!r}"
-        )
-    return cfg
+    return load_config(args.config, flags, args.experiment)
 
 
 def main(argv=None) -> int:

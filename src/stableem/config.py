@@ -93,7 +93,7 @@ def parse_schedule(spec: str, theta: float) -> StepSchedule:
 
 
 def parse_checkpoints(spec: str) -> tuple[int, ...]:
-    """Checkpoint syntax: 'A..B geometric' (doubling) or a comma list."""
+    """Checkpoint syntax: 'A..B geometric' (doubling) or a positive increasing comma list."""
     spec = spec.strip()
     if ".." in spec:
         rng, *qual = spec.split()
@@ -109,7 +109,10 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
             cps.append(c)
             c *= 2
         return tuple(cps)
-    return tuple(int(v) for v in spec.split(","))
+    cps = tuple(int(v) for v in spec.split(","))
+    if cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ConfigError(f"checkpoints must be positive and strictly increasing: {spec!r}")
+    return cps
 
 
 def parse_gamma_grid(spec: str) -> tuple[float, ...]:
@@ -160,7 +163,6 @@ KEYS = {
     "kappa": Key(_number, 1.2),
     "reference": Key(_one_of("ensemble", "oracle"), "ensemble"),
     "workers": Key(_bounded(_integer, lambda n: n >= 0, "be at least 0"), 0),  # 0: env or 1
-    "slope_tol": Key(_number, 0.15),
     "n": Key(_count, 512),
     "lambdas": Key(_spec(parse_lambdas), "0.25,0.5,1,2"),
     "gammas": Key(_spec(parse_gamma_grid), "2^-3..2^-9"),
@@ -183,14 +185,12 @@ EXPERIMENT_KEYS = {
     name: keys + ("seed", "out")
     for name, keys in {
         "rate": (
-            "alpha", "scheme", "dim", "drift", "schedule", "theta", "m", "checkpoints",
-            "x0", "kappa", "reference", "workers", "slope_tol",
+            "alpha", "scheme", "dim", "drift", "schedule", "m", "checkpoints", "x0", "kappa",
+            "reference", "workers",
         ),
         "weak-error": ("alpha", "x0", "gammas", "mc", "test_fn"),
-        "ergodicity": ("alpha", "schedule", "theta", "m", "checkpoints", "x", "y", "workers"),
-        "cf-check": (
-            "alpha", "scheme", "schedule", "theta", "m", "n", "x0", "lambdas", "workers",
-        ),
+        "ergodicity": ("alpha", "schedule", "m", "checkpoints", "x", "y", "workers"),
+        "cf-check": ("alpha", "scheme", "schedule", "m", "n", "x0", "lambdas", "workers"),
         "schedule": ("alpha", "schedule", "theta", "rho_toy", "n_max"),
         "sample": ("alpha", "sampler", "dim", "count"),
         "certify-drift": ("drift", "dim", "pairs", "box"),
@@ -202,7 +202,10 @@ EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 _PER_EXPERIMENT = {
     ("weak-error", "x0"): Key(_number, 0.5),
     ("schedule", "alpha"): Key(_alpha, 1.5),
+    ("schedule", "schedule"): Key(KEYS["schedule"].parse, "c-over-rho-n:2,0.5"),  # omega = 1/6
     ("cf-check", "scheme"): Key(_one_of("pareto-em", pareto="pareto-em"), "pareto-em"),
+    ("rate", "dim"): Key(_bounded(_integer, lambda d: d == 1, "be 1 (rate runs 1-D OU)"), 1),
+    ("rate", "drift"): Key(_one_of("ou"), "ou"),
 }
 
 
@@ -253,7 +256,8 @@ class ExperimentConfig:
 
     @property
     def effective_theta(self) -> float:
-        return float(self.theta) if self.theta is not None else 1.0 / self.alpha
+        theta = getattr(self, "theta", None)  # only `schedule` reads theta
+        return float(theta) if theta is not None else 1.0 / self.alpha
 
     @property
     def effective_workers(self) -> int:
@@ -283,11 +287,12 @@ def flag_values(flags: dict) -> dict:
     return {key: _Located(value, f"--{key}: ") for key, value in flags.items()}
 
 
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path: str, overrides: dict | None = None, experiment: str = "") -> ExperimentConfig:
     """Parse a key = value file into the config of its experiment.
 
     ``overrides`` (from ``flag_values``) replace the file's values before
-    the config is built.
+    the config is built.  ``experiment``, when given, must be the file's
+    experiment; this is checked before any value is.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -305,5 +310,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             values[key] = _Located(value, where)
     if "experiment" not in values:
         raise ConfigError(f"{path}: missing required key: experiment")
+    file_experiment = values["experiment"].value
+    if experiment and file_experiment != experiment:
+        raise ConfigError(f"config file is for {file_experiment!r}, subcommand is {experiment!r}")
     values.update(overrides or {})
     return ExperimentConfig(**values)

@@ -1,11 +1,12 @@
 """Experiment harness: the convergence-rate, weak-error, ergodicity and
 diagnostic experiments, with CSV/JSON report emission.
 
-Rate experiments support two reference modes.  ``ensemble`` follows the
+Rate experiments run on the 1-D OU drift and support two reference modes,
+each a row builder ahead of one fit-and-gate stage.  ``ensemble`` follows the
 Monte-Carlo protocol: empirical W1 against an equal-size exact
 invariant-law ensemble, with the statistical floor estimated from two
 independent invariant-law ensembles and checkpoints only entering the fit
-when their W1 exceeds five times the floor.  ``oracle`` (1-D OU only)
+when their W1 exceeds five times the floor.  ``oracle`` (x0 = 0 only)
 computes the distance between the *laws* deterministically from exact
 characteristic functions, which has no statistical floor at all; this is
 the only estimator able to resolve the deep-checkpoint signal for heavy
@@ -61,13 +62,30 @@ class ExperimentReport:
     verdict: bool | None  # None: informational only, exit 0
 
 
-def _require_steps(schedule, key: str, n: int) -> None:
-    """An explicit schedule must hold the n steps that ``key`` asks for."""
+def _schedule(cfg: ExperimentConfig, key: str, n: int):
+    """The config's schedule; an explicit one must hold the n steps that ``key`` asks for."""
+    schedule = cfg.build_schedule()
     if schedule.family == "explicit" and len(schedule.values) < n:
         raise ConfigError(
             f"{key} asks for {n} steps, but the explicit schedule has only "
             f"{len(schedule.values)} steps"
         )
+    return schedule
+
+
+def _ensemble(cfg: ExperimentConfig, scheme: str, schedule, x0: float, checkpoints):
+    """m chains of ``scheme`` on the 1-D OU drift from x0, with the config's seed and workers."""
+    run = EnsembleRun(
+        scheme=scheme,
+        spec=StableSpec.isotropic(cfg.alpha, 1),
+        drift=drift_by_name("ou", 1),
+        schedule=schedule,
+        m_chains=cfg.m,
+        x0=np.array([x0]),
+        checkpoints=checkpoints,
+        master_seed=cfg.seed,
+    )
+    return run_ensemble(run, workers=cfg.effective_workers)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -101,115 +119,112 @@ def _target_exponent(scheme: str, alpha: float):
     return None, None
 
 
+SLOPE_TOL = 0.15  # the Pareto-EM gate: |slope - (2 - alpha)/alpha| <= SLOPE_TOL
+
+# Each scheme's exact W1 to nu at step n; the names resolve at call time, for wrappers.
+_ORACLES = {
+    PARETO_EM: lambda alpha, schedule, n: w1_pareto_chain_vs_invariant(alpha, schedule, n),
+    STABLE_EM: lambda alpha, schedule, n: w1_stable_chain_vs_invariant(alpha, schedule, n),
+    EXACT_OU: lambda alpha, schedule, n: w1_exact_ou_vs_invariant(alpha, schedule.t_at(n)),
+}
+
+
 def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    alpha = float(cfg.alpha)
-    schedule = cfg.build_schedule()
-    checkpoints = tuple(c for c in cfg.checkpoint_list() if c >= 1)
-    _require_steps(schedule, "checkpoints", max(checkpoints, default=0))
-    scheme = cfg.scheme
-    target, one_sided = _target_exponent(scheme, alpha)
-    is_1d_ou = cfg.dim == 1 and cfg.drift == "ou"
-
-    if cfg.reference == "oracle":
-        if not is_1d_ou or cfg.x0 != 0.0:
-            raise ConfigError("oracle reference needs the 1-D OU configuration with x0 = 0")
-        rows = []
-        for n in checkpoints:
-            if scheme == PARETO_EM:
-                oracle = w1_pareto_chain_vs_invariant(alpha, schedule, n)
-            elif scheme == STABLE_EM:
-                oracle = w1_stable_chain_vs_invariant(alpha, schedule, n)
-            else:
-                oracle = w1_exact_ou_vs_invariant(alpha, schedule.t_at(n))
-            rows.append({
-                "n": n,
-                "t_n": schedule.t_at(n),
-                "gamma_n": schedule.gamma_at(n),
-                "w1": oracle.w1,
-                "stderr": 0.0,
-                "floor": 0.0,
-                "used": 1,
-                "signed_error": oracle.signed_error,
-                "local_slope": None,
-                "oracle_err": oracle.oracle_err,
-            })
-        for prev, row in zip(rows, rows[1:]):
-            if prev["w1"] > 0.0 and row["w1"] > 0.0:  # a law can round onto nu exactly
-                row["local_slope"] = math.log(row["w1"] / prev["w1"]) / math.log(
-                    row["gamma_n"] / prev["gamma_n"]
-                )
-        floor = 0.0
-    else:
-        if not is_1d_ou:
-            raise ConfigError(
-                "ensemble rate experiment currently needs the 1-D OU configuration "
-                "(the exact invariant law is only available there)"
-            )
-        run = EnsembleRun(
-            scheme=scheme,
-            spec=StableSpec.isotropic(alpha, 1),
-            drift=drift_by_name(cfg.drift, 1),
-            schedule=schedule,
-            m_chains=cfg.m,
-            x0=np.array([cfg.x0]),
-            checkpoints=checkpoints,
-            master_seed=cfg.seed,
-        )
-        result = run_ensemble(run, workers=cfg.effective_workers)
-        ref_a = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM)
-        ref_b = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM + 1)
-        floor = w1_sorted_1d(ref_a, ref_b).value
-        boot_rng = rngmod.derive_stream(cfg.seed, rngmod.AUX_STREAM)
-        rows = []
-        m_used = cfg.m
-        for j, snap in enumerate(result.snapshots):
-            xs = snap.samples[:, 0]
-            xs = xs[np.isfinite(xs)]
-            m_used = min(m_used, int(xs.size))
-            ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
-            est = w1_sorted_1d(xs, ref)
-            stderr = bootstrap_w1_stderr(xs, ref, boot_rng, n_boot=200)
-            moment = empirical_moment(snap, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
-            rows.append({
-                "n": snap.n,
-                "t_n": snap.t,
-                "gamma_n": snap.gamma_n,
-                "w1": est.value,
-                "stderr": stderr,
-                "floor": floor,
-                "used": int(est.value > 5.0 * floor),
-                "moment_kappa": moment,
-            })
-
+    checkpoints = cfg.checkpoint_list()
+    schedule = _schedule(cfg, "checkpoints", checkpoints[-1])
     summary = _base_summary(cfg, schedule)
-    if cfg.reference == "ensemble":
-        # Chains that went non-finite, and the fewest finite ones a checkpoint used.
-        summary["abort_count"] = result.abort_count
-        summary["m_used"] = m_used
-    summary["floor"] = floor
-    summary["target_exponent"] = target
-    moments = [r["moment_kappa"] for r in rows if "moment_kappa" in r]
-    if moments and np.all(np.isfinite(moments)):
+    rows_for = _oracle_rows if cfg.reference == "oracle" else _ensemble_rows
+    rows = rows_for(cfg, schedule, checkpoints, summary)
+    return ExperimentReport("rate", rows, summary, _rate_verdict(cfg, rows, summary))
+
+
+def _oracle_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) -> list:
+    """Exact W1 to nu at each checkpoint, with the signed error and local slopes."""
+    if cfg.x0 != 0.0:
+        raise ConfigError(f"oracle reference needs x0 = 0, got x0 = {cfg.x0!r}")
+    rows = []
+    for n in checkpoints:
+        oracle = _ORACLES[cfg.scheme](cfg.alpha, schedule, n)
+        rows.append({
+            "n": n,
+            "t_n": schedule.t_at(n),
+            "gamma_n": schedule.gamma_at(n),
+            "w1": oracle.w1,
+            "stderr": 0.0,
+            "floor": 0.0,
+            "used": 1,
+            "signed_error": oracle.signed_error,
+            "local_slope": None,
+            "oracle_err": oracle.oracle_err,
+        })
+    for prev, row in zip(rows, rows[1:]):
+        if prev["w1"] > 0.0 and row["w1"] > 0.0:  # a law can round onto nu exactly
+            row["local_slope"] = math.log(row["w1"] / prev["w1"]) / math.log(
+                row["gamma_n"] / prev["gamma_n"]
+            )
+    # A fit across a sign change of E|Y_n| - E|X_inf| can steepen the slope
+    # without any convergence; reported, not gated.  A W1 of exactly 0.0 has
+    # no sign.
+    signs = {np.sign(r["signed_error"]) for r in rows if r["signed_error"]}
+    summary["fit_spans_sign_change"] = len(signs) > 1
+    return rows
+
+
+def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) -> list:
+    """Empirical W1 of m chains to m invariant draws, with its floor and stderr."""
+    alpha = cfg.alpha
+    result = _ensemble(cfg, cfg.scheme, schedule, cfg.x0, checkpoints)
+    ref_a = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM)
+    ref_b = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM + 1)
+    floor = w1_sorted_1d(ref_a, ref_b).value
+    boot_rng = rngmod.derive_stream(cfg.seed, rngmod.AUX_STREAM)
+    rows = []
+    m_used = cfg.m
+    for j, snap in enumerate(result.snapshots):
+        xs = snap.samples[:, 0]
+        xs = xs[np.isfinite(xs)]
+        m_used = min(m_used, int(xs.size))
+        ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
+        est = w1_sorted_1d(xs, ref)
+        stderr = bootstrap_w1_stderr(xs, ref, boot_rng, n_boot=200)
+        moment = empirical_moment(snap, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
+        rows.append({
+            "n": snap.n,
+            "t_n": snap.t,
+            "gamma_n": snap.gamma_n,
+            "w1": est.value,
+            "stderr": stderr,
+            "floor": floor,
+            "used": int(est.value > 5.0 * floor),
+            "moment_kappa": moment,
+        })
+    # Chains that went non-finite, and the fewest finite ones a checkpoint used.
+    summary["abort_count"] = result.abort_count
+    summary["m_used"] = m_used
+    moments = [r["moment_kappa"] for r in rows]
+    if np.all(np.isfinite(moments)):
         summary["kappa"] = cfg.kappa
         summary["moment_bounded"] = bool(max(moments) <= 2.0 * moments[0])
-    usable = [(r["gamma_n"], r["w1"]) for r in rows if r["used"]]
-    if cfg.reference == "oracle":
-        # A fit across a sign change of E|Y_n| - E|X_inf| can steepen the
-        # slope without any convergence; reported, not gated.  A W1 of exactly
-        # 0.0 has no sign.
-        signs = {np.sign(r["signed_error"]) for r in rows if r["used"] and r["signed_error"]}
-        summary["fit_spans_sign_change"] = len(signs) > 1
+    return rows
 
-    if scheme == EXACT_OU:
+
+def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | None:
+    """Fit the rows and apply the scheme's gate; None where the gate has nothing to test."""
+    target, one_sided = _target_exponent(cfg.scheme, cfg.alpha)
+    floor = summary["floor"] = rows[0]["floor"]
+    summary["target_exponent"] = target
+
+    if cfg.scheme == EXACT_OU:
         # No discretization error: the verdict is floor-indistinguishability
-        # at the last checkpoint.
+        # at the last checkpoint.  An exact reference has no floor (0.0), so
+        # there is nothing to be indistinguishable from.
         last = rows[-1]
         gap = abs(last["w1"] - last["floor"])
         tol = 3.0 * last["stderr"] if last["stderr"] else 1e-12
         summary["final_gap_vs_floor"] = gap
-        verdict = bool(gap <= tol) if cfg.reference == "ensemble" else None
-        return ExperimentReport("rate", rows, summary, verdict)
+        return bool(gap <= tol) if floor else None
 
+    usable = [(r["gamma_n"], r["w1"]) for r in rows if r["used"]]
     if len(usable) < 4:
         raise RuntimeError(
             f"only {len(usable)} checkpoints rise above 5x the statistical floor "
@@ -221,19 +236,17 @@ def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "one_sided": one_sided,
-        "slope_tol": cfg.slope_tol,
+        "slope_tol": SLOPE_TOL,
     })
-    if scheme == STABLE_EM:
+    if cfg.scheme == STABLE_EM:
         # The gamma^{1/alpha} rate is promised only under the step-size
         # hypothesis omega < rho; outside it the gate has nothing to test.
         rho_drift = drift_by_name(cfg.drift, cfg.dim).dissip_theta1
         inside = bool(summary["omega"] < rho_drift)
         summary["rho_drift"] = rho_drift
         summary["step_size_hypothesis"] = inside
-        verdict = bool(fit.slope >= target - 0.1) if inside else None
-    else:
-        verdict = bool(abs(fit.slope - target) <= cfg.slope_tol and fit.r_squared >= 0.9)
-    return ExperimentReport("rate", rows, summary, verdict)
+        return bool(fit.slope >= target - 0.1) if inside else None
+    return bool(abs(fit.slope - target) <= SLOPE_TOL and fit.r_squared >= 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +333,12 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    alpha = float(cfg.alpha)
-    schedule = cfg.build_schedule()
-    checkpoints = tuple(c for c in cfg.checkpoint_list() if c >= 1)
-    _require_steps(schedule, "checkpoints", max(checkpoints, default=0))
-
-    runs = {}
-    for label, start in (("x", cfg.x), ("y", cfg.y)):
-        run = EnsembleRun(
-            scheme=EXACT_OU,
-            spec=StableSpec.isotropic(alpha, 1),
-            drift=drift_by_name("ou", 1),
-            schedule=schedule,
-            m_chains=cfg.m,
-            x0=np.array([start]),
-            checkpoints=checkpoints,
-            master_seed=cfg.seed,
-        )
-        runs[label] = run_ensemble(run, workers=cfg.effective_workers).snapshots
+    checkpoints = cfg.checkpoint_list()
+    schedule = _schedule(cfg, "checkpoints", checkpoints[-1])
+    runs = {
+        label: _ensemble(cfg, EXACT_OU, schedule, start, checkpoints).snapshots
+        for label, start in (("x", cfg.x), ("y", cfg.y))
+    }
 
     d0 = abs(cfg.x - cfg.y)
     # Expected coupled distance uses the same product of per-step decay
@@ -383,20 +384,9 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
-    schedule = cfg.build_schedule()
     n = cfg.n
-    _require_steps(schedule, "n", n)
-    run = EnsembleRun(
-        scheme=PARETO_EM,
-        spec=StableSpec.isotropic(alpha, 1),
-        drift=drift_by_name("ou", 1),
-        schedule=schedule,
-        m_chains=cfg.m,
-        x0=np.array([cfg.x0]),
-        checkpoints=(n,),
-        master_seed=cfg.seed,
-    )
-    result = run_ensemble(run, workers=cfg.effective_workers)
+    schedule = _schedule(cfg, "n", n)
+    result = _ensemble(cfg, PARETO_EM, schedule, cfg.x0, (n,))
     xs = result.snapshots[0].samples[:, 0]
     xs = xs[np.isfinite(xs)]
     threshold = 4.0 / math.sqrt(xs.size)
@@ -432,8 +422,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
-    schedule = cfg.build_schedule()
-    _require_steps(schedule, "n_max", cfg.n_max)
+    schedule = _schedule(cfg, "n_max", cfg.n_max)
     alpha = float(cfg.alpha)
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 

@@ -171,10 +171,18 @@ def test_config_file_drives_run(tmp_path, capsys):
     assert 0.95 <= summary["decay_rate"] <= 1.05
 
 
-def test_experiment_mismatch_is_error(tmp_path):
+def test_experiment_mismatch_is_error(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text("experiment = rate\nalpha = 1.5\n")
-    assert main(["schedule", "--config", str(cfg)]) == 1
+    for text in (
+        "experiment = rate\nalpha = 1.5\n",
+        # a bad value, or a key rate does not read, is not what is wrong here
+        "experiment = rate\nalpha = 1.5\ncheckpoints = 8,16,x\n",
+        "experiment = rate\nalpha = 1.5\nn_max = 100\n",
+    ):
+        cfg.write_text(text)
+        assert main(["schedule", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config file is for 'rate', subcommand is 'schedule'\n"
 
 
 def test_missing_alpha_exits_one(tmp_path, capsys):
@@ -280,6 +288,48 @@ def test_weak_error_runs_at_an_explicit_zero_x0(tmp_path):
     assert [s["x0"] for s in summaries] == [0.0, 0.5]
     assert [s["config"]["x0"] for s in summaries] == [0.0, 0.5]
     assert tables[0] != tables[1]
+
+
+def test_schedule_with_every_key_at_its_default_passes(tmp_path):
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--out", out]) == 0
+    summary = json.load(open(out + ".json"))
+    assert summary["config"]["schedule"] == "c-over-rho-n:2,0.5"
+    assert summary["omega"] < summary["rho_toy"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--checkpoints", "1024,512,256,128"], "--checkpoints: bad value for 'checkpoints'"),
+    (["--checkpoints", "0,-4,128,256,512,1024"], "--checkpoints: bad value for 'checkpoints'"),
+    (["--dim", "2"], "--dim: bad value for 'dim'"),
+    (["--drift", "perturbed-ou:0.3"], "--drift: bad value for 'drift'"),
+    (["--x0", "1"], "oracle reference needs x0 = 0"),
+])
+def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "rate")
+    code = main(["rate", "--alpha", "1.5", "--reference", "oracle", *argv, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("name, experiment", [("ensemble-cf", "cf-check"), ("ensemble-rate", "rate")])
+def test_ensemble_output_matches_reference(tmp_path, name, experiment):
+    # tests/data/<name>.csv was written by an earlier version from the config
+    # beside it (the benchmark's tiny sizes, seed 42); a refactor that keeps
+    # the RNG contract must reproduce it.
+    cfg = ROOT / "tests" / "data" / f"{name}.cfg"
+    out = str(tmp_path / name)
+    assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
+    with open(out + ".csv") as fh:
+        rows = list(csv.reader(fh))
+    with open(ROOT / "tests" / "data" / f"{name}.csv") as fh:
+        ref_rows = list(csv.reader(fh))
+    assert rows[0] == ref_rows[0] and len(rows) == len(ref_rows)
+    for row, ref in zip(rows[1:], ref_rows[1:]):
+        assert row[0] == ref[0]  # n, or lambda
+        for got, want in zip(row[1:], ref[1:]):
+            assert float(got) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_schedule_theta_is_one_over_its_default_alpha(tmp_path):

@@ -91,6 +91,13 @@ def test_number_syntax(tmp_path):
     assert cfg.x0 == 0.5
 
 
+def test_slope_tol_is_not_a_key(tmp_path):
+    # the Pareto-EM gate's tolerance is a constant of the verdict
+    path = _write(tmp_path, "experiment = rate\nalpha = 1.5\nslope_tol = 5\n")
+    with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'slope_tol'"):
+        load_config(path)
+
+
 def test_parse_schedule_families():
     assert parse_schedule("c-over-n:0.5", 1.0).gamma_at(1) == 0.5
     s = parse_schedule("c-over-rho-n:2,0.5", 2 / 3)
@@ -108,6 +115,9 @@ def test_parse_checkpoints():
     assert parse_checkpoints("1,5,9") == (1, 5, 9)
     with pytest.raises(ConfigError):
         parse_checkpoints("64..16 geometric")
+    for bad in ("0,-4,128,256", "1024,512,256", "8,16,16,32", "-8"):
+        with pytest.raises(ConfigError, match="positive and strictly increasing"):
+            parse_checkpoints(bad)
 
 
 def test_parse_gamma_grid():
@@ -120,10 +130,14 @@ def test_parse_gamma_grid():
 
 
 def test_effective_theta_defaults_to_inverse_alpha():
-    cfg = ExperimentConfig(experiment="rate", alpha=1.6)
+    cfg = ExperimentConfig(experiment="schedule", alpha=1.6)
     assert cfg.effective_theta == pytest.approx(1.0 / 1.6)
-    cfg2 = ExperimentConfig(experiment="rate", alpha=1.6, theta=0.5)
+    cfg2 = ExperimentConfig(experiment="schedule", alpha=1.6, theta=0.5)
     assert cfg2.effective_theta == 0.5
+    # the experiments that do not read theta compute omega at 1/alpha
+    for experiment in ("rate", "ergodicity", "cf-check"):
+        cfg3 = ExperimentConfig(experiment=experiment, alpha=1.6)
+        assert cfg3.build_schedule().theta == pytest.approx(1.0 / 1.6)
 
 
 def test_workers_env_override(monkeypatch):
@@ -140,7 +154,7 @@ def _minimal(experiment):
 
 
 def test_each_experiment_echoes_exactly_its_keys():
-    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 62
+    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 58
     for experiment, keys in EXPERIMENT_KEYS.items():
         assert {"seed", "out"} <= set(keys)
         cfg = ExperimentConfig(experiment=experiment, **_minimal(experiment))
@@ -149,6 +163,9 @@ def test_each_experiment_echoes_exactly_its_keys():
 
 @pytest.mark.parametrize("experiment, key, value", [
     ("rate", "n", "64"),
+    ("rate", "theta", "1"),
+    ("ergodicity", "theta", "0.5"),
+    ("cf-check", "theta", "0.5"),
     ("weak-error", "schedule", "c-over-n:0.5"),
     ("ergodicity", "x0", "1.0"),
     ("cf-check", "checkpoints", "8..64 geometric"),
@@ -167,6 +184,10 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
 
 @pytest.mark.parametrize("experiment, key, value", [
     ("rate", "checkpoints", "8,16,x"),
+    ("rate", "checkpoints", "0,-4,128,256"),
+    ("ergodicity", "checkpoints", "1024,512,256,128"),
+    ("rate", "dim", "2"),
+    ("rate", "drift", "perturbed-ou:0.3"),
     ("cf-check", "lambdas", "0.5,abc"),
     ("rate", "drift", "foo"),
     ("certify-drift", "drift", "perturbed-ou:x"),
