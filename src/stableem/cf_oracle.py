@@ -29,6 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
+from .sampling import StableSpec, noise_constants
 from .schedule import StepSchedule
 
 _SERIES_CUTOFF = 10.0
@@ -208,8 +209,9 @@ def _log_chain_cf(alpha: float, coef: np.ndarray, lam: np.ndarray):
     return log_mag, np.where(flips % 2 == 1, -1.0, 1.0)
 
 
-def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int, beta: float):
+def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int):
     """Per-step innovation coefficients gamma_j^{1/alpha}/beta * prod_{k>j}(1-gamma_k)."""
+    beta = noise_constants(StableSpec.isotropic(alpha, 1)).beta
     g = schedule.gammas(n)
     if np.any(g >= 1.0):
         raise ValueError("chain CF needs all gamma_j < 1 (contraction factors in (0,1))")
@@ -221,37 +223,21 @@ def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int, beta: flo
     return coef, math.exp(log_p1)
 
 
-def pareto_em_chain_cf(
-    alpha: float,
-    schedule: StepSchedule,
-    x0: float,
-    n: int,
-    lam,
-    beta: float | None = None,
-):
+def pareto_em_chain_cf(alpha: float, schedule: StepSchedule, x0: float, n: int, lam):
     """Exact CF of the Pareto-EM chain on the 1-D OU drift after n steps.
 
     E[e^{i l Y_n}] = e^{i l P_1 x0} * prod_j phi((gamma_j^{1/alpha}/beta) P_{j+1} l)
     with P_j = prod_{k=j}^n (1 - gamma_k).  The product runs in log space
     through ``_log_chain_cf``.
     """
-    if beta is None:
-        beta = _beta_1d(alpha)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if n == 0:
         out = np.exp(1j * lam_arr * x0)
         return complex(out[0]) if np.ndim(lam) == 0 else out
-    coef, p1 = _pareto_chain_coeffs(alpha, schedule, n, beta)
+    coef, p1 = _pareto_chain_coeffs(alpha, schedule, n)
     log_mag, sign = _log_chain_cf(alpha, coef, lam_arr)
     out = np.exp(1j * lam_arr * p1 * x0) * sign * np.exp(log_mag)
     return complex(out[0]) if np.ndim(lam) == 0 else out
-
-
-@lru_cache(maxsize=32)
-def _beta_1d(alpha: float) -> float:
-    from .sampling import StableSpec, noise_constants
-
-    return noise_constants(StableSpec.isotropic(alpha, 1)).beta
 
 
 def stable_ou_invariant_cf(alpha: float, lam):
@@ -341,7 +327,7 @@ def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -
     """
     rules = [_gap_nodes(alpha, stride) for stride in (1, 2)]
     nodes = np.concatenate([nodes for nodes, _ in rules])
-    coef, _ = _pareto_chain_coeffs(alpha, schedule, n, _beta_1d(alpha))
+    coef, _ = _pareto_chain_coeffs(alpha, schedule, n)
     if float(coef.max()) * float(nodes.max()) > _SERIES_CUTOFF:
         raise ValueError(
             "innovation coefficients exceed the CF series range; "

@@ -12,6 +12,7 @@ written.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from typing import Callable, NamedTuple
@@ -116,12 +117,12 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
 
 
 def parse_gamma_grid(spec: str) -> tuple[float, ...]:
-    """Gamma-grid syntax: '2^-3..2^-9' (halving) or a comma list."""
+    """Gamma-grid syntax: '2^-3..2^-9' (halving) or a comma list; every step finite and > 0."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
         lo, hi = _number(lo_s), _number(hi_s)
-        if not 0 < hi <= lo:
+        if not 0 < hi <= lo < math.inf:
             raise ConfigError(f"bad gamma grid {spec!r}")
         out = []
         g = lo
@@ -129,7 +130,10 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
             out.append(g)
             g /= 2.0
         return tuple(out)
-    return tuple(_number(v) for v in spec.split(","))
+    out = tuple(_number(v) for v in spec.split(","))
+    if not all(0 < g < math.inf for g in out):
+        raise ConfigError(f"gamma grid steps must be finite and > 0: {spec!r}")
+    return out
 
 
 def parse_lambdas(spec: str) -> tuple[float, ...]:
@@ -160,7 +164,7 @@ KEYS = {
     "m": Key(_count, 200_000),
     "checkpoints": Key(_spec(parse_checkpoints), "128..8192 geometric"),
     "x0": Key(_number, 0.0),
-    "kappa": Key(_number, 1.2),
+    "kappa": Key(_bounded(_number, lambda k: k >= 1.0, "be at least 1"), 1.2),
     "reference": Key(_one_of("ensemble", "oracle"), "ensemble"),
     "workers": Key(_bounded(_integer, lambda n: n >= 0, "be at least 0"), 0),  # 0: env or 1
     "n": Key(_count, 512),

@@ -7,13 +7,15 @@ bit-reproducible for a fixed configuration regardless of worker count.
 
 A block of chains builds no per-chain objects: it takes one Philox
 generator from ``rng.derive_stream`` and moves it from chain to chain with
-``rng.reposition``.  Each chain draws whole chunks of _STEP_CHUNK steps
-(``_draws_per_step`` gives the order within a chunk), so _STEP_CHUNK is
-part of the draw order; a chain that spans several chunks resumes its own
-stream from the state the previous chunk left it in.  Draws go into a small
-tile, are transformed there by the samplers' transforms and land in a
-(step, chain, d) array, so each step reads one contiguous row and updates
-the positions in place.
+``rng.reposition``.  Each chain draws the innovations of a whole chunk of
+_STEP_CHUNK steps at a time, in the order that ``sampling.draw_variates``
+defines, so _STEP_CHUNK is part of the draw order: the first chunk of
+chain i is exactly what the matching sampler draws from stream
+(master_seed, i).  A chain that spans several chunks resumes its own
+stream from the state the previous chunk left it in.  Draws go into a
+small tile, are turned into innovations there by
+``sampling.transform_variates`` and land in a (step, chain, d) array, so
+each step reads one contiguous row and updates the positions in place.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import numpy as np
 from . import rng as rngmod
 from .drift import DriftModel
 from .sampling import (
+    CMS,
+    PARETO,
+    SUBORDINATED,
     StableSpec,
-    _cms_symmetric,
-    _pareto_isotropic,
-    _pareto_signed,
-    _stable_isotropic,
+    draw_variates,
     noise_constants,
+    transform_variates,
+    variates,
 )
 from .schedule import StepSchedule
 
@@ -42,8 +46,8 @@ EXACT_OU = "exact-ou"
 SCHEMES = (STABLE_EM, PARETO_EM, EXACT_OU)
 
 # Fixed internals of the block engine; never depend on worker count.
-# _STEP_CHUNK is part of the draw order: each chain draws a whole chunk of
-# steps at a time (see _draws_per_step).
+# _STEP_CHUNK is part of the draw order: each chain draws the variates of a
+# whole chunk of steps at a time (see sampling.draw_variates).
 _STEP_CHUNK = 8192
 _BLOCK_DOUBLES = 1 << 25  # ~256 MiB of innovation doubles per block
 _TILE_DOUBLES = 1 << 16  # draws per tile: drawn, transformed and placed at a time
@@ -110,36 +114,24 @@ def exact_ou_sigma(alpha: float, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draws_per_step(scheme: str, d: int) -> tuple[int, int, int]:
-    """Uniforms, exponentials and normals that one chain draws per step.
-
-    Per chain and step chunk of C steps the stream yields all the uniforms,
-    then all the exponentials, then all the normals: stable/exact-ou draw C
-    angle uniforms and C exponentials (plus C*d normals for d > 1); pareto
-    draws C radius uniforms, then C sign uniforms (d = 1) or C*d normals.
-    """
-    if scheme == PARETO_EM:
-        return (2, 0, 0) if d == 1 else (1, 0, d)
-    return (1, 1, 0) if d == 1 else (1, 1, d)
-
-
 def _fill_chunk(cfg: EnsembleRun, gen, lo, z, scale, states, keep):
     """Innovations of the next C steps of chains lo, lo+1, ..., into z (C, B, d).
 
     Tile by tile of about _TILE_DOUBLES draws: the one generator ``gen`` is
     moved to each chain's stream in turn (to its start on the first chunk,
     or to the state ``states[i]`` in which the previous chunk left chain
-    lo+i) and draws into that chain's row of the tile.  The tile is
-    transformed in this (chain, step) layout, multiplied by ``scale`` (C,)
-    unless it is None, and copied into its (step, chain) place in z.  With
-    ``keep`` the chains' states at the end of the chunk are returned.
+    lo+i) and draws the variates of C innovations into that chain's row of
+    the tile.  The tile is transformed in this (chain, step) layout,
+    multiplied by ``scale`` (C,) unless it is None, and copied into its
+    (step, chain) place in z.  With ``keep`` the chains' states at the end
+    of the chunk are returned.
     """
-    scheme, alpha = cfg.scheme, cfg.spec.alpha
     C, B, d = z.shape
-    nu, ne, nn = _draws_per_step(scheme, d)
-    e0, g0, end = nu * C, (nu + ne) * C, (nu + ne + nn) * C
-    tile = min(B, max(1, _TILE_DOUBLES // end))
-    raw = np.empty((tile, end))
+    # stable-em and exact-ou draw stable innovations: CMS in 1-D, subordinated above.
+    kind = PARETO if cfg.scheme == PARETO_EM else CMS if d == 1 else SUBORDINATED
+    width = sum(variates(kind, d)) * C
+    tile = min(B, max(1, _TILE_DOUBLES // width))
+    raw = np.empty((tile, width))
     buf = np.empty((tile, C, d))
     bitgen = gen.bit_generator
     saved = [] if keep else None
@@ -150,22 +142,10 @@ def _fill_chunk(cfg: EnsembleRun, gen, lo, z, scale, states, keep):
                 rngmod.reposition(gen, cfg.master_seed, lo + i)
             else:
                 bitgen.state = states[i]
-            gen.random(out=row[:e0])
-            if ne:
-                gen.standard_exponential(out=row[e0:g0])
-            if nn:
-                gen.standard_normal(out=row[g0:])
+            draw_variates(gen, kind, d, row)
             if keep:
                 saved.append(bitgen.state)
-        u, w = r[:, :C], r[:, C : 2 * C]
-        if scheme == PARETO_EM and d == 1:
-            _pareto_signed(alpha, u, w, out=t[..., 0])
-        elif scheme == PARETO_EM:
-            _pareto_isotropic(alpha, u, r[:, C:].reshape(len(r), C, d), out=t)
-        elif d == 1:
-            _cms_symmetric(alpha, u, w, out=t[..., 0])
-        else:
-            _stable_isotropic(alpha, u, w, r[:, 2 * C :].reshape(len(r), C, d), out=t)
+        transform_variates(kind, cfg.spec.alpha, r, t)
         if scale is not None:
             t *= scale[:, None]
         z[:, i0 : i0 + len(r)] = t.transpose(1, 0, 2)

@@ -121,11 +121,11 @@ def _target_exponent(scheme: str, alpha: float):
 
 SLOPE_TOL = 0.15  # the Pareto-EM gate: |slope - (2 - alpha)/alpha| <= SLOPE_TOL
 
-# Each scheme's exact W1 to nu at step n; the names resolve at call time, for wrappers.
+# Each scheme's exact W1 to nu at step n (time t_n); names resolve at call time, for wrappers.
 _ORACLES = {
-    PARETO_EM: lambda alpha, schedule, n: w1_pareto_chain_vs_invariant(alpha, schedule, n),
-    STABLE_EM: lambda alpha, schedule, n: w1_stable_chain_vs_invariant(alpha, schedule, n),
-    EXACT_OU: lambda alpha, schedule, n: w1_exact_ou_vs_invariant(alpha, schedule.t_at(n)),
+    PARETO_EM: lambda alpha, schedule, n, t_n: w1_pareto_chain_vs_invariant(alpha, schedule, n),
+    STABLE_EM: lambda alpha, schedule, n, t_n: w1_stable_chain_vs_invariant(alpha, schedule, n),
+    EXACT_OU: lambda alpha, schedule, n, t_n: w1_exact_ou_vs_invariant(alpha, t_n),
 }
 
 
@@ -142,12 +142,14 @@ def _oracle_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) ->
     """Exact W1 to nu at each checkpoint, with the signed error and local slopes."""
     if cfg.x0 != 0.0:
         raise ConfigError(f"oracle reference needs x0 = 0, got x0 = {cfg.x0!r}")
+    t = schedule.t_grid(checkpoints[-1])
     rows = []
     for n in checkpoints:
-        oracle = _ORACLES[cfg.scheme](cfg.alpha, schedule, n)
+        t_n = float(t[n])
+        oracle = _ORACLES[cfg.scheme](cfg.alpha, schedule, n, t_n)
         rows.append({
             "n": n,
-            "t_n": schedule.t_at(n),
+            "t_n": t_n,
             "gamma_n": schedule.gamma_at(n),
             "w1": oracle.w1,
             "stderr": 0.0,
@@ -333,6 +335,9 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    if cfg.x == cfg.y:
+        # Coupled from one start the distance is 0 at every step: no decay to fit.
+        raise ConfigError(f"x and y must differ, got x = y = {cfg.x!r}")
     checkpoints = cfg.checkpoint_list()
     schedule = _schedule(cfg, "checkpoints", checkpoints[-1])
     runs = {

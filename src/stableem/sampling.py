@@ -6,6 +6,11 @@ density alpha / (sigma_{d-1} |z|^{alpha+d}) outside the unit ball; the
 constant beta = (alpha / (sigma_{d-1} d_alpha))^{1/alpha} matches its
 small-frequency behaviour to the stable one, which is why the Pareto
 scheme scales its innovations by gamma^{1/alpha} / beta.
+
+Each innovation's draw order is defined here once: ``draw_variates``
+draws the variates of C innovations of a kind into one row, and
+``transform_variates`` turns rows into innovations.  A sampler call is one
+row; the ensemble engine draws one row per chain and step chunk.
 """
 
 from __future__ import annotations
@@ -70,26 +75,59 @@ def noise_constants(spec: StableSpec) -> NoiseConstants:
     return NoiseConstants(sigma_dm1=float(sigma), d_alpha=float(d_alpha), beta=float(beta))
 
 
-def sample_stable_1d(alpha: float, rng: np.random.Generator, size=None):
-    """Symmetric alpha-stable variates with CF exp(-|lambda|^alpha).
+CMS = "cms"  # 1-D symmetric alpha-stable, Chambers-Mallows-Stuck
+SUBORDINATED = "subordinated"  # isotropic alpha-stable in d dimensions, Gaussian subordination
+PARETO = "pareto"  # radial Pareto, with a fair sign in 1-D
 
-    Chambers-Mallows-Stuck transform; rejection-free.  Draw order per call:
-    one uniform block, then one exponential block.
+
+def variates(kind: str, d: int) -> tuple[int, int, int]:
+    """Uniforms, exponentials and normals that one innovation of ``kind`` in R^d takes."""
+    if kind == PARETO:
+        return (2, 0, 0) if d == 1 else (1, 0, d)
+    if kind == CMS:
+        return (1, 1, 0)
+    return (1, 1, d)
+
+
+def draw_variates(gen: np.random.Generator, kind: str, d: int, row: np.ndarray) -> None:
+    """Fill ``row`` with the variates of C = row.size / sum(variates) innovations, in order:
+
+    all the uniforms (angle or radius, then Pareto's 1-D sign), then all the
+    exponentials, then all the normals, d per innovation.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    u = rng.random(size)
-    w = rng.standard_exponential(size)
-    return _cms_symmetric(alpha, u, w)
+    nu, ne, nn = variates(kind, d)
+    count = row.size // (nu + ne + nn)
+    e0, g0 = nu * count, (nu + ne) * count
+    gen.random(out=row[:e0])
+    if ne:
+        gen.standard_exponential(out=row[e0:g0])
+    if nn:
+        gen.standard_normal(out=row[g0:])
 
 
-# ---------------------------------------------------------------------------
-# Transforms: pure functions of supplied uniforms u, v, s on [0, 1), standard
-# exponentials w and standard normals g.  The samplers here and the ensemble
-# engine both use them, so each variate has one definition.  Scalars stay
-# scalars (NumPy's scalar and array power may differ in the last bit);
-# ``out`` receives the result where the engine writes it in place.
-# ---------------------------------------------------------------------------
+def transform_variates(kind: str, alpha: float, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Innovations from rows of ``draw_variates``: raw (B, width) into out (B, C, d)."""
+    B, C, d = out.shape
+    u, w = raw[:, :C], raw[:, C : 2 * C]
+    if kind == PARETO and d == 1:
+        _pareto_signed(alpha, u, w, out=out[..., 0])
+    elif kind == PARETO:
+        _pareto_isotropic(alpha, u, raw[:, C:].reshape(B, C, d), out=out)
+    elif kind == CMS:
+        _cms_symmetric(alpha, u, w, out=out[..., 0])
+    else:
+        _stable_isotropic(alpha, u, w, raw[:, 2 * C :].reshape(B, C, d), out=out)
+    return out
+
+
+def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` innovations drawn as one row: shape (size, d)."""
+    raw = np.empty((1, sum(variates(kind, d)) * size))
+    draw_variates(rng, kind, d, raw[0])
+    return transform_variates(kind, alpha, raw, np.empty((1, size, d)))[0]
+
+
+# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.
 
 
 def _cms_symmetric(alpha, u, w, out=None):
@@ -136,6 +174,13 @@ def _pareto_isotropic(alpha, v, g, out=None):
     return np.multiply((v ** (-1.0 / alpha))[..., None], direction, out=out)
 
 
+def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` symmetric alpha-stable variates with CF exp(-|lambda|^alpha) (CMS)."""
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    return _sample(CMS, alpha, 1, rng, size)[:, 0]
+
+
 def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
     """Positive rho-stable variates with Laplace transform exp(-u^rho), rho in (0,1).
 
@@ -148,24 +193,17 @@ def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
     return _kanter(rho, u, w)
 
 
-def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size=None):
-    """Isotropic alpha-stable vectors with CF exp(-|lambda|^alpha).
+def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` isotropic alpha-stable vectors with CF exp(-|lambda|^alpha), shape (size, d).
 
-    Gaussian subordination: Z = sqrt(2 S) G with S positive (alpha/2)-stable
-    and G standard normal.  The matrix A is *not* applied here; the EM step
-    owns it.  Returns shape (d,) or (size, d).
+    Gaussian subordination (also for d = 1): Z = sqrt(2 S) G, S positive
+    (alpha/2)-stable, G standard normal.  The EM step applies the matrix A.
     """
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    u = rng.random(m)
-    w = rng.standard_exponential(m)
-    g = rng.standard_normal((m, spec.dim))
-    z = _stable_isotropic(spec.alpha, u, w, g)
-    return z[0] if scalar else z
+    return _sample(SUBORDINATED, spec.alpha, spec.dim, rng, size)
 
 
-def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size=None):
-    """Radial Pareto vectors: R * U with P(R > r) = r^{-alpha} for r >= 1.
+def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` radial Pareto vectors R * U with P(R > r) = r^{-alpha}, r >= 1: shape (size, dim).
 
     U is uniform on the unit sphere (a fair sign when dim == 1), and
     R = V^{-1/alpha} with V uniform on (0, 1).  All outputs have norm >= 1.
@@ -174,11 +212,4 @@ def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size=Non
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    v = rng.random(m)
-    if dim == 1:
-        z = _pareto_signed(alpha, v, rng.random(m))[:, None]
-    else:
-        z = _pareto_isotropic(alpha, v, rng.standard_normal((m, dim)))
-    return z[0] if scalar else z
+    return _sample(PARETO, alpha, dim, rng, size)

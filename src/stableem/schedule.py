@@ -75,39 +75,31 @@ class StepSchedule:
 
     # -- evaluation ---------------------------------------------------------
 
-    def gamma_at(self, k: int) -> float:
-        """The k-th step size, 1-based."""
-        if k < 1:
-            raise ValueError("step index is 1-based")
-        if self.family == C_OVER_RHO_N:
-            return self.c / (self.rho * k)
-        if self.family == POLYNOMIAL:
-            return self.gamma1 * float(k) ** (-self.a)
-        if k > len(self.values):
-            raise IndexError(f"explicit schedule has only {len(self.values)} steps")
-        return self.values[k - 1]
+    def _steps(self, k: np.ndarray) -> np.ndarray:
+        """gamma_k at 1-based float indices k: the one formula of each family.
 
-    def gammas(self, n: int) -> np.ndarray:
-        """Steps gamma_1 .. gamma_n as an array."""
-        k = np.arange(1, n + 1, dtype=float)
+        Always on an array: NumPy's scalar and array power can differ in the last bit.
+        """
         if self.family == C_OVER_RHO_N:
             return self.c / (self.rho * k)
         if self.family == POLYNOMIAL:
             return self.gamma1 * k ** (-self.a)
-        if n > len(self.values):
+        if k.size and k.max() > len(self.values):
             raise IndexError(f"explicit schedule has only {len(self.values)} steps")
-        return np.asarray(self.values[:n], dtype=float)
+        return np.asarray(self.values, dtype=float)[k.astype(np.intp) - 1]
 
-    def t_at(self, n: int) -> float:
-        """t_n = gamma_1 + ... + gamma_n, compensated summation; t_0 = 0."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return 0.0
-        return math.fsum(self.gammas(n))
+    def gamma_at(self, k: int) -> float:
+        """The k-th step size, 1-based; equal to gammas(n)[k - 1] for every n >= k."""
+        if k < 1:
+            raise ValueError("step index is 1-based")
+        return float(self._steps(np.array([k], dtype=float))[0])
+
+    def gammas(self, n: int) -> np.ndarray:
+        """Steps gamma_1 .. gamma_n as an array."""
+        return self._steps(np.arange(1, n + 1, dtype=float))
 
     def t_grid(self, n: int) -> np.ndarray:
-        """[t_0, t_1, ..., t_n] with Kahan running compensation."""
+        """[t_0, t_1, ..., t_n] with Kahan running compensation: the one definition of t_n."""
         g = self.gammas(n)
         t = np.empty(n + 1)
         t[0] = 0.0

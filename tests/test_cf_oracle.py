@@ -5,7 +5,6 @@ import pytest
 
 from stableem.cf_oracle import (
     _SERIES_CUTOFF,
-    _beta_1d,
     _gap_nodes,
     _log_series,
     _pareto_cf_m1_series,
@@ -55,7 +54,7 @@ def _direct_log_chain_cf(alpha, coef, lam):
 def _direct_w1_pareto(alpha, schedule, n):
     """Reference W1 oracle: the same CF-gap quadrature over the direct product."""
     nodes, weights = _gap_nodes(alpha)
-    coef, _ = _pareto_chain_coeffs(alpha, schedule, n, _beta_1d(alpha))
+    coef, _ = _pareto_chain_coeffs(alpha, schedule, n)
     log_phi_n, sign = _direct_log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
     gap = np.where(
@@ -141,7 +140,7 @@ def test_chain_cf_matches_direct_product(n, lam_max):
     alpha, x0 = 1.5, 0.5
     grid = np.geomspace(1e-3, lam_max, 120)
     lams = np.concatenate([-grid[::-1], [0.0], grid])
-    coef, p1 = _pareto_chain_coeffs(alpha, HALF_N, n, _beta_1d(alpha))
+    coef, p1 = _pareto_chain_coeffs(alpha, HALF_N, n)
     r = _log_series(alpha)[2]
     assert np.any((coef.min() * np.abs(lams) <= r) & (coef.max() * np.abs(lams) > r))
     assert (float(coef.max()) * lam_max > _SERIES_CUTOFF) is (n == 16)
@@ -155,7 +154,7 @@ def test_chain_cf_far_nodes_take_direct_path():
     # Coefficients spanning 22 decades: at l = 1e13 the scaled powers
     # (l max c)^e overflow, so that node must skip the power sums.
     s = StepSchedule.explicit([0.99] * 12 + [0.001] * 4)
-    coef, _ = _pareto_chain_coeffs(1.5, s, 16, _beta_1d(1.5))
+    coef, _ = _pareto_chain_coeffs(1.5, s, 16)
     lams = np.array([1e3, 1e9, 1e13])
     log_mag, sign = _direct_log_chain_cf(1.5, coef, lams)
     got = pareto_em_chain_cf(1.5, s, 0.0, 16, lams)
@@ -182,7 +181,7 @@ def test_log_series_radius_shrinks_near_two():
         assert r < 0.1
         want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([r]))[0]))
         assert math.fsum(a * r**e) == pytest.approx(want, rel=1e-13, abs=0.0)
-    coef, _ = _pareto_chain_coeffs(1.97, HALF_N, 256, _beta_1d(1.97))
+    coef, _ = _pareto_chain_coeffs(1.97, HALF_N, 256)
     lams = np.linspace(0.0, 20.0, 41)
     got = pareto_em_chain_cf(1.97, HALF_N, 0.0, 256, lams)
     log_mag, sign = _direct_log_chain_cf(1.97, coef, lams)
@@ -268,7 +267,7 @@ def test_pareto_oracle_err_covers_mass_below_quadrature(alpha, n):
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg).ravel()
     weights = (half[:, None] * wg).ravel()
-    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n, _beta_1d(alpha))
+    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
     log_phi_n, _ = _direct_log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
     gap = np.exp(log_phi_inv) * np.expm1(log_phi_n - log_phi_inv) / nodes**2

@@ -313,11 +313,17 @@ def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
     assert not os.path.exists(out + ".json")
 
 
-@pytest.mark.parametrize("name, experiment", [("ensemble-cf", "cf-check"), ("ensemble-rate", "rate")])
+@pytest.mark.parametrize("name, experiment", [
+    ("ensemble-cf", "cf-check"),
+    ("ensemble-rate", "rate"),
+    ("sample-stable-1d", "sample"),
+    ("sample-stable-vec", "sample"),
+    ("sample-pareto", "sample"),
+])
 def test_ensemble_output_matches_reference(tmp_path, name, experiment):
     # tests/data/<name>.csv was written by an earlier version from the config
-    # beside it (the benchmark's tiny sizes, seed 42); a refactor that keeps
-    # the RNG contract must reproduce it.
+    # beside it (tiny sizes, seed 42); a refactor that keeps the RNG contract
+    # must reproduce it.
     cfg = ROOT / "tests" / "data" / f"{name}.cfg"
     out = str(tmp_path / name)
     assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
@@ -330,6 +336,22 @@ def test_ensemble_output_matches_reference(tmp_path, name, experiment):
         assert row[0] == ref[0]  # n, or lambda
         for got, want in zip(row[1:], ref[1:]):
             assert float(got) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_ergodicity_from_one_start_is_rejected_before_running(tmp_path, capsys, monkeypatch):
+    import stableem.experiments as experiments
+
+    def run_ensemble(run, workers=1):
+        raise AssertionError("no ensemble may run")
+
+    monkeypatch.setattr(experiments, "run_ensemble", run_ensemble)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("experiment = ergodicity\nalpha = 1.5\nx = 2\ny = 2.0\n")
+    out = str(tmp_path / "erg")
+    assert main(["ergodicity", "--config", str(cfg), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x and y must differ")
+    assert not os.path.exists(out + ".json")
 
 
 def test_schedule_theta_is_one_over_its_default_alpha(tmp_path):

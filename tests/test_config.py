@@ -192,6 +192,9 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "drift", "foo"),
     ("certify-drift", "drift", "perturbed-ou:x"),
     ("weak-error", "gammas", "2^-3..abc"),
+    ("weak-error", "gammas", "0.1,-0.05,0,0.02"),
+    ("weak-error", "gammas", "0.1,inf"),
+    ("rate", "kappa", "0.5"),
     ("ergodicity", "schedule", "poly:0.1"),
 ])
 def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):

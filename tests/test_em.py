@@ -8,7 +8,13 @@ from stableem.drift import builtin_ou, builtin_perturbed_ou, DriftModel
 from stableem.em import EnsembleRun, empirical_moment, exact_ou_sigma, run_ensemble
 from stableem.metrics import ecf
 from stableem.rng import derive_stream
-from stableem.sampling import StableSpec, noise_constants
+from stableem.sampling import (
+    StableSpec,
+    noise_constants,
+    sample_pareto_vec,
+    sample_stable_1d,
+    sample_stable_vec,
+)
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
@@ -190,6 +196,38 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
     got = run_ensemble(cfg, workers=workers)
     for snap, ref in zip(got.snapshots, want):
         np.testing.assert_array_equal(snap.samples, ref)
+
+
+@pytest.mark.parametrize("scheme", ["stable-em", "pareto-em"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
+    # The engine and the samplers draw through one definition of the draw
+    # order: chain i's first chunk of C innovations is the sampler's C draws
+    # from stream (seed, i), also when the rows are transformed in tiles.
+    monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
+    C, lo, m, seed = 7, 4, 9, 31
+    cfg = EnsembleRun(
+        scheme=scheme,
+        spec=StableSpec.isotropic(ALPHA, d),
+        drift=builtin_ou(d),
+        schedule=SCHED,
+        m_chains=lo + m,
+        x0=np.zeros(d),
+        checkpoints=(C,),
+        master_seed=seed,
+    )
+    z = np.empty((C, m, d))
+    gen = derive_stream(seed, lo)
+    assert em._fill_chunk(cfg, gen, lo, z, None, None, keep=False) is None
+    for i in range(m):
+        gen = derive_stream(seed, lo + i)
+        if scheme == "pareto-em":
+            want = sample_pareto_vec(ALPHA, d, gen, C)
+        elif d == 1:
+            want = sample_stable_1d(ALPHA, gen, C)[:, None]
+        else:
+            want = sample_stable_vec(cfg.spec, gen, C)
+        np.testing.assert_array_equal(z[:, i], want)
 
 
 def test_exact_ou_one_step_law():

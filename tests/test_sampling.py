@@ -112,11 +112,12 @@ def test_pareto_1d_sign_symmetric():
     assert abs(np.mean(z > 0) - 0.5) < 4.0 * 0.5 / math.sqrt(M)
 
 
-def test_scalar_draws():
+def test_sampler_shapes():
     gen = derive_stream(14, 0)
-    assert np.ndim(sample_stable_1d(1.5, gen)) == 0
-    assert sample_stable_vec(StableSpec.isotropic(1.5, 3), gen).shape == (3,)
-    assert sample_pareto_vec(1.5, 3, gen).shape == (3,)
+    assert sample_stable_1d(1.5, gen, 5).shape == (5,)
+    assert sample_stable_vec(StableSpec.isotropic(1.5, 3), gen, 5).shape == (5, 3)
+    assert sample_pareto_vec(1.5, 1, gen, 5).shape == (5, 1)
+    assert sample_pareto_vec(1.5, 3, gen, 1).shape == (1, 3)
 
 
 def test_sampler_determinism():

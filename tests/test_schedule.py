@@ -21,8 +21,9 @@ def test_c_over_rho_n_values():
 def test_polynomial_values():
     s = StepSchedule.polynomial(gamma1=0.1, a=0.5)
     assert s.gamma_at(4) == pytest.approx(0.05)
-    assert s.t_at(0) == 0.0
-    assert s.t_at(2) == pytest.approx(0.1 * (1 + 2**-0.5))
+    t = s.t_grid(2)
+    assert t[0] == 0.0
+    assert t[2] == pytest.approx(0.1 * (1 + 2**-0.5))
 
 
 def test_explicit_validation():
@@ -37,12 +38,26 @@ def test_explicit_validation():
         StepSchedule.explicit([0.5]).gamma_at(2)
 
 
-def test_t_grid_matches_t_at():
+def test_t_grid_matches_exact_sum():
     s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
     t = s.t_grid(1000)
     assert t[0] == 0.0
     for n in (1, 10, 1000):
-        assert t[n] == pytest.approx(s.t_at(n), abs=1e-12)
+        assert t[n] == pytest.approx(math.fsum(s.gammas(n)), abs=1e-12)
+
+
+@pytest.mark.parametrize("s, n", [
+    (StepSchedule.c_over_rho_n(c=2.0, rho=0.5), 20000),
+    (StepSchedule.polynomial(gamma1=0.5, a=0.7), 20000),
+    (StepSchedule.polynomial(gamma1=0.1, a=0.5), 20000),
+    (StepSchedule.explicit([1.0 / k**0.7 for k in range(1, 3001)]), 3000),
+], ids=["c-over-rho-n", "poly:0.5,0.7", "poly:0.1,0.5", "explicit"])
+def test_gamma_at_is_the_step_gammas_takes(s, n):
+    # One formula on an index array: a reported gamma_k is the step the
+    # chains took.  A scalar power differs from the array power in the last
+    # bit at some k on poly:0.5,0.7.
+    g = s.gammas(n)
+    assert [s.gamma_at(k) for k in range(1, n + 1)] == g.tolist()
 
 
 def test_omega_closed_forms():
