@@ -44,10 +44,10 @@ from .experiments import ExperimentReport, emit_outputs, run_experiment
 from .metrics import (
     RateFit,
     W1Estimate,
-    bootstrap_w1_stderr,
     ecf,
     rate_fit,
     w1_exact_lp,
+    w1_gap_stderr,
     w1_sliced,
     w1_sorted_1d,
 )

@@ -18,6 +18,7 @@ import os
 from typing import Callable, NamedTuple
 
 from .drift import drift_by_name
+from .metrics import W1_BATCHES
 from .schedule import StepSchedule
 
 
@@ -241,8 +242,10 @@ class ExperimentConfig:
             raise ConfigError(f"{where}unknown experiment {experiment!r}")
         self.experiment = experiment
         keys = EXPERIMENT_KEYS[experiment]
+        where_given = {}
         for key, given in values.items():
             value, where = _unpack(given)
+            where_given[key] = where
             if key not in KEYS:
                 raise ConfigError(f"{where}unknown key {key!r}")
             if key not in keys:
@@ -257,6 +260,11 @@ class ExperimentConfig:
                 if default is REQUIRED:
                     raise ConfigError(f"missing required key: {key}")
                 setattr(self, key, default)
+        if experiment == "rate" and self.reference == "ensemble" and self.m < 2 * W1_BATCHES:
+            raise ConfigError(
+                f"{where_given.get('m', '')}bad value for 'm': {self.m} (reference = ensemble "
+                f"needs m >= {2 * W1_BATCHES}, 2 chains in each of {W1_BATCHES} batches)"
+            )
 
     @property
     def effective_theta(self) -> float:

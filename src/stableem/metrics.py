@@ -12,6 +12,7 @@ EXACT_LP = "exact-lp"
 SLICED = "sliced"
 
 _LP_MAX = 256
+W1_BATCHES = 20  # contiguous slices behind the batch-means error of w1_gap_stderr
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,31 @@ def w1_sliced(xs, ys, n_projections: int, rng: np.random.Generator) -> W1Estimat
     )
 
 
-def bootstrap_w1_stderr(xs, ys, rng: np.random.Generator, n_boot: int = 200) -> float:
-    """Bootstrap standard error of the sorted-1D W1 estimate."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    m = xs.size
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
-        i = rng.integers(0, m, m)
-        j = rng.integers(0, m, m)
-        vals[b] = np.mean(np.abs(np.sort(xs[i]) - np.sort(ys[j])))
-    return float(vals.std(ddof=1))
+def w1_gap_stderr(alpha: float, xs, ys, ref_a=None, ref_b=None) -> float:
+    """Batch-means standard error of W1(xs, ys) - W1(ref_a, ref_b), or of W1(xs, ys) alone.
+
+    Every sample is cut into W1_BATCHES contiguous slices of k = n // W1_BATCHES
+    points, n the smallest sample's size; the remainder is dropped.  Slice j
+    of xs is compared with slice j of ys (and of ref_a with ref_b), which
+    gives W1_BATCHES independent copies d_j of the difference at size k.  The
+    empirical W1 of a law with tail index alpha fluctuates like
+    size^{1/alpha - 1}, so their spread is rescaled from size k to size
+    W1_BATCHES * k by W1_BATCHES^{1/alpha - 1}.  A naive bootstrap of the
+    mean of |x_(i) - y_(i)| is inconsistent for alpha < 2, where those
+    summands have infinite variance; this rests only on the scaling above
+    and draws no random numbers.
+    """
+    samples = [xs, ys] if ref_a is None else [xs, ys, ref_a, ref_b]
+    samples = [np.asarray(s, dtype=float).ravel() for s in samples]
+    n = min(s.size for s in samples)
+    k = n // W1_BATCHES
+    if k < 2:
+        raise ValueError(f"need at least 2 points in each of {W1_BATCHES} slices, got {n} points")
+    cut = np.stack([s[: W1_BATCHES * k].reshape(W1_BATCHES, k) for s in samples])
+    cut.sort(axis=-1)
+    w1 = np.abs(cut[0::2] - cut[1::2]).mean(axis=-1)  # (pairs, W1_BATCHES)
+    d = w1[0] - w1[1] if len(w1) == 2 else w1[0]
+    return float(d.std(ddof=1) * W1_BATCHES ** (1.0 / alpha - 1.0))
 
 
 def ecf(samples, lambdas) -> np.ndarray:

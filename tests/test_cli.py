@@ -216,6 +216,47 @@ def test_rerun_is_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_ensemble_rate_csv_is_byte_identical_across_workers(tmp_path, monkeypatch):
+    # Blocks of 300 chains, so that the 2000 chains really shard over two
+    # workers.  The W1 error draws no random numbers, so every column,
+    # stderr included, is independent of the worker count.
+    import stableem.em as em
+
+    monkeypatch.setattr(em, "_BLOCK_DOUBLES", 300 * 64 * 2)
+    cfg = ROOT / "tests" / "data" / "ensemble-rate.cfg"
+    outs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}")
+        assert main(["rate", "--config", str(cfg), "--workers", workers, "--out", out]) in (0, 2)
+        outs.append(Path(out + ".csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("x0, code", [("0", 0), ("50", 2)])
+def test_exact_ou_floor_test_fails_a_biased_start(tmp_path, x0, code):
+    # The exact flow from x0 = 50 is still 50 e^{-t} ~ 1.2 off nu at n = 1024;
+    # from 0 it is exact, and its gap to the floor is noise.
+    out = str(tmp_path / "rate")
+    assert main([
+        "rate", "--alpha", "1.5", "--scheme", "exact-ou", "--reference", "ensemble",
+        "--m", "20000", "--checkpoints", "16..1024 geometric", "--x0", x0, "--seed", "42",
+        "--out", out,
+    ]) == code
+    summary = json.load(open(out + ".json"))
+    assert summary["floor_stderr"] > 0.0
+
+
+def test_ensemble_too_small_to_slice_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "rate")
+    code = main([
+        "rate", "--alpha", "1.5", "--scheme", "exact-ou", "--reference", "ensemble", "--m", "1",
+        "--checkpoints", "16..64 geometric", "--out", out,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --m: bad value for 'm': 1")
+    assert not os.path.exists(out + ".json")
+
+
 def _with_aborts(monkeypatch):
     """Make the engine return three non-finite chains at the last checkpoint, one earlier."""
     import stableem.experiments as experiments
@@ -248,6 +289,19 @@ def test_ensemble_summary_reports_aborted_chains(tmp_path, monkeypatch, experime
     with open(out + ".csv") as fh:
         header = next(csv.reader(fh))
     assert "abort_count" not in header and "m_used" not in header
+
+
+def test_aborts_that_leave_too_few_chains_to_slice_are_an_error(tmp_path, monkeypatch, capsys):
+    _with_aborts(monkeypatch)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(
+        "experiment = rate\nalpha = 1.5\nm = 41\nscheme = exact-ou\n"
+        "checkpoints = 8..32 geometric\n"
+    )
+    out = str(tmp_path / "run")
+    assert main(["rate", "--config", str(cfg), "--out", out]) == 1
+    assert "only 38 of 41 chains are finite at n = 32" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
 
 
 def test_oracle_rate_summary_has_no_abort_count(tmp_path):

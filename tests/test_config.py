@@ -195,6 +195,7 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("weak-error", "gammas", "0.1,-0.05,0,0.02"),
     ("weak-error", "gammas", "0.1,inf"),
     ("rate", "kappa", "0.5"),
+    ("rate", "m", "39"),  # an ensemble reference needs 2 chains in each of 20 batches
     ("ergodicity", "schedule", "poly:0.1"),
 ])
 def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):
@@ -203,6 +204,13 @@ def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, valu
     path = _write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=rf"cfg:{len(lines)}: bad value for '{key}'"):
         load_config(path)
+
+
+def test_only_an_ensemble_reference_needs_m_to_fill_the_batches():
+    assert ExperimentConfig(experiment="rate", alpha=1.5, m=40).m == 40
+    assert ExperimentConfig(experiment="rate", alpha=1.5, reference="oracle", m=1).m == 1
+    with pytest.raises(ConfigError, match="bad value for 'm': 39"):
+        ExperimentConfig(experiment="rate", alpha=1.5, m=39)
 
 
 def test_cf_check_accepts_only_pareto_em():

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from stableem.metrics import (
-    bootstrap_w1_stderr,
+    W1_BATCHES,
     ecf,
     rate_fit,
     w1_exact_lp,
+    w1_gap_stderr,
     w1_sliced,
     w1_sorted_1d,
 )
 from stableem.rng import derive_stream
+from stableem.sampling import sample_stable_1d
 
 
 def test_sorted_1d_trivial():
@@ -79,12 +81,63 @@ def test_sliced_is_labeled_proxy_and_lower_bound_flavored():
         w1_sliced(x, y, 8, gen)
 
 
-def test_bootstrap_stderr_positive_and_sane():
+def _invariant(alpha, m, seed, stream):
+    return alpha ** (-1.0 / alpha) * sample_stable_1d(alpha, derive_stream(seed, stream), m)
+
+
+def _slice_gaps(alpha, m, seed):
+    """The full-size gap W1(x, y) - W1(a, b), and the same gap on each of the W1_BATCHES slices."""
+    x, y, a, b = (_invariant(alpha, m, seed, i) for i in range(4))
+    gap = w1_sorted_1d(x, y).value - w1_sorted_1d(a, b).value
+    k = m // W1_BATCHES
+    cuts = [np.sort(s[: W1_BATCHES * k].reshape(W1_BATCHES, k), axis=1) for s in (x, y, a, b)]
+    d = np.abs(cuts[0] - cuts[1]).mean(axis=1) - np.abs(cuts[2] - cuts[3]).mean(axis=1)
+    return gap, d, w1_gap_stderr(alpha, x, y, a, b)
+
+
+def test_w1_gap_stderr_is_calibrated_for_heavy_tails():
+    # Four i.i.d. invariant samples per seed, so every gap is pure noise.  The
+    # gap has tail index alpha: its across-seed sd is set by the largest seed
+    # (over disjoint sets of 30 seeds the ratio of the median se to it ranged
+    # 0.23..1.61), so the spread is compared by interquartile range over 200
+    # seeds, where the ratio stayed within 0.84..1.10 on ten disjoint sets.
+    # The rescale a slice difference gets, se / sd(d), must carry the slices'
+    # spread (size m / K) to the gap's (size m): K^{1/alpha - 1}, not 1/sqrt(K),
+    # which would give 0.61x.
+    alpha, m, seeds = 1.5, 20_000, range(200)
+    gaps, pooled, ses = [], [], []
+    for seed in seeds:
+        gap, d, se = _slice_gaps(alpha, m, seed)
+        gaps.append(gap)
+        ses.append(se)
+        pooled.extend(d * se / d.std(ddof=1))
+    gaps, ses = np.array(gaps), np.array(ses)
+    assert np.all(np.abs(gaps) <= 3.0 * ses)
+
+    def iqr(v):
+        return np.subtract(*np.percentile(v, [75, 25]))
+
+    assert 0.75 <= iqr(pooled) / iqr(gaps) <= 1.33
+
+
+def test_w1_gap_stderr_rejects_a_shifted_sample():
+    alpha, m = 1.5, 20_000
+    x, y, a, b = (_invariant(alpha, m, 7, i) for i in range(4))
+    se = w1_gap_stderr(alpha, x + 1.0, y, a, b)
+    gap = w1_sorted_1d(x + 1.0, y).value - w1_sorted_1d(a, b).value
+    assert gap > 3.0 * se
+
+
+def test_w1_gap_stderr_of_one_pair_and_too_few_points():
     gen = derive_stream(103, 0)
-    x = gen.standard_normal(2000)
-    y = gen.standard_normal(2000)
-    se = bootstrap_w1_stderr(x, y, derive_stream(103, 1))
-    assert 0.0 < se < 0.2
+    x, y = gen.standard_normal((2, 2 * W1_BATCHES))
+    assert w1_gap_stderr(1.5, x, y) > 0.0
+    # the pair alone is the gap against a floor pair of equal samples
+    assert w1_gap_stderr(1.5, x, y, x, x) == w1_gap_stderr(1.5, x, y)
+    with pytest.raises(ValueError, match="2 points in each"):
+        w1_gap_stderr(1.5, x[:-1], y[:-1])
+    with pytest.raises(ValueError, match="2 points in each"):
+        w1_gap_stderr(1.5, x, y, x[:-1], y[:-1])
 
 
 def test_ecf_basics():
