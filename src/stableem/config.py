@@ -250,10 +250,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{where}unknown key {key!r}")
             if key not in keys:
                 raise ConfigError(f"{where}key {key!r} does not apply to experiment {experiment!r}")
-            try:
-                setattr(self, key, key_spec(experiment, key).parse(value))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{where}bad value for {key!r}: {value!r} ({exc})") from None
+            setattr(self, key, self._parse(key, value, where))
         for key in keys:
             if key not in vars(self):
                 default = key_spec(experiment, key).default
@@ -266,6 +263,12 @@ class ExperimentConfig:
                 f"needs m >= {2 * W1_BATCHES}, 2 chains in each of {W1_BATCHES} batches)"
             )
 
+    def _parse(self, key: str, value, where: str):
+        try:
+            return key_spec(self.experiment, key).parse(value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}bad value for {key!r}: {value!r} ({exc})") from None
+
     @property
     def effective_theta(self) -> float:
         theta = getattr(self, "theta", None)  # only `schedule` reads theta
@@ -276,7 +279,9 @@ class ExperimentConfig:
         if self.workers > 0:
             return self.workers
         env = os.environ.get("STABLEEM_WORKERS")
-        return int(env) if env else 1
+        if not env:
+            return 1
+        return self._parse("workers", env, "STABLEEM_WORKERS: ") or 1
 
     def build_schedule(self) -> StepSchedule:
         return parse_schedule(self.schedule, self.effective_theta)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_ZEROS4 = (0, 0, 0, 0)  # plain ints: the state setter reads them faster than array items
 
 # Reserved stream-id offsets.  Chain i of an ensemble uses stream_id = i;
 # auxiliary ensembles (invariant-law references, floor estimates, ...) are

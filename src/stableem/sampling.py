@@ -8,9 +8,12 @@ small-frequency behaviour to the stable one, which is why the Pareto
 scheme scales its innovations by gamma^{1/alpha} / beta.
 
 Each innovation's draw order is defined here once: ``draw_variates``
-draws the variates of C innovations of a kind into one row, and
-``transform_variates`` turns rows into innovations.  A sampler call is one
-row; the ensemble engine draws one row per chain and step chunk.
+draws the variates of C innovations of a kind into one row of the arrays
+of ``variate_arrays``, and ``transform_variates`` turns rows into
+innovations, with its temporaries in scratch arrays from
+``transform_scratch``.  A sampler call is one row with arrays and scratch
+of its own; the ensemble engine draws one row per chain and step chunk and
+reuses one set of arrays and scratch per worker thread.
 """
 
 from __future__ import annotations
@@ -89,89 +92,157 @@ def variates(kind: str, d: int) -> tuple[int, int, int]:
     return (1, 1, d)
 
 
-def draw_variates(gen: np.random.Generator, kind: str, d: int, row: np.ndarray) -> None:
-    """Fill ``row`` with the variates of C = row.size / sum(variates) innovations, in order:
+def variate_arrays(kind: str, d: int, rows: int, C: int) -> tuple[np.ndarray, ...]:
+    """Arrays for the variates of ``rows`` rows of C innovations of ``kind`` in R^d.
 
-    all the uniforms (angle or radius, then Pareto's 1-D sign), then all the
-    exponentials, then all the normals, d per innovation.
+    One (rows, C) array per uniform and per exponential that ``variates``
+    counts, then one (rows, C, d) array for the normals.  Each variate has
+    its own array, so the transforms read contiguous operands.
     """
     nu, ne, nn = variates(kind, d)
-    count = row.size // (nu + ne + nn)
-    e0, g0 = nu * count, (nu + ne) * count
-    gen.random(out=row[:e0])
-    if ne:
-        gen.standard_exponential(out=row[e0:g0])
-    if nn:
-        gen.standard_normal(out=row[g0:])
+    scalars = tuple(np.empty((rows, C)) for _ in range(nu + ne))
+    return scalars + ((np.empty((rows, C, d)),) if nn else ())
 
 
-def transform_variates(kind: str, alpha: float, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Innovations from rows of ``draw_variates``: raw (B, width) into out (B, C, d)."""
+def draw_variates(gen: np.random.Generator, kind: str, d: int, row) -> None:
+    """Fill ``row``, one row of each of ``variate_arrays``, with the variates of C innovations.
+
+    In order: all the uniforms (angle or radius, then Pareto's 1-D sign),
+    then all the exponentials, then all the normals, d per innovation.
+    """
+    nu, ne, _ = variates(kind, d)
+    for j, part in enumerate(row):
+        if j < nu:
+            gen.random(out=part)
+        elif j < nu + ne:
+            gen.standard_exponential(out=part)
+        else:
+            gen.standard_normal(out=part)
+
+
+def transform_scratch(kind: str, rows: int, C: int, d: int) -> tuple[np.ndarray, ...]:
+    """The scratch arrays ``transform_variates`` needs for up to ``rows`` rows of C innovations."""
+    if kind == PARETO and d > 1:
+        return np.empty((rows, C, d)), np.empty((rows, C))
+    return tuple(np.empty((rows, C)) for _ in range({CMS: 2, SUBORDINATED: 3, PARETO: 1}[kind]))
+
+
+def transform_variates(
+    kind: str, alpha: float, rows, out: np.ndarray, scratch: tuple | None = None
+) -> np.ndarray:
+    """Innovations from B rows of each of ``variate_arrays`` into out (B, C, d).
+
+    ``scratch`` comes from ``transform_scratch`` for at least B rows of C
+    innovations (None allocates it); the transforms write every temporary
+    there, so a caller that keeps its scratch allocates nothing per call.
+    """
     B, C, d = out.shape
-    u, w = raw[:, :C], raw[:, C : 2 * C]
+    if scratch is None:
+        scratch = transform_scratch(kind, B, C, d)
+    scratch = tuple(a[:B] for a in scratch)
     if kind == PARETO and d == 1:
-        _pareto_signed(alpha, u, w, out=out[..., 0])
+        _pareto_signed(alpha, *rows, out[..., 0], scratch)
     elif kind == PARETO:
-        _pareto_isotropic(alpha, u, raw[:, C:].reshape(B, C, d), out=out)
+        _pareto_isotropic(alpha, *rows, out, scratch)
     elif kind == CMS:
-        _cms_symmetric(alpha, u, w, out=out[..., 0])
+        _cms_symmetric(alpha, *rows, out[..., 0], scratch)
     else:
-        _stable_isotropic(alpha, u, w, raw[:, 2 * C :].reshape(B, C, d), out=out)
+        _stable_isotropic(alpha, *rows, out, scratch)
     return out
 
 
 def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` innovations drawn as one row: shape (size, d)."""
-    raw = np.empty((1, sum(variates(kind, d)) * size))
-    draw_variates(rng, kind, d, raw[0])
-    return transform_variates(kind, alpha, raw, np.empty((1, size, d)))[0]
+    rows = variate_arrays(kind, d, 1, size)
+    draw_variates(rng, kind, d, [a[0] for a in rows])
+    return transform_variates(kind, alpha, rows, np.empty((1, size, d)))[0]
 
 
-# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.
+# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.  Each
+# writes its temporaries into caller-owned scratch arrays and its result into
+# ``out``, one ufunc at a time in the order of the formula in its docstring, so
+# the rounding is that of the formula written as one NumPy expression.
 
 
-def _cms_symmetric(alpha, u, w, out=None):
-    """Chambers-Mallows-Stuck: symmetric alpha-stable from u and w."""
-    phi = np.pi * (u - 0.5)
-    a_phi = alpha * phi
-    return np.multiply(
-        np.sin(a_phi) / np.cos(phi) ** (1.0 / alpha),
-        (np.cos(phi - a_phi) / w) ** ((1.0 - alpha) / alpha),
-        out=out,
-    )
+def _cms_symmetric(alpha, u, w, out, scratch):
+    """Chambers-Mallows-Stuck: symmetric alpha-stable from u and w, with two scratch arrays:
+
+    sin(alpha phi) / cos(phi)^{1/alpha} * (cos(phi - alpha phi) / w)^{(1-alpha)/alpha},
+    phi = pi (u - 1/2).
+    """
+    phi, t = scratch
+    np.subtract(u, 0.5, out=phi)
+    np.multiply(np.pi, phi, out=phi)
+    np.multiply(alpha, phi, out=t)  # alpha phi
+    np.sin(t, out=out)
+    np.subtract(phi, t, out=t)  # phi - alpha phi
+    np.cos(phi, out=phi)
+    np.power(phi, 1.0 / alpha, out=phi)
+    np.divide(out, phi, out=out)
+    np.cos(t, out=t)
+    np.divide(t, w, out=t)
+    np.power(t, (1.0 - alpha) / alpha, out=t)
+    return np.multiply(out, t, out=out)
 
 
-def _kanter(rho, u, w):
-    """Kanter's form of the one-sided CMS transform: positive rho-stable from u and w."""
-    theta = np.pi * u
-    a = (
-        np.sin(rho * theta)
-        * np.sin((1.0 - rho) * theta) ** ((1.0 - rho) / rho)
-        / np.sin(theta) ** (1.0 / rho)
-    )
-    return a * w ** (-(1.0 - rho) / rho)
+def _kanter(rho, u, w, scratch):
+    """Kanter's form of the one-sided CMS transform: positive rho-stable from u and w,
+
+    sin(rho th) sin((1-rho) th)^{(1-rho)/rho} / sin(th)^{1/rho} * w^{-(1-rho)/rho},
+    th = pi u, into the first of three scratch arrays.
+    """
+    a, theta, t = scratch
+    np.multiply(np.pi, u, out=theta)
+    np.multiply(rho, theta, out=a)
+    np.sin(a, out=a)
+    np.multiply(1.0 - rho, theta, out=t)
+    np.sin(t, out=t)
+    np.power(t, (1.0 - rho) / rho, out=t)
+    np.multiply(a, t, out=a)
+    np.sin(theta, out=theta)
+    np.power(theta, 1.0 / rho, out=theta)
+    np.divide(a, theta, out=a)
+    np.power(w, -(1.0 - rho) / rho, out=t)
+    return np.multiply(a, t, out=a)
 
 
-def _stable_isotropic(alpha, u, w, g, out=None):
+def _stable_isotropic(alpha, u, w, g, out, scratch):
     """Gaussian subordination sqrt(2 S) G, S = Kanter(alpha/2); g has the extra last axis d."""
-    s = _kanter(alpha / 2.0, u, w)
-    return np.multiply(np.sqrt(2.0 * s)[..., None], g, out=out)
+    s = _kanter(alpha / 2.0, u, w, scratch)
+    np.multiply(2.0, s, out=s)
+    np.sqrt(s, out=s)
+    for k in range(g.shape[-1]):  # per coordinate: NumPy buffers a broadcast over a short axis
+        np.multiply(s, g[..., k], out=out[..., k])
+    return out
 
 
-def _pareto_signed(alpha, v, s, out=None):
+def _pareto_signed(alpha, v, s, out, scratch):
     """1-D Pareto: radius v^{-1/alpha}, negated where the sign uniform s < 1/2.
 
     s - 1/2 is negative exactly where s < 1/2, so copying its sign onto the
     positive radius is that negation.
     """
+    (sign,) = scratch
     r = np.power(v, -1.0 / alpha, out=out)
-    return np.copysign(r, s - 0.5, out=r)
+    return np.copysign(r, np.subtract(s, 0.5, out=sign), out=r)
 
 
-def _pareto_isotropic(alpha, v, g, out=None):
-    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d."""
-    direction = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    return np.multiply((v ** (-1.0 / alpha))[..., None], direction, out=out)
+def _pareto_isotropic(alpha, v, g, out, scratch):
+    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d.
+
+    |g| is summed and rooted as ``np.linalg.norm(g, axis=-1)`` does it.
+    """
+    sq, norm = scratch
+    np.multiply(g, g, out=sq)
+    np.add.reduce(sq, axis=-1, out=norm)
+    np.sqrt(norm, out=norm)
+    d = g.shape[-1]
+    for k in range(d):  # per coordinate, as in _stable_isotropic
+        np.divide(g[..., k], norm, out=out[..., k])  # the direction
+    radius = np.power(v, -1.0 / alpha, out=norm)
+    for k in range(d):
+        np.multiply(radius, out[..., k], out=out[..., k])
+    return out
 
 
 def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -190,7 +261,7 @@ def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     u = rng.random(size)
     w = rng.standard_exponential(size)
-    return _kanter(rho, u, w)
+    return _kanter(rho, u, w, [np.empty(np.shape(u)) for _ in range(3)])[()]
 
 
 def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size: int) -> np.ndarray:

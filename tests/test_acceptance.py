@@ -238,7 +238,7 @@ def test_criterion_09_coupled_ou_decay():
     assert _report(9, f"max |dist - 10 e^-t| = {err:.1e}; decay rate {rate:.4f}", ok)
 
 
-def test_criterion_10_byte_identical_reruns(tmp_path):
+def test_criterion_10_byte_identical_reruns(tmp_path, block_spy):
     cfgfile = tmp_path / "cfg"
     cfgfile.write_text(
         "experiment = cf-check\nalpha = 1.5\nm = 50000\nn = 128\nseed = 42\n"
@@ -246,14 +246,19 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     blobs = []
     for tag, workers in (("a", "1"), ("b", "4")):
         out = str(tmp_path / tag)
+        block_spy.blocks.clear()
         os.environ["STABLEEM_WORKERS"] = workers
         try:
             assert main(["cf-check", "--config", str(cfgfile), "--out", out]) == 0
         finally:
             del os.environ["STABLEEM_WORKERS"]
         blobs.append(open(out + ".csv", "rb").read())
-    ok = blobs[0] == blobs[1]
-    assert _report(10, f"csv bytes equal across reruns/worker counts: {ok}", ok)
+    # the 4-worker run really shards: several blocks, on several threads
+    equal = blobs[0] == blobs[1]
+    blocks, threads = len(block_spy.blocks), len({thread for _, thread in block_spy.blocks})
+    ok = equal and blocks > 1 and threads > 1
+    desc = f"csv bytes equal across worker counts: {equal} ({blocks} blocks on {threads} threads)"
+    assert _report(10, desc, ok)
 
 
 def test_criterion_11_weak_error_slopes():

@@ -200,12 +200,13 @@ def test_quantitative_fail_exits_two(tmp_path):
     assert json.load(open(out + ".json"))["verdict"] is False
 
 
-def test_rerun_is_byte_identical(tmp_path):
+def test_rerun_is_byte_identical(tmp_path, block_spy):
     cfg = tmp_path / "cfg"
     cfg.write_text("experiment = cf-check\nalpha = 1.5\nm = 20000\nn = 64\n")
     outs = []
     for tag, workers in (("a", "1"), ("b", "3")):
         out = str(tmp_path / tag)
+        block_spy.blocks.clear()
         os.environ["STABLEEM_WORKERS"] = workers
         try:
             code = main(["cf-check", "--config", str(cfg), "--out", out])
@@ -214,6 +215,16 @@ def test_rerun_is_byte_identical(tmp_path):
         assert code in (0, 2)
         outs.append(open(out + ".csv", "rb").read())
     assert outs[0] == outs[1]
+    # the 3-worker run really shards: several blocks, on several threads
+    assert len(block_spy.blocks) > 1
+    assert len({thread for _, thread in block_spy.blocks}) > 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-2"])
+def test_bad_workers_env_exits_one_naming_it(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("STABLEEM_WORKERS", value)
+    assert main(["cf-check", "--alpha", "1.5", "--m", "100", "--out", str(tmp_path / "cf")]) == 1
+    assert f"STABLEEM_WORKERS: bad value for 'workers': '{value}'" in capsys.readouterr().err
 
 
 def test_ensemble_rate_csv_is_byte_identical_across_workers(tmp_path, monkeypatch):
@@ -222,7 +233,7 @@ def test_ensemble_rate_csv_is_byte_identical_across_workers(tmp_path, monkeypatc
     # stderr included, is independent of the worker count.
     import stableem.em as em
 
-    monkeypatch.setattr(em, "_BLOCK_DOUBLES", 300 * 64 * 2)
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 300)
     cfg = ROOT / "tests" / "data" / "ensemble-rate.cfg"
     outs = []
     for workers in ("1", "2"):

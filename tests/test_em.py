@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,8 +179,10 @@ _A2 = np.array([[1.5, 0.4], [0.4, 0.8]])
 def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, matrix_a, drift):
     # Small blocks and tiles, so that workers 2 shares the chains out and the
     # transforms run tile by tile.  With chunk = 5 and n_max = 13 every chain's
-    # stream has to continue across two chunk boundaries.
-    monkeypatch.setattr(em, "_BLOCK_DOUBLES", 70 * d)
+    # stream has to continue across two chunk boundaries.  The blocks hold 2
+    # to 14 chains, depending on d and the chunk.
+    block = 70 * d // (min(13, chunk or em._STEP_CHUNK) * max(d, 2))
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", block)
     monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
     if chunk is not None:
         monkeypatch.setattr(em, "_STEP_CHUNK", chunk)
@@ -217,8 +222,7 @@ def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
         master_seed=seed,
     )
     z = np.empty((C, m, d))
-    gen = derive_stream(seed, lo)
-    assert em._fill_chunk(cfg, gen, lo, z, None, None, keep=False) is None
+    assert em._fill_chunk(cfg, em._Workspace(cfg, m, C), lo, z, None, keep=False) is None
     for i in range(m):
         gen = derive_stream(seed, lo + i)
         if scheme == "pareto-em":
@@ -228,6 +232,57 @@ def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
         else:
             want = sample_stable_vec(cfg.spec, gen, C)
         np.testing.assert_array_equal(z[:, i], want)
+
+
+@pytest.mark.parametrize("m, blocks", [(3, 1), (10, 3)])
+def test_no_more_threads_than_blocks(monkeypatch, block_spy, m, blocks):
+    # Blocks of 4 chains: 3 chains make one block, run in the calling thread;
+    # 10 make three, run by three threads, each with one workspace.
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 4)
+    _run("stable-em", m, (3,), seed=5, workers=6)
+    assert sorted(lo for lo, _ in block_spy.blocks) == list(range(0, m, 4))
+    assert len(block_spy.workspaces) == len(set(block_spy.workspaces)) == blocks
+    assert {thread for _, thread in block_spy.blocks} <= set(block_spy.workspaces)
+    if blocks == 1:
+        assert block_spy.workspaces == [threading.current_thread()]
+
+
+def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy):
+    # More workers than cores take 34 blocks of 3 chains from the shared
+    # counter while the interpreter switches threads every microsecond.
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run("pareto-em", 100, (5,), seed=9, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(lo for lo, _ in block_spy.blocks) == list(range(0, 100, 3))
+    want = _run("pareto-em", 100, (5,), seed=9)
+    np.testing.assert_array_equal(got.snapshots[0].samples, want.snapshots[0].samples)
+
+
+def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
+    # Two workspaces of a 1024 x 2048 innovation array and a tile each, plus
+    # the snapshots: about 37 MB.  One array of 2^24 doubles per block made
+    # this run peak at 170 MB.
+    cfg = EnsembleRun(
+        scheme="exact-ou",
+        spec=SPEC,
+        drift=OU,
+        schedule=SCHED,
+        m_chains=20_000,
+        x0=np.array([0.0]),
+        checkpoints=(16, 64, 256, 1024),
+        master_seed=42,
+    )
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_exact_ou_one_step_law():

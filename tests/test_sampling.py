@@ -5,19 +5,27 @@ implementation fails any single check with probability < 1e-4.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stableem.rng import derive_stream
 from stableem.sampling import (
+    CMS,
+    PARETO,
+    SUBORDINATED,
     NoiseConstants,
     StableSpec,
+    draw_variates,
     noise_constants,
     sample_one_sided_stable,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,
+    transform_scratch,
+    transform_variates,
+    variate_arrays,
 )
 
 M = 200_000
@@ -118,9 +126,77 @@ def test_sampler_shapes():
     assert sample_stable_vec(StableSpec.isotropic(1.5, 3), gen, 5).shape == (5, 3)
     assert sample_pareto_vec(1.5, 1, gen, 5).shape == (5, 1)
     assert sample_pareto_vec(1.5, 3, gen, 1).shape == (1, 3)
+    assert np.ndim(sample_one_sided_stable(0.75, gen)) == 0
 
 
 def test_sampler_determinism():
     a = sample_stable_vec(StableSpec.isotropic(1.3, 2), derive_stream(1, 5), 50)
     b = sample_stable_vec(StableSpec.isotropic(1.3, 2), derive_stream(1, 5), 50)
     np.testing.assert_array_equal(a, b)
+
+
+def _expression(kind, alpha, rows, d):
+    """The transforms as plain NumPy expressions, the form they had before they took scratch."""
+    if kind == CMS:
+        u, w = rows
+        phi = np.pi * (u - 0.5)
+        a_phi = alpha * phi
+        z = np.sin(a_phi) / np.cos(phi) ** (1.0 / alpha) * (np.cos(phi - a_phi) / w) ** (
+            (1.0 - alpha) / alpha
+        )
+        return z[..., None]
+    if kind == SUBORDINATED:
+        u, w, g = rows
+        rho, theta = alpha / 2.0, np.pi * u
+        s = (
+            np.sin(rho * theta)
+            * np.sin((1.0 - rho) * theta) ** ((1.0 - rho) / rho)
+            / np.sin(theta) ** (1.0 / rho)
+        ) * w ** (-(1.0 - rho) / rho)
+        return np.sqrt(2.0 * s)[..., None] * g
+    if d == 1:
+        v, sign = rows
+        return np.copysign(v ** (-1.0 / alpha), sign - 0.5)[..., None]
+    v, g = rows
+    return (v ** (-1.0 / alpha))[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
+
+
+def _drawn(kind, d, rows, C, seed):
+    arrays = variate_arrays(kind, d, rows, C)
+    gen = derive_stream(seed, 0)
+    for i in range(rows):
+        draw_variates(gen, kind, d, [a[i] for a in arrays])
+    return arrays
+
+
+_KINDS = [(CMS, 1), (SUBORDINATED, 3), (PARETO, 1), (PARETO, 3)]
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.7])
+@pytest.mark.parametrize("kind, d", _KINDS + [(PARETO, 9)])
+def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
+    # d = 9 sums |g|^2 over more than 8 terms, where NumPy's sum is pairwise.
+    # One scratch for a full tile of 8 rows, reused for a shorter last tile of 5.
+    C, rows = 40, 8
+    drawn = _drawn(kind, d, rows + 5, C, seed=15)
+    scratch = transform_scratch(kind, rows, C, d)
+    out = np.empty((rows, C, d))
+    for tile in (slice(0, rows), slice(rows, None)):
+        tile_rows = [a[tile] for a in drawn]
+        got = transform_variates(kind, alpha, tile_rows, out[: len(tile_rows[0])], scratch)
+        np.testing.assert_array_equal(got, _expression(kind, alpha, tile_rows, d))
+
+
+@pytest.mark.parametrize("kind, d", _KINDS)
+def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
+    C, rows = 512, 64
+    drawn = _drawn(kind, d, rows, C, seed=16)
+    scratch, out = transform_scratch(kind, rows, C, d), np.empty((rows, C, d))
+    transform_variates(kind, 1.5, drawn, out, scratch)
+    tracemalloc.start()
+    try:
+        transform_variates(kind, 1.5, drawn, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * out.nbytes
