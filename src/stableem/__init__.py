@@ -1,10 +1,10 @@
 """Euler-Maruyama schemes with decreasing step sizes for alpha-stable SDEs.
 
-Two discretizations of dX = b(X) dt + A dZ (Z isotropic alpha-stable,
-1 < alpha < 2) with steps gamma_n -> 0, plus the measurement apparatus to
-check their Wasserstein-1 convergence rates to the invariant law: exact
-samplers, characteristic-function oracles, W1 estimators, step-schedule
-diagnostics, and a reproducible parallel ensemble engine.
+Two discretizations of dX = b(X) dt + A dZ with A = I (Z isotropic
+alpha-stable, 1 < alpha < 2) and steps gamma_n -> 0, plus the measurement
+apparatus to check their Wasserstein-1 convergence rates to the invariant
+law: exact samplers, characteristic-function oracles, W1 estimators,
+step-schedule diagnostics, and a reproducible parallel ensemble engine.
 """
 
 __version__ = "0.1.0"
@@ -37,26 +37,21 @@ from .em import (
     EnsembleRun,
     Snapshot,
     empirical_moment,
-    exact_ou_sigma,
     run_ensemble,
 )
 from .experiments import ExperimentReport, emit_outputs, run_experiment
 from .metrics import (
     RateFit,
-    W1Estimate,
     ecf,
     rate_fit,
     w1_exact_lp,
     w1_gap_stderr,
-    w1_sliced,
     w1_sorted_1d,
 )
 from .rng import GENERATOR_NAME, derive_stream
 from .sampling import (
     NoiseConstants,
-    StableSpec,
     noise_constants,
-    sample_one_sided_stable,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,

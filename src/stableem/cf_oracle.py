@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .sampling import StableSpec, noise_constants
+from .sampling import noise_constants
 from .schedule import StepSchedule
 
 _SERIES_CUTOFF = 10.0
@@ -211,7 +211,7 @@ def _log_chain_cf(alpha: float, coef: np.ndarray, lam: np.ndarray):
 
 def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int):
     """Per-step innovation coefficients gamma_j^{1/alpha}/beta * prod_{k>j}(1-gamma_k)."""
-    beta = noise_constants(StableSpec.isotropic(alpha, 1)).beta
+    beta = noise_constants(alpha, 1).beta
     g = schedule.gammas(n)
     if np.any(g >= 1.0):
         raise ValueError("chain CF needs all gamma_j < 1 (contraction factors in (0,1))")
@@ -268,7 +268,11 @@ def stable_em_chain_scale_pow(alpha: float, schedule: StepSchedule, n: int) -> f
 
 
 def exact_ou_scale_pow(alpha: float, t: float) -> float:
-    """sigma(t)^alpha = (1 - e^{-alpha t}) / alpha for the exact OU transition from 0."""
+    """sigma(t)^alpha = (1 - e^{-alpha t}) / alpha for the exact OU transition from 0.
+
+    The one scalar form of the exact-OU scale; the weak-error step uses its
+    1/alpha-th power sigma(gamma).
+    """
     return (1.0 - math.exp(-alpha * t)) / alpha
 
 

@@ -190,8 +190,8 @@ EXPERIMENT_KEYS = {
     name: keys + ("seed", "out")
     for name, keys in {
         "rate": (
-            "alpha", "scheme", "dim", "drift", "schedule", "m", "checkpoints", "x0", "kappa",
-            "reference", "workers",
+            "alpha", "scheme", "schedule", "m", "checkpoints", "x0", "kappa", "reference",
+            "workers",
         ),
         "weak-error": ("alpha", "x0", "gammas", "mc", "test_fn"),
         "ergodicity": ("alpha", "schedule", "m", "checkpoints", "x", "y", "workers"),
@@ -209,8 +209,6 @@ _PER_EXPERIMENT = {
     ("schedule", "alpha"): Key(_alpha, 1.5),
     ("schedule", "schedule"): Key(KEYS["schedule"].parse, "c-over-rho-n:2,0.5"),  # omega = 1/6
     ("cf-check", "scheme"): Key(_one_of("pareto-em", pareto="pareto-em"), "pareto-em"),
-    ("rate", "dim"): Key(_bounded(_integer, lambda d: d == 1, "be 1 (rate runs 1-D OU)"), 1),
-    ("rate", "drift"): Key(_one_of("ou"), "ou"),
 }
 
 

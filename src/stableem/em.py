@@ -1,9 +1,11 @@
 """The two decreasing-step EM iterations, the exact 1-D OU reference, ensembles.
 
-run_ensemble advances many chains; ``_run_block`` holds the one definition
-of each scheme's step.  Chain i of an ensemble always consumes stream
-(master_seed, i) in a fixed scheme-defined order, so output is
-bit-reproducible for a fixed configuration regardless of worker count.
+The noise is isotropic, A = I in dX = b(X) dt + A dZ, and has the
+dimension of the drift.  run_ensemble advances many chains; ``_run_block``
+holds the one definition of each scheme's step.  Chain i of an ensemble
+always consumes stream (master_seed, i) in a fixed scheme-defined order, so
+output is bit-reproducible for a fixed configuration regardless of worker
+count.
 
 Chains run in blocks of _BLOCK_CHAINS.  Each worker thread holds one
 ``_Workspace``, allocated once per run and reused for every block it takes:
@@ -25,7 +27,6 @@ into the run's output.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .sampling import (
     CMS,
     PARETO,
     SUBORDINATED,
-    StableSpec,
+    check_noise,
     draw_variates,
     noise_constants,
     transform_scratch,
@@ -67,8 +68,10 @@ ABORT_BUDGET = 1e-3
 
 @dataclass(frozen=True)
 class EnsembleRun:
+    """m_chains chains of ``scheme`` at stability index alpha, in the dimension of the drift."""
+
     scheme: str
-    spec: StableSpec
+    alpha: float
     drift: DriftModel
     schedule: StepSchedule
     m_chains: int
@@ -79,6 +82,7 @@ class EnsembleRun:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_noise(self.alpha, self.drift.dim)
         if self.m_chains < 1:
             raise ValueError("m_chains must be >= 1")
         cps = tuple(int(c) for c in self.checkpoints)
@@ -86,16 +90,14 @@ class EnsembleRun:
             raise ValueError("checkpoints must be strictly increasing")
         if any(c < 0 for c in cps):
             raise ValueError("checkpoints must be nonnegative")
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float).ravel(), (self.spec.dim,)).copy()
+        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float).ravel(), (self.drift.dim,)).copy()
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "checkpoints", cps)
         if self.scheme == EXACT_OU:
-            if self.spec.dim != 1:
+            if self.drift.dim != 1:
                 raise ValueError("exact-ou is 1-D only")
             if self.drift.name != "ou":
                 raise ValueError("exact-ou requires the ou drift")
-            if not np.allclose(self.spec.matrix_a, np.eye(1)):
-                raise ValueError("exact-ou requires A = 1")
 
 
 @dataclass
@@ -113,11 +115,6 @@ class EnsembleResult:
     m_chains: int
 
 
-def exact_ou_sigma(alpha: float, gamma: float) -> float:
-    """Innovation scale of the exact OU transition: ((1-e^{-alpha g})/alpha)^{1/alpha}."""
-    return ((1.0 - math.exp(-alpha * gamma)) / alpha) ** (1.0 / alpha)
-
-
 # ---------------------------------------------------------------------------
 # Block engine.
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ class _Workspace:
     """
 
     def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
-        self.dim, self.chains = cfg.spec.dim, chains
+        self.dim, self.chains = cfg.drift.dim, chains
         # stable-em and exact-ou draw stable innovations: CMS in 1-D, subordinated above.
         self.kind = PARETO if cfg.scheme == PARETO_EM else CMS if self.dim == 1 else SUBORDINATED
         self.gen = rngmod.derive_stream(cfg.master_seed, 0)
@@ -183,7 +180,7 @@ def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, lo, z, states, keep):
             draw_variates(gen, ws.kind, d, [a[i] for a in v])
             if keep:
                 saved.append(bitgen.state)
-        transform_variates(ws.kind, cfg.spec.alpha, v, t, scratch)
+        transform_variates(ws.kind, cfg.alpha, v, t, scratch)
         z[:, i0 : i0 + len(t)] = t.transpose(1, 0, 2)
     return saved
 
@@ -191,24 +188,29 @@ def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, lo, z, states, keep):
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, samples, aborted):
     """Chains lo..hi-1 through every checkpoint, with the step gamma = g[n] from x_n to x_{n+1}:
 
-    stable-em  x' = x + gamma b(x) + gamma^{1/alpha} A zeta,
-    pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) A Ztilde,
-    exact-ou   x' = e^{-gamma} x + exact_ou_sigma(alpha, gamma) zeta   (b = -x, A = 1).
+    stable-em  x' = x + gamma b(x) + gamma^{1/alpha} zeta,
+    pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) Ztilde,
+    exact-ou   x' = e^{-gamma} x + sigma(gamma) zeta   (b = -x),
+
+    with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``.
+    The noise is isotropic (A = I), so each step adds its innovations as
+    drawn.
 
     The chains' snapshots go to rows lo..hi-1 of ``samples`` (m, checkpoint,
     d) and their abort flags to the same rows of ``aborted``.
     """
-    alpha, d = cfg.spec.alpha, cfg.spec.dim
-    a_mat = cfg.spec.matrix_a
-    identity_a = np.allclose(a_mat, np.eye(d))
+    alpha = cfg.alpha
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
-    beta = noise_constants(cfg.spec).beta if cfg.scheme == PARETO_EM else None
+    beta = noise_constants(alpha, cfg.drift.dim).beta if cfg.scheme == PARETO_EM else None
 
     if cfg.scheme == STABLE_EM:
         scale = g ** (1.0 / alpha)
     elif cfg.scheme == PARETO_EM:
         scale = g ** (1.0 / alpha) / beta
     else:
+        # sigma(gamma) as an array: NumPy's array exp and libm's scalar exp (in
+        # exact_ou_scale_pow) differ in the last bit for some gamma, so the
+        # scalar form would change the exact-OU chains.
         scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
         decay = np.exp(-g)
 
@@ -226,7 +228,7 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
         states = _fill_chunk(cfg, ws, lo, z, states, keep=n1 < n_max)
         for s in range(n1 - n):
             step = n + s  # advancing from step index `step` to `step + 1`
-            zeta = z[s] if identity_a else z[s] @ a_mat.T
+            zeta = z[s]
             zeta *= scale[step]
             # In place, with the rounding of decay*x + scale*zeta and of
             # (x + g*b(x)) + scale*zeta.
@@ -259,7 +261,7 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
     position (NaN rows in snapshots); the run fails if more than
     ABORT_BUDGET of the chains abort.
     """
-    d = cfg.spec.dim
+    d = cfg.drift.dim
     cp_set = frozenset(cfg.checkpoints)
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
     g = cfg.schedule.gammas(n_max) if n_max else np.empty(0)

@@ -30,25 +30,17 @@ import numpy as np
 
 from . import __version__, metrics, rng as rngmod
 from .cf_oracle import (
+    exact_ou_scale_pow,
     pareto_em_chain_cf,
     w1_exact_ou_vs_invariant,
     w1_pareto_chain_vs_invariant,
     w1_stable_chain_vs_invariant,
 )
 from .config import ConfigError, ExperimentConfig
-from .drift import certify_assumptions, drift_by_name
-from .em import (
-    EXACT_OU,
-    PARETO_EM,
-    STABLE_EM,
-    EnsembleRun,
-    empirical_moment,
-    exact_ou_sigma,
-    run_ensemble,
-)
+from .drift import builtin_ou, certify_assumptions, drift_by_name
+from .em import EXACT_OU, PARETO_EM, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble
 from .metrics import W1_BATCHES, ecf, rate_fit, w1_sorted_1d
 from .sampling import (
-    StableSpec,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
@@ -76,12 +68,15 @@ def _schedule(cfg: ExperimentConfig, key: str, n: int):
     return schedule
 
 
+_OU = builtin_ou(1)  # the drift of every engine run here, and of the stable-EM rate gate
+
+
 def _ensemble(cfg: ExperimentConfig, scheme: str, schedule, x0: float, checkpoints):
     """m chains of ``scheme`` on the 1-D OU drift from x0, with the config's seed and workers."""
     run = EnsembleRun(
         scheme=scheme,
-        spec=StableSpec.isotropic(cfg.alpha, 1),
-        drift=drift_by_name("ou", 1),
+        alpha=cfg.alpha,
+        drift=_OU,
         schedule=schedule,
         m_chains=cfg.m,
         x0=np.array([x0]),
@@ -181,7 +176,7 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
     result = _ensemble(cfg, cfg.scheme, schedule, cfg.x0, checkpoints)
     ref_a = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM)
     ref_b = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM + 1)
-    floor = w1_sorted_1d(ref_a, ref_b).value
+    floor = w1_sorted_1d(ref_a, ref_b)
     # Called through its module: a perfbench trace wraps each function this
     # module imports, and in its smoke run no further unnamed layer fits under
     # the 1 %-of-wall accounting tolerance; so its time is this experiment's own.
@@ -198,17 +193,17 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
                 f"needs at least {2 * W1_BATCHES} ({W1_BATCHES} batches of 2)"
             )
         ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
-        est = w1_sorted_1d(xs, ref)
+        w1 = w1_sorted_1d(xs, ref)
         stderr = metrics.w1_gap_stderr(alpha, xs, ref, ref_a, ref_b)  # of w1 - floor
         moment = empirical_moment(snap, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
         rows.append({
             "n": snap.n,
             "t_n": snap.t,
             "gamma_n": snap.gamma_n,
-            "w1": est.value,
+            "w1": w1,
             "stderr": stderr,
             "floor": floor,
-            "used": int(est.value > 5.0 * floor),
+            "used": int(w1 > 5.0 * floor),
             "moment_kappa": moment,
         })
     # Chains that went non-finite, and the fewest finite ones a checkpoint used.
@@ -254,7 +249,7 @@ def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | No
     if cfg.scheme == STABLE_EM:
         # The gamma^{1/alpha} rate is promised only under the step-size
         # hypothesis omega < rho; outside it the gate has nothing to test.
-        rho_drift = drift_by_name(cfg.drift, cfg.dim).dissip_theta1
+        rho_drift = _OU.dissip_theta1
         inside = bool(summary["omega"] < rho_drift)
         summary["rho_drift"] = rho_drift
         summary["step_size_hypothesis"] = inside
@@ -283,7 +278,7 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     f = _TEST_FNS[cfg.test_fn]
     x0 = cfg.x0
-    beta = noise_constants(StableSpec.isotropic(alpha, 1)).beta
+    beta = noise_constants(alpha, 1).beta
     half = cfg.mc // 2
 
     rows = []
@@ -292,7 +287,7 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         zeta = sample_stable_1d(alpha, gen, half)
         vr = (1.0 - gen.random(half)) ** (-1.0 / alpha)  # pareto radius, V in (0, 1]
 
-        sig = exact_ou_sigma(alpha, g)
+        sig = exact_ou_scale_pow(alpha, g) ** (1.0 / alpha)
 
         def anti_vals(loc, scale, noise):
             return 0.5 * (f(loc + scale * noise) + f(loc - scale * noise))
@@ -368,7 +363,7 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rows.append({
             "n": sx.n,
             "t_n": sx.t,
-            "w1": w1_sorted_1d(sx.samples[:, 0], sy.samples[:, 0]).value,
+            "w1": w1_sorted_1d(sx.samples[:, 0], sy.samples[:, 0]),
             "coupled_mean_dist": float(dist.mean()),
             "expected_dist": expected,
             "max_coupling_error": float(np.max(np.abs(dist - expected))),
@@ -503,7 +498,7 @@ def run_sample(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.sampler == "stable-1d":
         data = sample_stable_1d(alpha, gen, cfg.count)[:, None]
     elif cfg.sampler == "stable-vec":
-        data = sample_stable_vec(StableSpec.isotropic(alpha, cfg.dim), gen, cfg.count)
+        data = sample_stable_vec(alpha, cfg.dim, gen, cfg.count)
     else:  # pareto
         data = sample_pareto_vec(alpha, cfg.dim, gen, cfg.count)
     rows = [

@@ -2,24 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-SORTED_1D = "sorted-1d"
-EXACT_LP = "exact-lp"
-SLICED = "sliced"
-
 _LP_MAX = 256
 W1_BATCHES = 20  # contiguous slices behind the batch-means error of w1_gap_stderr
-
-
-@dataclass(frozen=True)
-class W1Estimate:
-    value: float
-    method: str
-    stderr: float | None = None
 
 
 @dataclass(frozen=True)
@@ -30,7 +19,7 @@ class RateFit:
     points: tuple[tuple[float, float], ...]
 
 
-def w1_sorted_1d(xs, ys) -> W1Estimate:
+def w1_sorted_1d(xs, ys) -> float:
     """Exact W1 between two equal-size 1-D empirical measures.
 
     The optimal coupling in one dimension is the monotone rearrangement, so
@@ -44,11 +33,10 @@ def w1_sorted_1d(xs, ys) -> W1Estimate:
         )
     if xs.size == 0:
         raise ValueError("need at least one sample")
-    value = float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))
-    return W1Estimate(value=value, method=SORTED_1D)
+    return float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))
 
 
-def w1_exact_lp(xs, ys) -> W1Estimate:
+def w1_exact_lp(xs, ys) -> float:
     """Exact W1 in d dimensions as a balanced linear assignment.
 
     Solved with a shortest-augmenting-path assignment solver on the
@@ -67,36 +55,7 @@ def w1_exact_lp(xs, ys) -> W1Estimate:
         raise ValueError(f"exact LP limited to m <= {_LP_MAX}, got {m}")
     cost = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
-    return W1Estimate(value=float(cost[rows, cols].mean()), method=EXACT_LP)
-
-
-def w1_sliced(xs, ys, n_projections: int, rng: np.random.Generator) -> W1Estimate:
-    """Sliced-W1 proxy: average sorted-1D distance over random unit directions.
-
-    Each slice lower-bounds W1 (projections are 1-Lipschitz), so this is a
-    labeled lower-bound-flavored surrogate, never reported as W1 itself.
-    """
-    if n_projections < 32:
-        raise ValueError("need n_projections >= 32")
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    if xs.shape != ys.shape:
-        raise ValueError(f"sample shapes differ ({xs.shape} vs {ys.shape})")
-    d = xs.shape[1]
-    u = rng.standard_normal((n_projections, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    px = np.sort(xs @ u.T, axis=0)
-    py = np.sort(ys @ u.T, axis=0)
-    vals = np.mean(np.abs(px - py), axis=0)
-    return W1Estimate(
-        value=float(vals.mean()),
-        method=f"{SLICED}:{n_projections}",
-        stderr=float(vals.std(ddof=1) / np.sqrt(n_projections)),
-    )
+    return float(cost[rows, cols].mean())
 
 
 def w1_gap_stderr(alpha: float, xs, ys, ref_a=None, ref_b=None) -> float:

@@ -1,11 +1,13 @@
 """Innovation distributions: isotropic alpha-stable vectors and radial Pareto vectors.
 
-The driving noise is normalized so a standard stable draw Z has
-characteristic function exp(-|lambda|^alpha).  The Pareto innovation has
-density alpha / (sigma_{d-1} |z|^{alpha+d}) outside the unit ball; the
-constant beta = (alpha / (sigma_{d-1} d_alpha))^{1/alpha} matches its
+The driving noise is isotropic, A = I in dX = b(X) dt + A dZ, and
+normalized so a standard stable draw Z has characteristic function
+exp(-|lambda|^alpha).  The Pareto innovation has density
+alpha / (sigma_{d-1} |z|^{alpha+d}) outside the unit ball; the constant
+beta = (alpha / (sigma_{d-1} d_alpha))^{1/alpha} matches its
 small-frequency behaviour to the stable one, which is why the Pareto
-scheme scales its innovations by gamma^{1/alpha} / beta.
+scheme scales its innovations by gamma^{1/alpha} / beta.  The entry points
+that take (alpha, d) refuse alpha outside (1, 2) and d < 1.
 
 Each innovation's draw order is defined here once: ``draw_variates``
 draws the variates of C innovations of a kind into one row of the arrays
@@ -24,31 +26,12 @@ import numpy as np
 from scipy.special import gammaln
 
 
-@dataclass(frozen=True)
-class StableSpec:
-    """Noise model: stability index, dimension and the (constant) matrix A."""
-
-    alpha: float
-    dim: int
-    matrix_a: np.ndarray
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        a = np.asarray(self.matrix_a, dtype=float)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix_a must be {self.dim}x{self.dim}, got {a.shape}")
-        if not np.allclose(a, a.T, rtol=0, atol=1e-12):
-            raise ValueError("matrix_a must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0:
-            raise ValueError("matrix_a must be positive definite")
-        object.__setattr__(self, "matrix_a", a)
-
-    @classmethod
-    def isotropic(cls, alpha: float, dim: int = 1, scale: float = 1.0) -> "StableSpec":
-        return cls(alpha=alpha, dim=dim, matrix_a=scale * np.eye(dim))
+def check_noise(alpha: float, dim: int) -> None:
+    """Reject a stability index outside (1, 2) or a dimension below 1, naming the value."""
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -60,19 +43,19 @@ class NoiseConstants:
     beta: float
 
 
-def noise_constants(spec: StableSpec) -> NoiseConstants:
+def noise_constants(alpha: float, dim: int) -> NoiseConstants:
     """Evaluate the surface constant, the Levy-density constant and beta.
 
     All three use log-Gamma so they stay accurate to >= 12 significant
     digits over the argument range of interest.
     """
-    alpha, d = spec.alpha, spec.dim
-    sigma = 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
+    check_noise(alpha, dim)
+    sigma = 2.0 * np.pi ** (dim / 2.0) / np.exp(gammaln(dim / 2.0))
     d_alpha = (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * np.pi ** (-d / 2.0)
-        * np.exp(gammaln((d + alpha) / 2.0) - gammaln(1.0 - alpha / 2.0))
+        * np.pi ** (-dim / 2.0)
+        * np.exp(gammaln((dim + alpha) / 2.0) - gammaln(1.0 - alpha / 2.0))
     )
     beta = (alpha / (sigma * d_alpha)) ** (1.0 / alpha)
     return NoiseConstants(sigma_dm1=float(sigma), d_alpha=float(d_alpha), beta=float(beta))
@@ -247,30 +230,18 @@ def _pareto_isotropic(alpha, v, g, out, scratch):
 
 def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` symmetric alpha-stable variates with CF exp(-|lambda|^alpha) (CMS)."""
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    check_noise(alpha, 1)
     return _sample(CMS, alpha, 1, rng, size)[:, 0]
 
 
-def sample_one_sided_stable(rho: float, rng: np.random.Generator, size=None):
-    """Positive rho-stable variates with Laplace transform exp(-u^rho), rho in (0,1).
+def sample_stable_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` isotropic alpha-stable vectors with CF exp(-|lambda|^alpha), shape (size, dim).
 
-    Kanter's form of the one-sided CMS transform.
+    Gaussian subordination (also for dim == 1): Z = sqrt(2 S) G, S positive
+    (alpha/2)-stable, G standard normal.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    u = rng.random(size)
-    w = rng.standard_exponential(size)
-    return _kanter(rho, u, w, [np.empty(np.shape(u)) for _ in range(3)])[()]
-
-
-def sample_stable_vec(spec: StableSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` isotropic alpha-stable vectors with CF exp(-|lambda|^alpha), shape (size, d).
-
-    Gaussian subordination (also for d = 1): Z = sqrt(2 S) G, S positive
-    (alpha/2)-stable, G standard normal.  The EM step applies the matrix A.
-    """
-    return _sample(SUBORDINATED, spec.alpha, spec.dim, rng, size)
+    check_noise(alpha, dim)
+    return _sample(SUBORDINATED, alpha, dim, rng, size)
 
 
 def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -279,8 +250,5 @@ def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: in
     U is uniform on the unit sphere (a fair sign when dim == 1), and
     R = V^{-1/alpha} with V uniform on (0, 1).  All outputs have norm >= 1.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    check_noise(alpha, dim)
     return _sample(PARETO, alpha, dim, rng, size)

@@ -21,7 +21,6 @@ from stableem.metrics import rate_fit, w1_exact_lp, w1_sorted_1d
 from stableem.cf_oracle import pareto_cf, stable_em_chain_scale_pow
 from stableem.rng import derive_stream
 from stableem.sampling import (
-    StableSpec,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
@@ -128,7 +127,7 @@ def test_criterion_04_sampler_correctness():
     z1 = sample_stable_1d(alpha, derive_stream(42, 0), M)
     e1 = np.max(np.abs(np.cos(np.outer(lams, z1)).mean(axis=1) - target))
 
-    zv = sample_stable_vec(StableSpec.isotropic(alpha, 3), derive_stream(42, 1), M)
+    zv = sample_stable_vec(alpha, 3, derive_stream(42, 1), M)
     u = np.ones(3) / math.sqrt(3.0)
     e2 = np.max(np.abs(np.cos(np.outer(lams, zv @ u)).mean(axis=1) - target))
 
@@ -136,7 +135,7 @@ def test_criterion_04_sampler_correctness():
     r = np.linalg.norm(zp, axis=1)
     e3 = max(abs(np.mean(r > rr) - rr**-alpha) for rr in (2.0, 4.0, 8.0))
 
-    beta_a = noise_constants(StableSpec.isotropic(alpha, 1)).beta ** alpha
+    beta_a = noise_constants(alpha, 1).beta ** alpha
     lam = 1e-3
     e4 = abs((1.0 - pareto_cf(alpha, lam)) / lam**alpha / beta_a - 1.0)
 
@@ -150,16 +149,16 @@ def test_criterion_05_w1_oracle_equivalence_and_axioms():
     for _ in range(200):
         m = int(gen.integers(1, 17))
         x, y = gen.standard_cauchy((2, m))
-        worst = max(worst, abs(w1_sorted_1d(x, y).value - w1_exact_lp(x, y).value))
+        worst = max(worst, abs(w1_sorted_1d(x, y) - w1_exact_lp(x, y)))
     axioms = True
     for _ in range(100):
         m = int(gen.integers(2, 33))
         x, y, z = gen.standard_normal((3, m))
-        d = w1_sorted_1d(x, y).value
-        axioms &= d <= w1_sorted_1d(x, z).value + w1_sorted_1d(z, y).value + 1e-12
+        d = w1_sorted_1d(x, y)
+        axioms &= d <= w1_sorted_1d(x, z) + w1_sorted_1d(z, y) + 1e-12
         c, a = float(gen.normal()), float(gen.uniform(0.1, 3.0))
-        axioms &= abs(w1_sorted_1d(x + c, y + c).value - d) < 1e-12
-        axioms &= abs(w1_sorted_1d(a * x, a * y).value - a * d) < 1e-9
+        axioms &= abs(w1_sorted_1d(x + c, y + c) - d) < 1e-12
+        axioms &= abs(w1_sorted_1d(a * x, a * y) - a * d) < 1e-9
     ok = worst < 1e-12 and axioms
     assert _report(5, f"sorted-vs-assignment gap {worst:.1e}; axioms {axioms}", ok)
 
@@ -192,7 +191,7 @@ def test_criterion_07_moment_bounded_along_chains():
     for scheme in ("pareto-em", "stable-em"):
         run = EnsembleRun(
             scheme=scheme,
-            spec=StableSpec.isotropic(alpha, 1),
+            alpha=alpha,
             drift=builtin_ou(1),
             schedule=sched,
             m_chains=20_000,

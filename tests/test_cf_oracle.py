@@ -21,7 +21,7 @@ from stableem.cf_oracle import (
     w1_pareto_chain_vs_invariant,
     w1_stable_chain_vs_invariant,
 )
-from stableem.sampling import StableSpec, noise_constants
+from stableem.sampling import noise_constants
 from stableem.schedule import StepSchedule
 
 HALF_N = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=2.0 / 3.0)  # gamma_n = 1/(2n)
@@ -99,7 +99,7 @@ def test_pareto_cf_against_direct_quadrature():
 
 def test_first_order_coefficient_matches_beta():
     for alpha in (1.2, 1.5, 1.8):
-        beta = noise_constants(StableSpec.isotropic(alpha, 1)).beta
+        beta = noise_constants(alpha, 1).beta
         assert first_order_cf_coefficient(alpha) == pytest.approx(beta**alpha, rel=1e-12)
 
 
@@ -107,14 +107,14 @@ def test_beta_consistency_limit():
     # (1 - phi(l)) / l^alpha -> beta^alpha as l -> 0; the leading correction
     # is -alpha l^{2-alpha} / (2 (2 - alpha)), so tolerate slightly more
     for alpha in (1.2, 1.5, 1.8):
-        beta_a = noise_constants(StableSpec.isotropic(alpha, 1)).beta ** alpha
+        beta_a = noise_constants(alpha, 1).beta ** alpha
         for lam in (1e-2, 1e-3):
             ratio = (1.0 - pareto_cf(alpha, lam)) / lam**alpha
             correction = alpha * lam ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
             assert abs(ratio - beta_a) <= 1.1 * correction
     # the 5%-relative form holds at lam = 1e-3 for the central index
     assert (1.0 - pareto_cf(1.5, 1e-3)) / 1e-3**1.5 == pytest.approx(
-        noise_constants(StableSpec.isotropic(1.5, 1)).beta ** 1.5, rel=0.05
+        noise_constants(1.5, 1).beta ** 1.5, rel=0.05
     )
 
 
@@ -126,7 +126,7 @@ def test_chain_cf_zero_steps_is_point_mass():
 def test_chain_cf_one_step_brute_force():
     s = StepSchedule.explicit([0.25], theta=1.0)
     alpha, x0, lam = 1.5, 1.0, 1.3
-    beta = noise_constants(StableSpec.isotropic(alpha, 1)).beta
+    beta = noise_constants(alpha, 1).beta
     # one step: Y1 = (1-g) x0 + (g^{1/a}/beta) Z
     want = np.exp(1j * lam * 0.75 * x0) * pareto_cf(alpha, 0.25 ** (1 / alpha) / beta * lam)
     assert pareto_em_chain_cf(alpha, s, x0, 1, lam) == pytest.approx(want, abs=1e-14)

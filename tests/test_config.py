@@ -31,7 +31,6 @@ def test_minimal_rate_config(tmp_path):
         experiment = rate
         scheme = pareto          # alias for pareto-em
         alpha = 1.5
-        drift = ou
         schedule = c-over-n:0.5
         m = 200000
         checkpoints = 128..8192 geometric
@@ -154,7 +153,7 @@ def _minimal(experiment):
 
 
 def test_each_experiment_echoes_exactly_its_keys():
-    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 58
+    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 56
     for experiment, keys in EXPERIMENT_KEYS.items():
         assert {"seed", "out"} <= set(keys)
         cfg = ExperimentConfig(experiment=experiment, **_minimal(experiment))
@@ -172,6 +171,9 @@ def test_each_experiment_echoes_exactly_its_keys():
     ("schedule", "m", "1000"),
     ("sample", "schedule", "c-over-n:0.5"),
     ("certify-drift", "alpha", "1.5"),
+    ("rate", "dim", "2"),  # rate runs the 1-D OU drift only
+    ("rate", "drift", "perturbed-ou:0.3"),
+    ("rate", "drift", "foo"),
 ])
 def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, value):
     lines = [f"experiment = {experiment}", "seed = 3", f"{key} = {value}"]
@@ -186,10 +188,7 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "checkpoints", "8,16,x"),
     ("rate", "checkpoints", "0,-4,128,256"),
     ("ergodicity", "checkpoints", "1024,512,256,128"),
-    ("rate", "dim", "2"),
-    ("rate", "drift", "perturbed-ou:0.3"),
     ("cf-check", "lambdas", "0.5,abc"),
-    ("rate", "drift", "foo"),
     ("certify-drift", "drift", "perturbed-ou:x"),
     ("weak-error", "gammas", "2^-3..abc"),
     ("weak-error", "gammas", "0.1,-0.05,0,0.02"),

@@ -8,11 +8,11 @@ import pytest
 
 from stableem import em
 from stableem.drift import builtin_ou, builtin_perturbed_ou, DriftModel
-from stableem.em import EnsembleRun, empirical_moment, exact_ou_sigma, run_ensemble
+from stableem.cf_oracle import exact_ou_scale_pow
+from stableem.em import EnsembleRun, empirical_moment, run_ensemble
 from stableem.metrics import ecf
 from stableem.rng import derive_stream
 from stableem.sampling import (
-    StableSpec,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
@@ -21,7 +21,6 @@ from stableem.sampling import (
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
-SPEC = StableSpec.isotropic(ALPHA, 1)
 SCHED = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / ALPHA)
 OU = builtin_ou(1)
 
@@ -29,13 +28,13 @@ OU = builtin_ou(1)
 def test_exact_ou_sigma_small_gamma():
     # sigma(g)^alpha = (1 - e^{-alpha g})/alpha ~ g as g -> 0
     g = 1e-8
-    assert exact_ou_sigma(ALPHA, g) == pytest.approx(g ** (1 / ALPHA), rel=1e-6)
+    assert exact_ou_scale_pow(ALPHA, g) ** (1 / ALPHA) == pytest.approx(g ** (1 / ALPHA), rel=1e-6)
 
 
 def _run(scheme, m, checkpoints, seed=0, workers=1, x0=0.0):
     cfg = EnsembleRun(
         scheme=scheme,
-        spec=SPEC,
+        alpha=ALPHA,
         drift=OU,
         schedule=SCHED,
         m_chains=m,
@@ -126,14 +125,13 @@ def _reference_ensemble(cfg):
     Chain i draws whole chunks of em._STEP_CHUNK steps from stream
     (seed, i), continuing the same stream from chunk to chunk.
     """
-    alpha, d, a_mat = cfg.spec.alpha, cfg.spec.dim, cfg.spec.matrix_a
-    identity_a = np.allclose(a_mat, np.eye(d))
+    alpha, d = cfg.alpha, cfg.drift.dim
     n_max = cfg.checkpoints[-1]
     g = cfg.schedule.gammas(n_max)
     if cfg.scheme == "stable-em":
         scale = g ** (1.0 / alpha)
     elif cfg.scheme == "pareto-em":
-        scale = g ** (1.0 / alpha) / noise_constants(cfg.spec).beta
+        scale = g ** (1.0 / alpha) / noise_constants(alpha, d).beta
     else:
         scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
         decay = np.exp(-g)
@@ -147,8 +145,6 @@ def _reference_ensemble(cfg):
         for s in range(n1 - n):
             step = n + s
             zeta = innov[:, s, :]
-            if not identity_a:
-                zeta = zeta @ a_mat.T
             if cfg.scheme == "exact-ou":
                 x = decay[step] * x + scale[step] * zeta
             else:
@@ -158,25 +154,24 @@ def _reference_ensemble(cfg):
     return [snaps[n] for n in cfg.checkpoints]
 
 
-_A2 = np.array([[1.5, 0.4], [0.4, 0.8]])
+# (scheme, d, drift) by test id.  The ids are kept from when each case also
+# named a noise matrix A (None for A = I), so the test names stay stable.
+_ENGINE_CASES = {
+    "stable-em-1-None-ou": ("stable-em", 1, "ou"),
+    "stable-em-3-None-ou": ("stable-em", 3, "ou"),
+    "pareto-em-1-None-ou": ("pareto-em", 1, "ou"),
+    "pareto-em-3-None-ou": ("pareto-em", 3, "ou"),
+    "exact-ou-1-None-ou": ("exact-ou", 1, "ou"),
+    "stable-em-2-matrix_a5-perturbed": ("stable-em", 2, "perturbed"),
+    "pareto-em-2-matrix_a6-ou": ("pareto-em", 2, "ou"),
+    "pareto-em-1-matrix_a7-perturbed": ("pareto-em", 1, "perturbed"),
+}
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "scheme, d, matrix_a, drift",
-    [
-        ("stable-em", 1, None, "ou"),
-        ("stable-em", 3, None, "ou"),
-        ("pareto-em", 1, None, "ou"),
-        ("pareto-em", 3, None, "ou"),
-        ("exact-ou", 1, None, "ou"),
-        ("stable-em", 2, _A2, "perturbed"),
-        ("pareto-em", 2, _A2, "ou"),
-        ("pareto-em", 1, np.array([[1.7]]), "perturbed"),
-    ],
-)
-def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, matrix_a, drift):
+@pytest.mark.parametrize("scheme, d, drift", list(_ENGINE_CASES.values()), ids=list(_ENGINE_CASES))
+def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, drift):
     # Small blocks and tiles, so that workers 2 shares the chains out and the
     # transforms run tile by tile.  With chunk = 5 and n_max = 13 every chain's
     # stream has to continue across two chunk boundaries.  The blocks hold 2
@@ -186,10 +181,9 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
     monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
     if chunk is not None:
         monkeypatch.setattr(em, "_STEP_CHUNK", chunk)
-    spec = StableSpec(ALPHA, d, np.eye(d) if matrix_a is None else matrix_a)
     cfg = EnsembleRun(
         scheme=scheme,
-        spec=spec,
+        alpha=ALPHA,
         drift=builtin_ou(d) if drift == "ou" else builtin_perturbed_ou(d, 0.3),
         schedule=SCHED,
         m_chains=23,
@@ -213,7 +207,7 @@ def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
     C, lo, m, seed = 7, 4, 9, 31
     cfg = EnsembleRun(
         scheme=scheme,
-        spec=StableSpec.isotropic(ALPHA, d),
+        alpha=ALPHA,
         drift=builtin_ou(d),
         schedule=SCHED,
         m_chains=lo + m,
@@ -230,7 +224,7 @@ def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
         elif d == 1:
             want = sample_stable_1d(ALPHA, gen, C)[:, None]
         else:
-            want = sample_stable_vec(cfg.spec, gen, C)
+            want = sample_stable_vec(ALPHA, d, gen, C)
         np.testing.assert_array_equal(z[:, i], want)
 
 
@@ -268,7 +262,7 @@ def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
     # this run peak at 170 MB.
     cfg = EnsembleRun(
         scheme="exact-ou",
-        spec=SPEC,
+        alpha=ALPHA,
         drift=OU,
         schedule=SCHED,
         m_chains=20_000,
@@ -290,7 +284,7 @@ def test_exact_ou_one_step_law():
     snap = _run("exact-ou", m, (1,), seed=17, x0=2.0).snapshots[0]
     g = SCHED.gamma_at(1)
     lams = np.array([0.5, 1.0, 2.0])
-    want = np.exp(1j * lams * math.exp(-g) * 2.0 - exact_ou_sigma(ALPHA, g) ** ALPHA * lams**ALPHA)
+    want = np.exp(1j * lams * math.exp(-g) * 2.0 - exact_ou_scale_pow(ALPHA, g) * lams**ALPHA)
     emp = ecf(snap.samples[:, 0], lams)
     assert np.max(np.abs(emp - want)) < 4.0 / math.sqrt(m)
 
@@ -299,7 +293,7 @@ def test_exact_ou_validation():
     with pytest.raises(ValueError):
         EnsembleRun(
             scheme="exact-ou",
-            spec=StableSpec.isotropic(ALPHA, 2),
+            alpha=ALPHA,
             drift=builtin_ou(2),
             schedule=SCHED,
             m_chains=1,
@@ -325,7 +319,7 @@ def test_abort_budget_enforced():
     )
     cfg = EnsembleRun(
         scheme="stable-em",
-        spec=SPEC,
+        alpha=ALPHA,
         drift=exploding,
         schedule=SCHED,
         m_chains=100,

@@ -10,16 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stableem.drift import builtin_ou
+from stableem.em import EnsembleRun
 from stableem.rng import derive_stream
 from stableem.sampling import (
     CMS,
     PARETO,
     SUBORDINATED,
     NoiseConstants,
-    StableSpec,
+    _kanter,
     draw_variates,
     noise_constants,
-    sample_one_sided_stable,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,
@@ -27,32 +28,49 @@ from stableem.sampling import (
     transform_variates,
     variate_arrays,
 )
+from stableem.schedule import StepSchedule
 
 M = 200_000
 LAMS = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0])
 
 
+def _ensemble_run(alpha, dim):
+    return EnsembleRun(
+        scheme="stable-em",
+        alpha=alpha,
+        drift=builtin_ou(dim),
+        schedule=StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / 1.5),
+        m_chains=1,
+        x0=np.zeros(dim),
+        checkpoints=(1,),
+        master_seed=0,
+    )
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        StableSpec.isotropic(2.5, 1)
-    with pytest.raises(ValueError):
-        StableSpec.isotropic(1.5, 0)
-    with pytest.raises(ValueError):
-        StableSpec(alpha=1.5, dim=2, matrix_a=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        StableSpec(alpha=1.5, dim=2, matrix_a=-np.eye(2))
+    # Every entry point that takes (alpha, dim) refuses a bad one by its value.
+    for entry in (
+        noise_constants,
+        lambda alpha, dim: sample_stable_vec(alpha, dim, derive_stream(0, 0), 1),
+        lambda alpha, dim: sample_pareto_vec(alpha, dim, derive_stream(0, 0), 1),
+        _ensemble_run,
+    ):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\), got 2.5"):
+            entry(2.5, 1)
+        with pytest.raises(ValueError, match="dim must be at least 1, got 0"):
+            entry(1.5, 0)
 
 
 def test_noise_constants_identity():
     # beta^alpha * sigma_{d-1} * d_alpha == alpha by construction
     for alpha in (1.2, 1.5, 1.8):
         for d in (1, 2, 5):
-            nc = noise_constants(StableSpec.isotropic(alpha, d))
+            nc = noise_constants(alpha, d)
             assert abs(nc.beta**alpha * nc.sigma_dm1 * nc.d_alpha - alpha) < 1e-12
 
 
 def test_beta_frozen_value():
-    nc = noise_constants(StableSpec.isotropic(1.5, 1))
+    nc = noise_constants(1.5, 1)
     assert nc.sigma_dm1 == pytest.approx(2.0, abs=1e-14)
     assert nc.beta == pytest.approx(1.845270148644028, abs=1e-12)
 
@@ -73,8 +91,11 @@ def test_stable_1d_tail_frozen():
 
 
 def test_one_sided_laplace_transform():
+    # Kanter's transform, the positive (alpha/2)-stable factor of the subordinated sampler
     rho = 0.75
-    s = sample_one_sided_stable(rho, derive_stream(9, 0), M)
+    gen = derive_stream(9, 0)
+    u, w = gen.random(M), gen.standard_exponential(M)
+    s = _kanter(rho, u, w, [np.empty(M) for _ in range(3)])
     assert np.all(s > 0)
     for u in (0.5, 1.0, 2.0):
         emp = np.exp(-u * s).mean()
@@ -84,7 +105,7 @@ def test_one_sided_laplace_transform():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stable_vec_cf(d):
     alpha = 1.5
-    z = sample_stable_vec(StableSpec.isotropic(alpha, d), derive_stream(10, 0), M)
+    z = sample_stable_vec(alpha, d, derive_stream(10, 0), M)
     assert z.shape == (M, d)
     # isotropy: check along a coordinate axis and along a diagonal direction
     for u in (np.eye(d)[0], np.ones(d) / math.sqrt(d)):
@@ -123,15 +144,14 @@ def test_pareto_1d_sign_symmetric():
 def test_sampler_shapes():
     gen = derive_stream(14, 0)
     assert sample_stable_1d(1.5, gen, 5).shape == (5,)
-    assert sample_stable_vec(StableSpec.isotropic(1.5, 3), gen, 5).shape == (5, 3)
+    assert sample_stable_vec(1.5, 3, gen, 5).shape == (5, 3)
     assert sample_pareto_vec(1.5, 1, gen, 5).shape == (5, 1)
     assert sample_pareto_vec(1.5, 3, gen, 1).shape == (1, 3)
-    assert np.ndim(sample_one_sided_stable(0.75, gen)) == 0
 
 
 def test_sampler_determinism():
-    a = sample_stable_vec(StableSpec.isotropic(1.3, 2), derive_stream(1, 5), 50)
-    b = sample_stable_vec(StableSpec.isotropic(1.3, 2), derive_stream(1, 5), 50)
+    a = sample_stable_vec(1.3, 2, derive_stream(1, 5), 50)
+    b = sample_stable_vec(1.3, 2, derive_stream(1, 5), 50)
     np.testing.assert_array_equal(a, b)
 
 
