@@ -2,31 +2,36 @@
 
 The noise is isotropic, A = I in dX = b(X) dt + A dZ, and has the
 dimension of the drift.  run_ensemble advances many chains; ``_run_block``
-holds the one definition of each scheme's step.  Chain i of an ensemble
-always consumes stream (master_seed, i) in a fixed scheme-defined order, so
-output is bit-reproducible for a fixed configuration regardless of worker
-count.
+holds the one definition of each scheme's step.
 
-Chains run in blocks of _BLOCK_CHAINS.  Each worker thread holds one
-``_Workspace``, allocated once per run and reused for every block it takes:
-one Philox generator from ``rng.derive_stream``, moved from chain to chain
-with ``rng.reposition``; the (step, chain, d) innovation array; and the
-tile buffers and transform scratch.  Each chain draws the innovations of a
-whole chunk of _STEP_CHUNK steps at a time, in the order that
-``sampling.draw_variates`` defines, so _STEP_CHUNK is part of the draw
-order: the first chunk of chain i is exactly what the matching sampler
-draws from stream (master_seed, i).  A chain that spans several chunks
-resumes its own stream from the state the previous chunk left it in.
-Draws go into a small tile, are turned into innovations there by
-``sampling.transform_variates`` and are copied into the innovation array,
-so each step reads, scales and adds one contiguous row in place.  The
-transforms and the steps work on contiguous operands, so NumPy allocates
-no iteration buffers for them.  A block writes its checkpoint rows straight
-into the run's output.
+Draw order, contract 2 (``rng.RNG_CONTRACT``).  Chains run in blocks of
+_BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
+be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
+c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
+block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``):
+each variate array of the chunk, (C, B) or (C, B, d) in (step, chain)
+order, is filled by one generator call, in the order that
+``sampling.draw_variates`` defines (uniforms, then exponentials, then
+normals).  So _BLOCK_CHAINS and _STEP_CHUNK are part of the draw order, and
+output is bit-reproducible for a fixed configuration regardless of worker
+count.  A chain's innovations are its column of its block's chunks: chain i
+does not draw what a sampler draws from stream (master_seed, i), but chunk
+(k, c) is what a sampler's C * B draws from stream (master_seed,
+``chunk_stream(k, c)``) give, laid out as (C, B, d).
+
+Each worker thread holds one ``_Workspace``, allocated once per run and
+reused for every block it takes: one Philox generator, moved to each
+chunk's stream with ``rng.reposition``, and the variate, transform-scratch
+and innovation arrays of one chunk.  ``sampling.transform_variates`` writes
+the innovations straight into the (C, B, d) array, whose rows the step
+loop reads, scales and adds in place.  The transforms and the steps work on
+contiguous operands, so NumPy allocates no iteration buffers for them.  A
+block writes its checkpoint rows straight into the run's output.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -44,7 +49,6 @@ from .sampling import (
     transform_scratch,
     transform_variates,
     variate_arrays,
-    variates,
 )
 from .schedule import StepSchedule
 
@@ -53,14 +57,12 @@ PARETO_EM = "pareto-em"
 EXACT_OU = "exact-ou"
 SCHEMES = (STABLE_EM, PARETO_EM, EXACT_OU)
 
-# Fixed internals of the block engine; never depend on worker count.
-# _STEP_CHUNK is part of the draw order: each chain draws the variates of a
-# whole chunk of steps at a time (see sampling.draw_variates).
-_STEP_CHUNK = 8192
-# Chains per block.  A worker's innovation array holds min(n, _STEP_CHUNK) x
-# _BLOCK_CHAINS x d doubles: 16 MiB at n = 1024 and d = 1, 128 MiB at n >= 8192.
+# Fixed internals of the block engine, both part of the draw order (see the
+# module docstring); neither depends on the worker count.  A worker's chunk
+# arrays hold _STEP_CHUNK x _BLOCK_CHAINS x d doubles each (512 KiB at d = 1),
+# so a chunk's draws, transforms and steps stay in cache.
+_STEP_CHUNK = 32
 _BLOCK_CHAINS = 2048
-_TILE_DOUBLES = 1 << 16  # draws per tile: drawn, transformed and placed at a time
 
 #: Fraction of chains allowed to hit non-finite positions before the run fails.
 ABORT_BUDGET = 1e-3
@@ -123,66 +125,45 @@ class EnsembleResult:
 class _Workspace:
     """One worker thread's buffers, allocated once per run and reused by every block it runs.
 
-    ``gen`` is one Philox generator that blocks reposition from chain to
-    chain, ``innov`` the (C, B, d) innovations of a chunk of C steps of B
-    chains, and ``tile(C)`` the variates, innovations and transform scratch
-    of one tile of chains for chunks of C steps.
+    ``gen`` is one Philox generator that blocks reposition from chunk to
+    chunk; the variate, scratch and innovation arrays hold one chunk of up
+    to ``steps`` steps of up to ``chains`` chains.
     """
 
     def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
-        self.dim, self.chains = cfg.drift.dim, chains
+        d = cfg.drift.dim
         # stable-em and exact-ou draw stable innovations: CMS in 1-D, subordinated above.
-        self.kind = PARETO if cfg.scheme == PARETO_EM else CMS if self.dim == 1 else SUBORDINATED
+        self.kind = PARETO if cfg.scheme == PARETO_EM else CMS if d == 1 else SUBORDINATED
         self.gen = rngmod.derive_stream(cfg.master_seed, 0)
-        self.innov = np.empty((steps, chains, self.dim))
-        self._tiles = {}
-
-    def tile(self, steps: int):
-        """(variates, innovations, scratch) of a tile, for chunks of ``steps`` steps.
-
-        The last chunk of a run may be shorter than the others.
-        """
-        if steps not in self._tiles:
-            width = sum(variates(self.kind, self.dim)) * steps
-            rows = min(self.chains, max(1, _TILE_DOUBLES // width))
-            self._tiles[steps] = (
-                variate_arrays(self.kind, self.dim, rows, steps),
-                np.empty((rows, steps, self.dim)),
-                transform_scratch(self.kind, rows, steps, self.dim),
-            )
-        return self._tiles[steps]
+        self.drawn = variate_arrays(self.kind, d, steps, chains)
+        self.scratch = transform_scratch(self.kind, steps, chains, d)
+        self.innov = np.empty((steps, chains, d))
 
 
-def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, lo, z, states, keep):
-    """Innovations of the next C steps of chains lo, lo+1, ..., into z (C, B, d).
+def _head(a: np.ndarray, steps: int, chains: int) -> np.ndarray:
+    """The start of ``a``'s buffer as a contiguous (steps, chains, ...) array.
 
-    Tile by tile of about _TILE_DOUBLES draws: the workspace's generator is
-    moved to each chain's stream in turn (to its start on the first chunk,
-    or to the state ``states[i]`` in which the previous chunk left chain
-    lo+i) and draws the variates of C innovations into that chain's row of
-    the tile.  The tile is transformed in this (chain, step) layout and
-    copied to its (step, chain) place in z.  With ``keep`` the chains'
-    states at the end of the chunk are returned.
+    The generator's ``out=`` fills need contiguous arrays, and a short last
+    block or chunk is not a contiguous slice of the full-size arrays.
     """
-    C, B, d = z.shape
-    drawn, buf, scratch = ws.tile(C)
-    gen = ws.gen
-    bitgen = gen.bit_generator
-    saved = [] if keep else None
-    for i0 in range(0, B, len(buf)):
-        t = buf[: B - i0]
-        v = [a[: len(t)] for a in drawn]
-        for i in range(len(t)):
-            if states is None:
-                rngmod.reposition(gen, cfg.master_seed, lo + i0 + i)
-            else:
-                bitgen.state = states[i0 + i]
-            draw_variates(gen, ws.kind, d, [a[i] for a in v])
-            if keep:
-                saved.append(bitgen.state)
-        transform_variates(ws.kind, cfg.alpha, v, t, scratch)
-        z[:, i0 : i0 + len(t)] = t.transpose(1, 0, 2)
-    return saved
+    shape = (steps, chains) + a.shape[2:]
+    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps: int, chains: int):
+    """Chunk ``chunk`` of block ``block``: the innovations of ``steps`` steps of ``chains`` chains.
+
+    The workspace's generator is moved to stream (master_seed,
+    ``rng.chunk_stream(block, chunk)``), fills each variate array with one
+    call and the transform writes the innovations into the returned
+    (steps, chains, d) view of the workspace.
+    """
+    drawn = [_head(a, steps, chains) for a in ws.drawn]
+    scratch = tuple(_head(a, steps, chains) for a in ws.scratch)
+    z = _head(ws.innov, steps, chains)
+    rngmod.reposition(ws.gen, cfg.master_seed, rngmod.chunk_stream(block, chunk))
+    draw_variates(ws.gen, ws.kind, z.shape[2], drawn)
+    return transform_variates(ws.kind, cfg.alpha, drawn, z, scratch)
 
 
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, samples, aborted):
@@ -220,12 +201,9 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
     if 0 in cp_set:
         out[:, cp_index[0], :] = x
 
-    states = None
-    n = 0
-    while n < n_max:
+    for n in range(0, n_max, _STEP_CHUNK):
         n1 = min(n + _STEP_CHUNK, n_max)
-        z = ws.innov[: n1 - n, : hi - lo]
-        states = _fill_chunk(cfg, ws, lo, z, states, keep=n1 < n_max)
+        z = _fill_chunk(cfg, ws, lo // _BLOCK_CHAINS, n // _STEP_CHUNK, n1 - n, hi - lo)
         for s in range(n1 - n):
             step = n + s  # advancing from step index `step` to `step + 1`
             zeta = z[s]
@@ -241,7 +219,6 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
             x += zeta
             if (step + 1) in cp_set:
                 out[:, cp_index[step + 1], :] = x
-        n = n1
     bad = ~np.all(np.isfinite(x), axis=1)
     # A chain that overflowed mid-way stays non-finite forever, so marking
     # NaN rows checkpoint-wise after the fact is equivalent to an abort.
@@ -269,6 +246,8 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
 
     block = _BLOCK_CHAINS
     starts = range(0, cfg.m_chains, block)
+    if n_max:  # a run past the engine's stream-id fields fails before any work
+        rngmod.chunk_stream(len(starts) - 1, (n_max - 1) // _STEP_CHUNK)
     next_start, lock = iter(starts), threading.Lock()
     samples = np.empty((cfg.m_chains, len(cfg.checkpoints), d))
     aborted = np.zeros(cfg.m_chains, dtype=bool)

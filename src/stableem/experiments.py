@@ -533,6 +533,7 @@ def _base_summary(cfg: ExperimentConfig, schedule) -> dict:
         "seed": cfg.seed,
         "version": __version__,
         "generator": rngmod.GENERATOR_NAME,
+        "rng_contract": rngmod.RNG_CONTRACT,
     }
     if schedule is not None:
         summary["schedule"] = schedule.describe()

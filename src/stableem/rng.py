@@ -1,10 +1,17 @@
-"""Deterministic random-stream derivation for parallel chains.
+"""Deterministic random-stream derivation.
 
-Every chain owns a counter-based Philox stream keyed by the pair
+Every stream is a counter-based Philox stream keyed by the pair
 (master_seed, stream_id).  The derived stream is a pure function of that
-pair, so results never depend on how chains are sharded across workers.
-Reference ensembles use reserved stream-id offsets so they can never
-collide with chain indices.
+pair, so results never depend on how work is sharded across workers.
+Disjoint stream-id ranges keep the users apart:
+
+* the samplers of ``stableem sample`` and ``certify-drift``: stream 0;
+* reference ensembles: ``INVARIANT_STREAM + j``, ``FLOOR_STREAM + j`` and
+  ``AUX_STREAM + j``;
+* the ensemble engine: ``chunk_stream(block, chunk)``, one stream per block
+  of chains and chunk of steps (draw order contract 2, see ``stableem.em``).
+  A chain's innovations are its column of its block's chunks, so chain i no
+  longer draws what a sampler draws from stream (master_seed, i).
 
 A stream is fixed by its key alone: counter and buffer start at zero.  So a
 generator can be moved to the start of another stream by setting its
@@ -19,15 +26,32 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _ZEROS4 = (0, 0, 0, 0)  # plain ints: the state setter reads them faster than array items
 
-# Reserved stream-id offsets.  Chain i of an ensemble uses stream_id = i;
-# auxiliary ensembles (invariant-law references, floor estimates, ...) are
-# keyed far away from any realistic chain count.
+# Reserved stream-id offsets, far away from any index a caller adds to them.
 INVARIANT_STREAM = 1 << 40
 FLOOR_STREAM = 1 << 41
 AUX_STREAM = 1 << 42
+# Engine streams: CHUNK_STREAM | block << _CHUNK_BITS | chunk, so the range
+# [2^43, 2^43 + 2^60) lies above every other one.
+CHUNK_STREAM = 1 << 43
+_CHUNK_BITS = 20
+_BLOCK_BITS = 40
+
+#: Version of the engine's draw order, recorded in every run's summary.
+RNG_CONTRACT = 2
 
 #: Human-readable generator name, recorded in output metadata.
-GENERATOR_NAME = "philox4x64 key=(master_seed<<64)|stream_id"
+GENERATOR_NAME = (
+    "philox4x64 key=(master_seed<<64)|stream_id; "
+    "engine chunk stream_id=(1<<43)|(block<<20)|chunk"
+)
+
+
+def chunk_stream(block: int, chunk: int) -> int:
+    """The stream id of chunk ``chunk`` of steps of block ``block`` of chains in the engine."""
+    for name, value, bits in (("block", block, _BLOCK_BITS), ("chunk", chunk, _CHUNK_BITS)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{name} must lie in [0, 2^{bits}), got {value}")
+    return CHUNK_STREAM | block << _CHUNK_BITS | chunk
 
 
 def _key(master_seed: int, stream_id: int) -> tuple[int, int]:

@@ -10,12 +10,13 @@ scheme scales its innovations by gamma^{1/alpha} / beta.  The entry points
 that take (alpha, d) refuse alpha outside (1, 2) and d < 1.
 
 Each innovation's draw order is defined here once: ``draw_variates``
-draws the variates of C innovations of a kind into one row of the arrays
-of ``variate_arrays``, and ``transform_variates`` turns rows into
-innovations, with its temporaries in scratch arrays from
-``transform_scratch``.  A sampler call is one row with arrays and scratch
-of its own; the ensemble engine draws one row per chain and step chunk and
-reuses one set of arrays and scratch per worker thread.
+fills arrays shaped like those of ``variate_arrays`` with the variates of
+a kind, one generator call per array, and ``transform_variates`` turns
+them into innovations, element by element, with its temporaries in scratch
+arrays from ``transform_scratch``.  A sampler call fills one row of
+``size`` innovations with arrays and scratch of its own; the ensemble
+engine fills the (C, B) arrays of a chunk of C steps of B chains in one go
+and reuses one set of arrays and scratch per worker thread.
 """
 
 from __future__ import annotations
@@ -87,14 +88,15 @@ def variate_arrays(kind: str, d: int, rows: int, C: int) -> tuple[np.ndarray, ..
     return scalars + ((np.empty((rows, C, d)),) if nn else ())
 
 
-def draw_variates(gen: np.random.Generator, kind: str, d: int, row) -> None:
-    """Fill ``row``, one row of each of ``variate_arrays``, with the variates of C innovations.
+def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
+    """Fill contiguous ``arrays``, shaped like a part of ``variate_arrays``, each with one call.
 
     In order: all the uniforms (angle or radius, then Pareto's 1-D sign),
-    then all the exponentials, then all the normals, d per innovation.
+    then all the exponentials, then all the normals, d per innovation; each
+    array fills in C order.
     """
     nu, ne, _ = variates(kind, d)
-    for j, part in enumerate(row):
+    for j, part in enumerate(arrays):
         if j < nu:
             gen.random(out=part)
         elif j < nu + ne:
@@ -113,7 +115,7 @@ def transform_scratch(kind: str, rows: int, C: int, d: int) -> tuple[np.ndarray,
 def transform_variates(
     kind: str, alpha: float, rows, out: np.ndarray, scratch: tuple | None = None
 ) -> np.ndarray:
-    """Innovations from B rows of each of ``variate_arrays`` into out (B, C, d).
+    """Innovations from the (B, C) and (B, C, d) arrays of variates into out (B, C, d).
 
     ``scratch`` comes from ``transform_scratch`` for at least B rows of C
     innovations (None allocates it); the transforms write every temporary

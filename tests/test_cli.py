@@ -158,6 +158,27 @@ def test_version_matches_pyproject():
         assert stableem.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+@pytest.mark.parametrize("experiment, keys", [
+    ("rate", "alpha = 1.5\nreference = oracle\ncheckpoints = 8..64 geometric\n"),
+    ("rate", "alpha = 1.5\nscheme = exact-ou\nm = 400\ncheckpoints = 8..32 geometric\n"),
+    ("weak-error", "alpha = 1.5\nmc = 4000\n"),
+    ("ergodicity", "alpha = 1.5\nm = 64\n"),
+    ("cf-check", "alpha = 1.5\nm = 100\nn = 16\n"),
+    ("schedule", ""),
+    ("sample", "alpha = 1.5\ncount = 10\n"),
+    ("certify-drift", "pairs = 1000\n"),
+], ids=["rate-oracle", "rate-ensemble", "weak-error", "ergodicity", "cf-check", "schedule",
+        "sample", "certify-drift"])
+def test_every_summary_records_the_rng_contract(tmp_path, experiment, keys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"experiment = {experiment}\n{keys}")
+    out = str(tmp_path / "run")
+    assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
+    summary = json.load(open(out + ".json"))
+    assert summary["rng_contract"] == 2
+    assert summary["generator"] == stableem.GENERATOR_NAME
+
+
 def test_config_file_drives_run(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     out = str(tmp_path / "erg")

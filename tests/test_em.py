@@ -11,12 +11,18 @@ from stableem.drift import builtin_ou, builtin_perturbed_ou, DriftModel
 from stableem.cf_oracle import exact_ou_scale_pow
 from stableem.em import EnsembleRun, empirical_moment, run_ensemble
 from stableem.metrics import ecf
-from stableem.rng import derive_stream
+from stableem.rng import chunk_stream, derive_stream
 from stableem.sampling import (
+    CMS,
+    PARETO,
+    SUBORDINATED,
+    draw_variates,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,
+    transform_variates,
+    variate_arrays,
 )
 from stableem.schedule import StepSchedule
 
@@ -51,16 +57,21 @@ def test_checkpoint_zero_is_initial_condition():
     assert res.snapshots[0].t == 0.0
 
 
-def test_engine_matches_single_chain_steps():
-    # chain i consumes stream (seed, i): replay chain 1 with the stable-EM
-    # step x <- x - gamma x + gamma^{1/alpha} zeta on b(x) = -x, drawing in
-    # the engine's documented order
+def test_engine_matches_single_chain_steps(monkeypatch):
+    # Chunks of 3 steps, so the 4 steps of the one block of 3 chains take
+    # streams chunk_stream(0, 0) and chunk_stream(0, 1).  Replay chain 1,
+    # column 1 of each chunk's (step, chain) draws, with the stable-EM step
+    # x <- x - gamma x + gamma^{1/alpha} zeta on b(x) = -x.
+    monkeypatch.setattr(em, "_STEP_CHUNK", 3)
     res = _run("stable-em", 3, (1, 2, 3, 4), seed=11)
-    gen = derive_stream(11, 1)
-    u = np.pi * (gen.random(4) - 0.5)
-    w = gen.standard_exponential(4)
+    u, w = [], []
+    for chunk, steps in ((0, 3), (1, 1)):
+        gen = derive_stream(11, chunk_stream(0, chunk))
+        u.extend(gen.random((steps, 3))[:, 1])
+        w.extend(gen.standard_exponential((steps, 3))[:, 1])
+    u = np.pi * (np.array(u) - 0.5)
     z = (np.sin(ALPHA * u) / np.cos(u) ** (1 / ALPHA)) * (
-        np.cos(u - ALPHA * u) / w
+        np.cos(u - ALPHA * u) / np.array(w)
     ) ** ((1 - ALPHA) / ALPHA)
     x = 0.0
     for k in range(4):
@@ -76,56 +87,19 @@ def test_worker_count_does_not_change_output():
         np.testing.assert_array_equal(sa.samples, sb.samples)
 
 
-def _reference_innovations(scheme, alpha, d, gens, C):
-    """One chunk of C steps, drawn chain by chain: shape (m, C, d)."""
-    m = len(gens)
-    if scheme in ("stable-em", "exact-ou") and d == 1:
-        u, w = np.empty((m, C)), np.empty((m, C))
-        for i, gen in enumerate(gens):
-            u[i] = gen.random(C)
-            w[i] = gen.standard_exponential(C)
-        u = np.pi * (u - 0.5)
-        z = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos(u - alpha * u) / w
-        ) ** ((1.0 - alpha) / alpha)
-        return z[:, :, None]
-    if scheme == "stable-em":
-        rho = alpha / 2.0
-        th, w, g = np.empty((m, C)), np.empty((m, C)), np.empty((m, C, d))
-        for i, gen in enumerate(gens):
-            th[i] = gen.random(C)
-            w[i] = gen.standard_exponential(C)
-            g[i] = gen.standard_normal((C, d))
-        th *= np.pi
-        s = (
-            np.sin(rho * th)
-            * np.sin((1.0 - rho) * th) ** ((1.0 - rho) / rho)
-            / np.sin(th) ** (1.0 / rho)
-        ) * w ** (-(1.0 - rho) / rho)
-        return np.sqrt(2.0 * s)[:, :, None] * g
-    v = np.empty((m, C))
-    if d == 1:
-        su = np.empty((m, C))
-        for i, gen in enumerate(gens):
-            v[i] = gen.random(C)
-            su[i] = gen.random(C)
-        r = v ** (-1.0 / alpha)
-        return np.where(su < 0.5, -r, r)[:, :, None]
-    g = np.empty((m, C, d))
-    for i, gen in enumerate(gens):
-        v[i] = gen.random(C)
-        g[i] = gen.standard_normal((C, d))
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
-    return (v ** (-1.0 / alpha))[:, :, None] * g
+_KIND = {"stable-em": (CMS, SUBORDINATED), "exact-ou": (CMS, None), "pareto-em": (PARETO, PARETO)}
 
 
 def _reference_ensemble(cfg):
-    """The engine as it was with one derive_stream generator per chain.
+    """The engine under draw-order contract 2, block by block and chunk by chunk.
 
-    Chain i draws whole chunks of em._STEP_CHUNK steps from stream
-    (seed, i), continuing the same stream from chunk to chunk.
+    Chunk c of block k (em._BLOCK_CHAINS chains, em._STEP_CHUNK steps) is
+    drawn from a newly derived stream (seed, chunk_stream(k, c)) into
+    (step, chain) arrays and transformed by the sampling module.
     """
     alpha, d = cfg.alpha, cfg.drift.dim
+    kind = _KIND[cfg.scheme][d > 1]
+    B, C = em._BLOCK_CHAINS, em._STEP_CHUNK
     n_max = cfg.checkpoints[-1]
     g = cfg.schedule.gammas(n_max)
     if cfg.scheme == "stable-em":
@@ -135,22 +109,25 @@ def _reference_ensemble(cfg):
     else:
         scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
         decay = np.exp(-g)
-    gens = [derive_stream(cfg.master_seed, i) for i in range(cfg.m_chains)]
-    x = np.tile(cfg.x0, (cfg.m_chains, 1))
-    snaps = {0: x}
-    n = 0
-    while n < n_max:
-        n1 = min(n + em._STEP_CHUNK, n_max)
-        innov = _reference_innovations(cfg.scheme, alpha, d, gens, n1 - n)
-        for s in range(n1 - n):
-            step = n + s
-            zeta = innov[:, s, :]
-            if cfg.scheme == "exact-ou":
-                x = decay[step] * x + scale[step] * zeta
-            else:
-                x = x + g[step] * cfg.drift(x) + scale[step] * zeta
-            snaps[step + 1] = x
-        n = n1
+    snaps = {n: np.empty((cfg.m_chains, d)) for n in cfg.checkpoints}
+    for k, lo in enumerate(range(0, cfg.m_chains, B)):
+        hi = min(lo + B, cfg.m_chains)
+        x = np.tile(cfg.x0, (hi - lo, 1))
+        if 0 in snaps:
+            snaps[0][lo:hi] = x
+        for c, n in enumerate(range(0, n_max, C)):
+            steps = min(C, n_max - n)
+            drawn = variate_arrays(kind, d, steps, hi - lo)
+            draw_variates(derive_stream(cfg.master_seed, chunk_stream(k, c)), kind, d, drawn)
+            innov = transform_variates(kind, alpha, drawn, np.empty((steps, hi - lo, d)))
+            for s in range(steps):
+                step = n + s
+                if cfg.scheme == "exact-ou":
+                    x = decay[step] * x + scale[step] * innov[s]
+                else:
+                    x = x + g[step] * cfg.drift(x) + scale[step] * innov[s]
+                if step + 1 in snaps:
+                    snaps[step + 1][lo:hi] = x
     return [snaps[n] for n in cfg.checkpoints]
 
 
@@ -172,13 +149,10 @@ _ENGINE_CASES = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scheme, d, drift", list(_ENGINE_CASES.values()), ids=list(_ENGINE_CASES))
 def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, drift):
-    # Small blocks and tiles, so that workers 2 shares the chains out and the
-    # transforms run tile by tile.  With chunk = 5 and n_max = 13 every chain's
-    # stream has to continue across two chunk boundaries.  The blocks hold 2
-    # to 14 chains, depending on d and the chunk.
-    block = 70 * d // (min(13, chunk or em._STEP_CHUNK) * max(d, 2))
-    monkeypatch.setattr(em, "_BLOCK_CHAINS", block)
-    monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
+    # Blocks of 5 chains, so that workers 2 shares the 23 chains out and the
+    # last block is short.  With chunk = 5 and n_max = 13 each block takes
+    # three chunk streams, the last one short; with the default chunk, one.
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 5)
     if chunk is not None:
         monkeypatch.setattr(em, "_STEP_CHUNK", chunk)
     cfg = EnsembleRun(
@@ -199,33 +173,32 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
 
 @pytest.mark.parametrize("scheme", ["stable-em", "pareto-em"])
 @pytest.mark.parametrize("d", [1, 3])
-def test_first_chunk_is_what_the_samplers_draw(monkeypatch, scheme, d):
+def test_first_chunk_is_what_the_samplers_draw(scheme, d):
     # The engine and the samplers draw through one definition of the draw
-    # order: chain i's first chunk of C innovations is the sampler's C draws
-    # from stream (seed, i), also when the rows are transformed in tiles.
-    monkeypatch.setattr(em, "_TILE_DOUBLES", 64)
-    C, lo, m, seed = 7, 4, 9, 31
+    # order: chunk (k, c) of C steps of B chains is the sampler's C * B draws
+    # from stream (seed, chunk_stream(k, c)), in (step, chain) order.
+    C, B, seed = 7, 9, 31
     cfg = EnsembleRun(
         scheme=scheme,
         alpha=ALPHA,
         drift=builtin_ou(d),
         schedule=SCHED,
-        m_chains=lo + m,
+        m_chains=B,
         x0=np.zeros(d),
         checkpoints=(C,),
         master_seed=seed,
     )
-    z = np.empty((C, m, d))
-    assert em._fill_chunk(cfg, em._Workspace(cfg, m, C), lo, z, None, keep=False) is None
-    for i in range(m):
-        gen = derive_stream(seed, lo + i)
+    ws = em._Workspace(cfg, B + 3, C + 2)  # a full-size workspace, larger than the chunk
+    for block, chunk in ((0, 0), (3, 5)):
+        z = em._fill_chunk(cfg, ws, block, chunk, C, B)
+        gen = derive_stream(seed, chunk_stream(block, chunk))
         if scheme == "pareto-em":
-            want = sample_pareto_vec(ALPHA, d, gen, C)
+            want = sample_pareto_vec(ALPHA, d, gen, C * B)
         elif d == 1:
-            want = sample_stable_1d(ALPHA, gen, C)[:, None]
+            want = sample_stable_1d(ALPHA, gen, C * B)[:, None]
         else:
-            want = sample_stable_vec(ALPHA, d, gen, C)
-        np.testing.assert_array_equal(z[:, i], want)
+            want = sample_stable_vec(ALPHA, d, gen, C * B)
+        np.testing.assert_array_equal(z, want.reshape(C, B, d))
 
 
 @pytest.mark.parametrize("m, blocks", [(3, 1), (10, 3)])
@@ -257,9 +230,9 @@ def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy
 
 
 def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
-    # Two workspaces of a 1024 x 2048 innovation array and a tile each, plus
-    # the snapshots: about 37 MB.  One array of 2^24 doubles per block made
-    # this run peak at 170 MB.
+    # Two workspaces of one 32-step chunk of 2048 chains each (five arrays of
+    # 32 x 2048 doubles: variates, scratch, innovations), plus the snapshots:
+    # about 6 MB, whatever n is.
     cfg = EnsembleRun(
         scheme="exact-ou",
         alpha=ALPHA,
@@ -276,7 +249,7 @@ def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 10e6
 
 
 def test_exact_ou_one_step_law():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from stableem.rng import AUX_STREAM, FLOOR_STREAM, INVARIANT_STREAM, derive_stream, reposition
+from stableem.rng import (
+    AUX_STREAM,
+    CHUNK_STREAM,
+    FLOOR_STREAM,
+    INVARIANT_STREAM,
+    chunk_stream,
+    derive_stream,
+    reposition,
+)
 
 
 def test_same_key_reproduces_sequence():
@@ -63,3 +71,32 @@ def test_stream_key_is_seed_high_word_stream_low_word():
 def test_reposition_rejects_negative_stream():
     with pytest.raises(ValueError):
         reposition(derive_stream(1, 0), 1, -1)
+
+
+def test_chunk_stream_packs_block_above_chunk():
+    assert chunk_stream(0, 0) == CHUNK_STREAM == 1 << 43
+    assert chunk_stream(3, 5) == (1 << 43) + 3 * (1 << 20) + 5
+    assert chunk_stream(0, (1 << 20) - 1) + 1 == chunk_stream(1, 0)
+    ids = {chunk_stream(k, c) for k in (0, 1, 2, 1 << 39) for c in (0, 1, 7, (1 << 20) - 1)}
+    assert len(ids) == 16
+
+
+@pytest.mark.parametrize("block, chunk, name", [
+    (-1, 0, "block"), (1 << 40, 0, "block"), (0, -1, "chunk"), (0, 1 << 20, "chunk"),
+])
+def test_chunk_stream_refuses_values_outside_its_fields(block, chunk, name):
+    value = block if name == "block" else chunk
+    with pytest.raises(ValueError, match=rf"^{name} must lie in .*got {value}$"):
+        chunk_stream(block, chunk)
+
+
+def test_chunk_streams_overlap_no_other_range():
+    # Chain-sized ids and the reference offsets (plus any index below 2^40)
+    # lie below the lowest engine stream; the highest still fits the key's
+    # 64-bit stream word.
+    lowest, highest = chunk_stream(0, 0), chunk_stream((1 << 40) - 1, (1 << 20) - 1)
+    assert AUX_STREAM + (1 << 40) <= lowest
+    assert max(INVARIANT_STREAM, FLOOR_STREAM) + (1 << 40) <= lowest
+    assert highest < 1 << 64
+    want = np.random.Generator(np.random.Philox(key=(9 << 64) | highest)).random(4)
+    np.testing.assert_array_equal(derive_stream(9, highest).random(4), want)
