@@ -9,6 +9,12 @@ small-frequency behaviour to the stable one, which is why the Pareto
 scheme scales its innovations by gamma^{1/alpha} / beta.  The entry points
 that take (alpha, d) refuse alpha outside (1, 2) and d < 1.
 
+A 1-D stable draw is the Chambers-Mallows-Stuck transform of one uniform
+and one exponential, written in the tangents of half-angles so that it
+takes two tan, two log and one exp per draw and no sin, cos or pow (see
+``_cms_symmetric``); d > 1 subordinates a normal vector to Kanter's
+one-sided transform.
+
 Each innovation's draw order is defined here once: ``draw_variates``
 fills arrays shaped like those of ``variate_arrays`` with the variates of
 a kind, one generator call per array, and ``transform_variates`` turns
@@ -76,16 +82,16 @@ def variates(kind: str, d: int) -> tuple[int, int, int]:
     return (1, 1, d)
 
 
-def variate_arrays(kind: str, d: int, rows: int, C: int) -> tuple[np.ndarray, ...]:
-    """Arrays for the variates of ``rows`` rows of C innovations of ``kind`` in R^d.
+def variate_arrays(kind: str, d: int, C: int, B: int) -> tuple[np.ndarray, ...]:
+    """Arrays for the variates of C rows of B innovations of ``kind`` in R^d.
 
-    One (rows, C) array per uniform and per exponential that ``variates``
-    counts, then one (rows, C, d) array for the normals.  Each variate has
+    One (C, B) array per uniform and per exponential that ``variates``
+    counts, then one (C, B, d) array for the normals.  Each variate has
     its own array, so the transforms read contiguous operands.
     """
     nu, ne, nn = variates(kind, d)
-    scalars = tuple(np.empty((rows, C)) for _ in range(nu + ne))
-    return scalars + ((np.empty((rows, C, d)),) if nn else ())
+    scalars = tuple(np.empty((C, B)) for _ in range(nu + ne))
+    return scalars + ((np.empty((C, B, d)),) if nn else ())
 
 
 def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
@@ -105,26 +111,29 @@ def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
             gen.standard_normal(out=part)
 
 
-def transform_scratch(kind: str, rows: int, C: int, d: int) -> tuple[np.ndarray, ...]:
-    """The scratch arrays ``transform_variates`` needs for up to ``rows`` rows of C innovations."""
+def transform_scratch(kind: str, C: int, B: int, d: int) -> tuple[np.ndarray, ...]:
+    """The scratch arrays ``transform_variates`` needs for up to C rows of B innovations."""
     if kind == PARETO and d > 1:
-        return np.empty((rows, C, d)), np.empty((rows, C))
-    return tuple(np.empty((rows, C)) for _ in range({CMS: 2, SUBORDINATED: 3, PARETO: 1}[kind]))
+        return np.empty((C, B, d)), np.empty((C, B))
+    return tuple(np.empty((C, B)) for _ in range({CMS: 3, SUBORDINATED: 3, PARETO: 1}[kind]))
 
 
 def transform_variates(
     kind: str, alpha: float, rows, out: np.ndarray, scratch: tuple | None = None
 ) -> np.ndarray:
-    """Innovations from the (B, C) and (B, C, d) arrays of variates into out (B, C, d).
+    """Innovations from the (C, B) and (C, B, d) arrays of variates into out (C, B, d).
 
-    ``scratch`` comes from ``transform_scratch`` for at least B rows of C
+    ``scratch`` comes from ``transform_scratch`` for at least C rows of B
     innovations (None allocates it); the transforms write every temporary
     there, so a caller that keeps its scratch allocates nothing per call.
+    The CMS transform also overwrites its spent uniforms and exponentials,
+    so ``rows`` holds no variates after a CMS call; draw them again before
+    the next one.
     """
-    B, C, d = out.shape
+    C, B, d = out.shape
     if scratch is None:
-        scratch = transform_scratch(kind, B, C, d)
-    scratch = tuple(a[:B] for a in scratch)
+        scratch = transform_scratch(kind, C, B, d)
+    scratch = tuple(a[:C] for a in scratch)
     if kind == PARETO and d == 1:
         _pareto_signed(alpha, *rows, out[..., 0], scratch)
     elif kind == PARETO:
@@ -144,30 +153,70 @@ def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int
 
 
 # Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.  Each
-# writes its temporaries into caller-owned scratch arrays and its result into
-# ``out``, one ufunc at a time in the order of the formula in its docstring, so
-# the rounding is that of the formula written as one NumPy expression.
+# writes its temporaries into caller-owned scratch arrays (CMS also into its
+# spent u and w) and its result into ``out``, one ufunc at a time in the order
+# of the formula in its docstring, so the rounding is that of the formula
+# written as one NumPy expression.
 
 
 def _cms_symmetric(alpha, u, w, out, scratch):
-    """Chambers-Mallows-Stuck: symmetric alpha-stable from u and w, with two scratch arrays:
+    """Chambers-Mallows-Stuck: symmetric alpha-stable from u and w, by tangent half-angles.
 
-    sin(alpha phi) / cos(phi)^{1/alpha} * (cos(phi - alpha phi) / w)^{(1-alpha)/alpha},
-    phi = pi (u - 1/2).
+    Z = sin(alpha phi) / cos(phi)^{1/alpha} * (cos(phi - alpha phi) / w)^{(1-alpha)/alpha},
+    phi = pi (u - 1/2), evaluated with two tan, two log and one exp.  Let
+    a = tan(alpha phi / 2), the half-angle of alpha phi, and c = tan(r) with
+    r = (pi/2) min(u, 1 - u) = pi/4 - |phi|/2, the half-angle of
+    pi/2 - |phi|.  With A = 1 + a^2 and C = 1 + c^2:
+
+        sin(alpha phi) = 2a / A,   cos(alpha phi) = (1 - a^2) / A,
+        cos(phi) = 2c / C,         sin|phi| = (1 - c^2) / C,
+        cos(phi - alpha phi) = 2N / (A C),   N = (1 - a^2) c + |a| (1 - c^2),
+
+    and the powers of 2 cancel:
+
+        Z = a / A * exp(1/alpha log(C / c) + (1-alpha)/alpha log(N / (A w C))).
+
+    |alpha phi / 2| < pi/2 and 0 <= r <= pi/4 keep both tangents finite.
+    min(u, 1 - u) is exact, so cos(phi) keeps its relative accuracy as u
+    nears 0 or 1, where cos of the rounded phi loses it; and
+    N / (A C) >= cos(pi (alpha - 1) / 2) / 2 > 0, so N cancels nothing
+    badly.  u = 0, which the generator can return, is read as 2^-54, half
+    its resolution, so every draw is finite.  Uses three scratch arrays and
+    overwrites the spent u and w.
     """
-    phi, t = scratch
-    np.subtract(u, 0.5, out=phi)
-    np.multiply(np.pi, phi, out=phi)
-    np.multiply(alpha, phi, out=t)  # alpha phi
-    np.sin(t, out=out)
-    np.subtract(phi, t, out=t)  # phi - alpha phi
-    np.cos(phi, out=phi)
-    np.power(phi, 1.0 / alpha, out=phi)
-    np.divide(out, phi, out=out)
-    np.cos(t, out=t)
-    np.divide(t, w, out=t)
-    np.power(t, (1.0 - alpha) / alpha, out=t)
-    return np.multiply(out, t, out=out)
+    x, y, n = scratch
+    np.subtract(u, 0.5, out=x)
+    np.multiply(np.pi / 2, x, out=x)  # phi / 2
+    np.multiply(alpha, x, out=x)
+    np.tan(x, out=x)  # a
+    np.multiply(x, x, out=y)
+    np.subtract(1.0, y, out=n)  # 1 - a^2
+    np.add(1.0, y, out=y)  # A
+    np.divide(x, y, out=out)  # a / A
+    np.absolute(x, out=x)  # |a|
+    np.multiply(y, w, out=w)  # A w
+    np.subtract(1.0, u, out=y)
+    np.minimum(u, y, out=y)
+    np.maximum(y, 2.0**-54, out=y)
+    np.multiply(np.pi / 2, y, out=y)  # r
+    np.tan(y, out=y)  # c
+    np.multiply(n, y, out=n)  # (1 - a^2) c
+    np.multiply(y, y, out=u)
+    np.subtract(1.0, u, out=u)  # 1 - c^2
+    np.multiply(x, u, out=x)
+    np.add(n, x, out=n)  # N
+    np.multiply(y, y, out=x)
+    np.add(1.0, x, out=x)  # C
+    np.multiply(w, x, out=w)  # A w C
+    np.divide(n, w, out=n)
+    np.divide(x, y, out=x)  # C / c
+    np.log(x, out=x)
+    np.log(n, out=n)
+    np.multiply(1.0 / alpha, x, out=x)
+    np.multiply((1.0 - alpha) / alpha, n, out=n)
+    np.add(x, n, out=n)
+    np.exp(n, out=n)
+    return np.multiply(out, n, out=out)
 
 
 def _kanter(rho, u, w, scratch):

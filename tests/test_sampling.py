@@ -155,14 +155,64 @@ def test_sampler_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+def _cms_sin_cos(alpha, u, w):
+    """CMS in sines and cosines: the reference whose error bounds the transform's near u = 0, 1."""
+    phi = np.pi * (u - 0.5)
+    a_phi = alpha * phi
+    return np.sin(a_phi) / np.cos(phi) ** (1.0 / alpha) * (np.cos(phi - a_phi) / w) ** (
+        (1.0 - alpha) / alpha
+    )
+
+
+def _cms_exact(mp, alpha, u, w):
+    """CMS at 50 digits at the exact u and w, by the sin/cos formula."""
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        phi = mp.pi * (mp.mpf(u) - mp.mpf(0.5))
+        z = mp.sin(a * phi) / mp.cos(phi) ** (1 / a)
+        return float(z * (mp.cos((1 - a) * phi) / mp.mpf(w)) ** ((1 - a) / a))
+
+
+_TAILS = 2.0 ** -np.arange(2, 54)  # 2^-2 .. 2^-53, the generator's resolution
+_GEOM = np.geomspace(2.0**-53, 0.25, 60)
+_U_GRID = np.unique(
+    np.concatenate([_TAILS, 1.0 - _TAILS, _GEOM, 1.0 - _GEOM, np.arange(1, 128) / 128])
+)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9, 1.99])
+def test_cms_matches_fifty_digit_reference(alpha):
+    # Relative error <= 1e-12 in the bulk, and nowhere more than 10x that of
+    # the sin/cos form, whose rounded phi loses cos(phi) near u = 0 and 1.  An
+    # error under 4 ulps counts as 4 ulps: the sin/cos error is 0 at some u
+    # by luck of rounding.
+    mp = pytest.importorskip("mpmath").mp
+    u, w = np.meshgrid(_U_GRID, [0.1, 1.0, 5.0], indexing="ij")
+    exact = np.vectorize(lambda x, y: _cms_exact(mp, alpha, x, y))(u, w)
+    got = transform_variates(CMS, alpha, [u.copy(), w.copy()], np.empty(u.shape + (1,)))[..., 0]
+    half = exact == 0.0  # u = 1/2
+    np.testing.assert_array_equal(got[half], 0.0)
+    err = np.abs(got[~half] / exact[~half] - 1.0)
+    old = np.abs(_cms_sin_cos(alpha, u, w)[~half] / exact[~half] - 1.0)
+    bulk = (u[~half] >= 1e-3) & (u[~half] <= 1.0 - 1e-3)
+    assert err[bulk].max() <= 1e-12
+    assert np.all(err <= 10.0 * np.maximum(old, 2.0**-50))
+    # u = 0, which the generator can return, gives a finite draw as the sin/cos form does
+    zero_u = [np.zeros((1, 1)), np.ones((1, 1))]
+    at_zero = transform_variates(CMS, alpha, zero_u, np.empty((1, 1, 1)))
+    assert np.isfinite(at_zero).all() and np.isfinite(_cms_sin_cos(alpha, 0.0, 1.0))
+
+
 def _expression(kind, alpha, rows, d):
-    """The transforms as plain NumPy expressions, the form they had before they took scratch."""
-    if kind == CMS:
+    """The transforms as plain NumPy expressions, whose rounding the scratch forms must match."""
+    if kind == CMS:  # in tangent half-angles, as sampling._cms_symmetric
         u, w = rows
-        phi = np.pi * (u - 0.5)
-        a_phi = alpha * phi
-        z = np.sin(a_phi) / np.cos(phi) ** (1.0 / alpha) * (np.cos(phi - a_phi) / w) ** (
-            (1.0 - alpha) / alpha
+        a = np.tan(alpha * (np.pi / 2 * (u - 0.5)))
+        c = np.tan(np.pi / 2 * np.maximum(np.minimum(u, 1.0 - u), 2.0**-54))
+        n = (1.0 - a * a) * c + np.abs(a) * (1.0 - c * c)
+        z = a / (1.0 + a * a) * np.exp(
+            1.0 / alpha * np.log((1.0 + c * c) / c)
+            + (1.0 - alpha) / alpha * np.log(n / ((1.0 + a * a) * w * (1.0 + c * c)))
         )
         return z[..., None]
     if kind == SUBORDINATED:
@@ -203,8 +253,11 @@ def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
     out = np.empty((rows, C, d))
     for tile in (slice(0, rows), slice(rows, None)):
         tile_rows = [a[tile] for a in drawn]
-        got = transform_variates(kind, alpha, tile_rows, out[: len(tile_rows[0])], scratch)
-        np.testing.assert_array_equal(got, _expression(kind, alpha, tile_rows, d))
+        want = _expression(kind, alpha, tile_rows, d)
+        # CMS overwrites its spent variates, so it gets copies
+        spent = [a.copy() for a in tile_rows]
+        got = transform_variates(kind, alpha, spent, out[: len(tile_rows[0])], scratch)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind, d", _KINDS)
