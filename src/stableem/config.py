@@ -27,16 +27,23 @@ class ConfigError(ValueError):
 
 
 def _number(value) -> float:
-    """A float, also written as a power ``2^-9`` or a ratio ``3/2``."""
-    if not isinstance(value, str):
-        return float(value)
-    if "^" in value:
-        base, _, exp = value.partition("^")
-        return float(base) ** float(exp)
-    if "/" in value:
-        num, _, den = value.partition("/")
-        return float(num) / float(den)
-    return float(value)
+    """A finite float, also written as a power ``2^-9`` or a ratio ``3/2``."""
+    try:
+        if not isinstance(value, str):
+            number = float(value)
+        elif "^" in value:
+            base, _, exp = value.partition("^")
+            number = float(base) ** float(exp)
+        elif "/" in value:
+            num, _, den = value.partition("/")
+            number = float(num) / float(den)
+        else:
+            number = float(value)
+    except ArithmeticError:  # an overflow, or a ratio over zero
+        raise ValueError("must be finite") from None
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
 
 
 def _integer(value) -> int:
@@ -123,7 +130,7 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
     if ".." in spec:
         lo_s, _, hi_s = spec.partition("..")
         lo, hi = _number(lo_s), _number(hi_s)
-        if not 0 < hi <= lo < math.inf:
+        if not 0 < hi <= lo:
             raise ConfigError(f"bad gamma grid {spec!r}")
         out = []
         g = lo
@@ -132,13 +139,13 @@ def parse_gamma_grid(spec: str) -> tuple[float, ...]:
             g /= 2.0
         return tuple(out)
     out = tuple(_number(v) for v in spec.split(","))
-    if not all(0 < g < math.inf for g in out):
-        raise ConfigError(f"gamma grid steps must be finite and > 0: {spec!r}")
+    if not all(g > 0 for g in out):
+        raise ConfigError(f"gamma grid steps must be > 0: {spec!r}")
     return out
 
 
 def parse_lambdas(spec: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in spec.split(","))
+    return tuple(_number(v) for v in spec.split(","))
 
 
 class Key(NamedTuple):
@@ -180,7 +187,7 @@ KEYS = {
     "sampler": Key(_one_of("stable-1d", "stable-vec", "pareto"), "stable-1d"),
     "count": Key(_count, 10_000),
     "pairs": Key(_count, 10_000),
-    "box": Key(_number, 20.0),
+    "box": Key(_bounded(_number, lambda b: b > 0.0, "be > 0"), 20.0),
     "seed": Key(_integer, 0),
     "out": Key(str, None),  # None: the experiment's name
 }

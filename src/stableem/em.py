@@ -1,37 +1,37 @@
 """The two decreasing-step EM iterations, the exact 1-D OU reference, ensembles.
 
-The noise is isotropic, A = I in dX = b(X) dt + A dZ, and has the
-dimension of the drift.  run_ensemble advances many chains; ``_run_block``
-holds the one definition of each scheme's step.
+The ensemble engine is 1-D: it runs a drift of dimension 1 from a scalar
+x0, with the noise dZ of dX = b(X) dt + dZ.  run_ensemble advances many
+chains; ``_run_block`` holds the one definition of each scheme's step.
 
 Draw order, contract 2 (``rng.RNG_CONTRACT``).  Chains run in blocks of
 _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
 be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
 c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
 block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``):
-each variate array of the chunk, (C, B) or (C, B, d) in (step, chain)
-order, is filled by one generator call, in the order that
-``sampling.draw_variates`` defines (uniforms, then exponentials, then
-normals).  So _BLOCK_CHAINS and _STEP_CHUNK are part of the draw order, and
-output is bit-reproducible for a fixed configuration regardless of worker
-count.  A chain's innovations are its column of its block's chunks: chain i
-does not draw what a sampler draws from stream (master_seed, i), but chunk
-(k, c) is what a sampler's C * B draws from stream (master_seed,
-``chunk_stream(k, c)``) give, laid out as (C, B, d).
+each (C, B) variate array of the chunk, in (step, chain) order, is filled
+by one generator call, in the order that ``sampling.draw_variates``
+defines (uniforms, then exponentials).  So _BLOCK_CHAINS and _STEP_CHUNK
+are part of the draw order, and output is bit-reproducible for a fixed
+configuration regardless of worker count.  A chain's innovations are its
+column of its block's chunks: chain i does not draw what a sampler draws
+from stream (master_seed, i), but chunk (k, c) is what a sampler's C * B
+draws from stream (master_seed, ``chunk_stream(k, c)``) give, laid out as
+(C, B).
 
 Each worker thread holds one ``_Workspace``, allocated once per run and
 reused for every block it takes: one Philox generator, moved to each
 chunk's stream with ``rng.reposition``, and the variate, transform-scratch
 and innovation arrays of one chunk.  ``sampling.transform_variates`` writes
-the innovations straight into the (C, B, d) array, whose rows the step
-loop reads, scales and adds in place.  The transforms and the steps work on
+the innovations straight into the (C, B) array, whose rows the step loop
+reads, scales and adds in place.  The transforms and the steps work on
 contiguous operands, so NumPy allocates no iteration buffers for them.  A
-block writes its checkpoint rows straight into the run's output.
+block writes its checkpoint rows straight into the run's (checkpoint,
+chain) output.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -42,7 +42,6 @@ from .drift import DriftModel
 from .sampling import (
     CMS,
     PARETO,
-    SUBORDINATED,
     check_noise,
     draw_variates,
     noise_constants,
@@ -59,8 +58,8 @@ SCHEMES = (STABLE_EM, PARETO_EM, EXACT_OU)
 
 # Fixed internals of the block engine, both part of the draw order (see the
 # module docstring); neither depends on the worker count.  A worker's chunk
-# arrays hold _STEP_CHUNK x _BLOCK_CHAINS x d doubles each (512 KiB at d = 1),
-# so a chunk's draws, transforms and steps stay in cache.
+# arrays hold _STEP_CHUNK x _BLOCK_CHAINS doubles each (512 KiB), so a chunk's
+# draws, transforms and steps stay in cache.
 _STEP_CHUNK = 32
 _BLOCK_CHAINS = 2048
 
@@ -70,14 +69,14 @@ ABORT_BUDGET = 1e-3
 
 @dataclass(frozen=True)
 class EnsembleRun:
-    """m_chains chains of ``scheme`` at stability index alpha, in the dimension of the drift."""
+    """m_chains 1-D chains of ``scheme`` at stability index alpha, each started at x0."""
 
     scheme: str
     alpha: float
     drift: DriftModel
     schedule: StepSchedule
     m_chains: int
-    x0: np.ndarray
+    x0: float
     checkpoints: tuple[int, ...]
     master_seed: int
 
@@ -85,6 +84,8 @@ class EnsembleRun:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_noise(self.alpha, self.drift.dim)
+        if self.drift.dim != 1:
+            raise ValueError(f"the engine is 1-D: drift dim must be 1, got {self.drift.dim}")
         if self.m_chains < 1:
             raise ValueError("m_chains must be >= 1")
         cps = tuple(int(c) for c in self.checkpoints)
@@ -92,14 +93,10 @@ class EnsembleRun:
             raise ValueError("checkpoints must be strictly increasing")
         if any(c < 0 for c in cps):
             raise ValueError("checkpoints must be nonnegative")
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float).ravel(), (self.drift.dim,)).copy()
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "checkpoints", cps)
-        if self.scheme == EXACT_OU:
-            if self.drift.dim != 1:
-                raise ValueError("exact-ou is 1-D only")
-            if self.drift.name != "ou":
-                raise ValueError("exact-ou requires the ou drift")
+        if self.scheme == EXACT_OU and self.drift.name != "ou":
+            raise ValueError("exact-ou requires the ou drift")
 
 
 @dataclass
@@ -107,7 +104,7 @@ class Snapshot:
     n: int
     t: float
     gamma_n: float
-    samples: np.ndarray  # (m, d); aborted chains are NaN rows
+    samples: np.ndarray  # (m,); aborted chains are NaN
 
 
 @dataclass
@@ -131,23 +128,21 @@ class _Workspace:
     """
 
     def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
-        d = cfg.drift.dim
-        # stable-em and exact-ou draw stable innovations: CMS in 1-D, subordinated above.
-        self.kind = PARETO if cfg.scheme == PARETO_EM else CMS if d == 1 else SUBORDINATED
+        # stable-em and exact-ou draw CMS innovations, pareto-em 1-D Pareto ones.
+        self.kind = PARETO if cfg.scheme == PARETO_EM else CMS
         self.gen = rngmod.derive_stream(cfg.master_seed, 0)
-        self.drawn = variate_arrays(self.kind, d, steps, chains)
-        self.scratch = transform_scratch(self.kind, steps, chains, d)
-        self.innov = np.empty((steps, chains, d))
+        self.drawn = variate_arrays(self.kind, 1, steps, chains)
+        self.scratch = transform_scratch(self.kind, steps, chains)
+        self.innov = np.empty((steps, chains))
 
 
 def _head(a: np.ndarray, steps: int, chains: int) -> np.ndarray:
-    """The start of ``a``'s buffer as a contiguous (steps, chains, ...) array.
+    """The start of ``a``'s buffer as a contiguous (steps, chains) array.
 
     The generator's ``out=`` fills need contiguous arrays, and a short last
     block or chunk is not a contiguous slice of the full-size arrays.
     """
-    shape = (steps, chains) + a.shape[2:]
-    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
+    return a.reshape(-1)[: steps * chains].reshape(steps, chains)
 
 
 def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps: int, chains: int):
@@ -156,13 +151,13 @@ def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps:
     The workspace's generator is moved to stream (master_seed,
     ``rng.chunk_stream(block, chunk)``), fills each variate array with one
     call and the transform writes the innovations into the returned
-    (steps, chains, d) view of the workspace.
+    (steps, chains) view of the workspace.
     """
     drawn = [_head(a, steps, chains) for a in ws.drawn]
     scratch = tuple(_head(a, steps, chains) for a in ws.scratch)
     z = _head(ws.innov, steps, chains)
     rngmod.reposition(ws.gen, cfg.master_seed, rngmod.chunk_stream(block, chunk))
-    draw_variates(ws.gen, ws.kind, z.shape[2], drawn)
+    draw_variates(ws.gen, ws.kind, 1, drawn)
     return transform_variates(ws.kind, cfg.alpha, drawn, z, scratch)
 
 
@@ -174,15 +169,13 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
     exact-ou   x' = e^{-gamma} x + sigma(gamma) zeta   (b = -x),
 
     with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``.
-    The noise is isotropic (A = I), so each step adds its innovations as
-    drawn.
 
-    The chains' snapshots go to rows lo..hi-1 of ``samples`` (m, checkpoint,
-    d) and their abort flags to the same rows of ``aborted``.
+    The chains' snapshots go to columns lo..hi-1 of ``samples`` (checkpoint,
+    m) and their abort flags to the same entries of ``aborted``.
     """
     alpha = cfg.alpha
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
-    beta = noise_constants(alpha, cfg.drift.dim).beta if cfg.scheme == PARETO_EM else None
+    beta = noise_constants(alpha, 1).beta if cfg.scheme == PARETO_EM else None
 
     if cfg.scheme == STABLE_EM:
         scale = g ** (1.0 / alpha)
@@ -195,11 +188,11 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
         scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
         decay = np.exp(-g)
 
-    x = np.tile(cfg.x0, (hi - lo, 1))
-    out = samples[lo:hi]
+    x = np.full(hi - lo, cfg.x0)
+    out = samples[:, lo:hi]
     cp_index = {n: i for i, n in enumerate(cfg.checkpoints)}
     if 0 in cp_set:
-        out[:, cp_index[0], :] = x
+        out[cp_index[0]] = x
 
     for n in range(0, n_max, _STEP_CHUNK):
         n1 = min(n + _STEP_CHUNK, n_max)
@@ -218,13 +211,13 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
                 x = drift
             x += zeta
             if (step + 1) in cp_set:
-                out[:, cp_index[step + 1], :] = x
-    bad = ~np.all(np.isfinite(x), axis=1)
+                out[cp_index[step + 1]] = x
+    bad = ~np.isfinite(x)
     # A chain that overflowed mid-way stays non-finite forever, so marking
-    # NaN rows checkpoint-wise after the fact is equivalent to an abort.
-    for j in range(len(cfg.checkpoints)):
-        nonfinite = ~np.all(np.isfinite(out[:, j, :]), axis=1)
-        out[nonfinite, j, :] = np.nan
+    # NaNs checkpoint-wise after the fact is equivalent to an abort.
+    for row in out:
+        nonfinite = ~np.isfinite(row)
+        row[nonfinite] = np.nan
         bad |= nonfinite
     aborted[lo:hi] = bad
 
@@ -233,12 +226,11 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
     """Advance m_chains independent chains, recording checkpoint snapshots.
 
     Chains shard into blocks of a fixed size; min(workers, blocks) threads
-    each take blocks in turn and write them at their fixed row range, so any
+    each take blocks in turn and write them at their fixed chain range, so any
     worker count produces identical output.  A chain aborts on a non-finite
-    position (NaN rows in snapshots); the run fails if more than
-    ABORT_BUDGET of the chains abort.
+    position (NaN in snapshots); the run fails if more than ABORT_BUDGET
+    of the chains abort.
     """
-    d = cfg.drift.dim
     cp_set = frozenset(cfg.checkpoints)
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
     g = cfg.schedule.gammas(n_max) if n_max else np.empty(0)
@@ -249,7 +241,7 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
     if n_max:  # a run past the engine's stream-id fields fails before any work
         rngmod.chunk_stream(len(starts) - 1, (n_max - 1) // _STEP_CHUNK)
     next_start, lock = iter(starts), threading.Lock()
-    samples = np.empty((cfg.m_chains, len(cfg.checkpoints), d))
+    samples = np.empty((len(cfg.checkpoints), cfg.m_chains))
     aborted = np.zeros(cfg.m_chains, dtype=bool)
 
     def work():
@@ -289,7 +281,7 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
         )
     snaps = [
         Snapshot(n=n, t=float(t[n]), gamma_n=float(g[n - 1]) if n >= 1 else float("nan"),
-                 samples=samples[:, j, :])
+                 samples=samples[j])
         for j, n in enumerate(cfg.checkpoints)
     ]
     return EnsembleResult(snapshots=snaps, abort_count=abort_count, m_chains=cfg.m_chains)
@@ -304,5 +296,9 @@ def empirical_moment(snap: Snapshot, kappa: float, alpha: float) -> float:
         )
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    norms = np.linalg.norm(snap.samples, axis=1)
-    return float(np.nanmean(norms**kappa))
+    powers = np.abs(snap.samples)
+    np.power(powers, kappa, out=powers)
+    total = powers.sum()
+    if np.isnan(total):  # aborted chains are NaN; average over the others
+        return float(np.nanmean(powers))
+    return float(total / powers.size)

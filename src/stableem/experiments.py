@@ -79,7 +79,7 @@ def _ensemble(cfg: ExperimentConfig, scheme: str, schedule, x0: float, checkpoin
         drift=_OU,
         schedule=schedule,
         m_chains=cfg.m,
-        x0=np.array([x0]),
+        x0=x0,
         checkpoints=checkpoints,
         master_seed=cfg.seed,
     )
@@ -184,8 +184,7 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
     rows = []
     m_used = cfg.m
     for j, snap in enumerate(result.snapshots):
-        xs = snap.samples[:, 0]
-        xs = xs[np.isfinite(xs)]
+        xs = snap.samples[np.isfinite(snap.samples)]
         m_used = min(m_used, int(xs.size))
         if xs.size < 2 * W1_BATCHES:
             raise RuntimeError(
@@ -358,12 +357,12 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     decay_prod = np.cumprod(np.exp(-schedule.gammas(checkpoints[-1])))
     rows = []
     for sx, sy in zip(runs["x"], runs["y"]):
-        dist = np.abs(sx.samples[:, 0] - sy.samples[:, 0])
+        dist = np.abs(sx.samples - sy.samples)
         expected = d0 * float(decay_prod[sx.n - 1])
         rows.append({
             "n": sx.n,
             "t_n": sx.t,
-            "w1": w1_sorted_1d(sx.samples[:, 0], sy.samples[:, 0]),
+            "w1": w1_sorted_1d(sx.samples, sy.samples),
             "coupled_mean_dist": float(dist.mean()),
             "expected_dist": expected,
             "max_coupling_error": float(np.max(np.abs(dist - expected))),
@@ -398,7 +397,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
     n = cfg.n
     schedule = _schedule(cfg, "n", n)
     result = _ensemble(cfg, PARETO_EM, schedule, cfg.x0, (n,))
-    xs = result.snapshots[0].samples[:, 0]
+    xs = result.snapshots[0].samples
     xs = xs[np.isfinite(xs)]
     threshold = 4.0 / math.sqrt(xs.size)
 

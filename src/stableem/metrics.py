@@ -37,23 +37,20 @@ def w1_sorted_1d(xs, ys) -> float:
 
 
 def w1_exact_lp(xs, ys) -> float:
-    """Exact W1 in d dimensions as a balanced linear assignment.
+    """Exact W1 between two equal-size 1-D empirical measures as a balanced linear assignment.
 
     Solved with a shortest-augmenting-path assignment solver on the
-    Euclidean cost matrix; restricted to m <= 256 (oracle scale).
+    |x - y| cost matrix, with no use of the monotone rearrangement, so it
+    checks ``w1_sorted_1d``; restricted to m <= 256 (oracle scale).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    if xs.shape != ys.shape:
-        raise ValueError(f"sample shapes differ ({xs.shape} vs {ys.shape})")
-    m = xs.shape[0]
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"need two 1-D samples of one size, got shapes {xs.shape} and {ys.shape}")
+    m = xs.size
     if m > _LP_MAX:
         raise ValueError(f"exact LP limited to m <= {_LP_MAX}, got {m}")
-    cost = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
+    cost = np.abs(xs[:, None] - ys[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 
@@ -86,14 +83,10 @@ def w1_gap_stderr(alpha: float, xs, ys, ref_a=None, ref_b=None) -> float:
 
 
 def ecf(samples, lambdas) -> np.ndarray:
-    """Empirical characteristic function (1/m) sum_i exp(i <lambda, x_i>)."""
+    """Empirical characteristic function (1/m) sum_i exp(i lambda x_i) of 1-D samples."""
     x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim == 1:
-        lam = lam[:, None] if x.shape[1] == 1 else lam[None, :]
-    return np.exp(1j * x @ lam.T).mean(axis=0)
+    return np.exp(1j * np.multiply.outer(x, lam)).mean(axis=0)  # (m, L), averaged over axis 0
 
 
 def rate_fit(points) -> RateFit:

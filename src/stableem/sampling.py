@@ -18,11 +18,13 @@ one-sided transform.
 Each innovation's draw order is defined here once: ``draw_variates``
 fills arrays shaped like those of ``variate_arrays`` with the variates of
 a kind, one generator call per array, and ``transform_variates`` turns
-them into innovations, element by element, with its temporaries in scratch
-arrays from ``transform_scratch``.  A sampler call fills one row of
-``size`` innovations with arrays and scratch of its own; the ensemble
-engine fills the (C, B) arrays of a chunk of C steps of B chains in one go
-and reuses one set of arrays and scratch per worker thread.
+them into innovations, element by element.  The two 1-D transforms (CMS
+and the 1-D Pareto) write their temporaries into scratch arrays from
+``transform_scratch``; the d > 1 transforms, which only the samplers use,
+are plain NumPy expressions.  A sampler call fills one row of ``size``
+innovations with arrays of its own; the 1-D ensemble engine fills the
+(C, B) arrays of a chunk of C steps of B chains in one go and reuses one
+set of arrays and scratch per worker thread.
 """
 
 from __future__ import annotations
@@ -111,52 +113,47 @@ def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
             gen.standard_normal(out=part)
 
 
-def transform_scratch(kind: str, C: int, B: int, d: int) -> tuple[np.ndarray, ...]:
-    """The scratch arrays ``transform_variates`` needs for up to C rows of B innovations."""
-    if kind == PARETO and d > 1:
-        return np.empty((C, B, d)), np.empty((C, B))
-    return tuple(np.empty((C, B)) for _ in range({CMS: 3, SUBORDINATED: 3, PARETO: 1}[kind]))
+def transform_scratch(kind: str, C: int, B: int) -> tuple[np.ndarray, ...]:
+    """The scratch arrays a 1-D ``transform_variates`` needs for up to C rows of B innovations."""
+    return tuple(np.empty((C, B)) for _ in range({CMS: 3, PARETO: 1}[kind]))
 
 
 def transform_variates(
     kind: str, alpha: float, rows, out: np.ndarray, scratch: tuple | None = None
 ) -> np.ndarray:
-    """Innovations from the (C, B) and (C, B, d) arrays of variates into out (C, B, d).
+    """Innovations from the arrays of variates into out: (C, B) in 1-D, (C, B, d) for d > 1.
 
-    ``scratch`` comes from ``transform_scratch`` for at least C rows of B
-    innovations (None allocates it); the transforms write every temporary
-    there, so a caller that keeps its scratch allocates nothing per call.
-    The CMS transform also overwrites its spent uniforms and exponentials,
-    so ``rows`` holds no variates after a CMS call; draw them again before
-    the next one.
+    A 1-D transform, CMS or the 1-D Pareto, writes every temporary into
+    ``scratch`` from ``transform_scratch`` for at least C rows of B
+    innovations (None allocates it), so a caller that keeps its scratch
+    allocates nothing per call.  The CMS transform also overwrites its
+    spent uniforms and exponentials, so ``rows`` holds no variates after a
+    CMS call; draw them again before the next one.  The d > 1 transforms
+    take no scratch.
     """
-    C, B, d = out.shape
+    if out.ndim == 3:
+        vector = _stable_isotropic if kind == SUBORDINATED else _pareto_isotropic
+        return vector(alpha, *rows, out)
     if scratch is None:
-        scratch = transform_scratch(kind, C, B, d)
-    scratch = tuple(a[:C] for a in scratch)
-    if kind == PARETO and d == 1:
-        _pareto_signed(alpha, *rows, out[..., 0], scratch)
-    elif kind == PARETO:
-        _pareto_isotropic(alpha, *rows, out, scratch)
-    elif kind == CMS:
-        _cms_symmetric(alpha, *rows, out[..., 0], scratch)
-    else:
-        _stable_isotropic(alpha, *rows, out, scratch)
-    return out
+        scratch = transform_scratch(kind, *out.shape)
+    scratch = tuple(a[: len(out)] for a in scratch)
+    scalar = _cms_symmetric if kind == CMS else _pareto_signed
+    return scalar(alpha, *rows, out, scratch)
 
 
 def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` innovations drawn as one row: shape (size, d)."""
     rows = variate_arrays(kind, d, 1, size)
     draw_variates(rng, kind, d, [a[0] for a in rows])
-    return transform_variates(kind, alpha, rows, np.empty((1, size, d)))[0]
+    shape = (1, size, d) if kind == SUBORDINATED or d > 1 else (1, size)
+    return transform_variates(kind, alpha, rows, np.empty(shape))[0].reshape(size, d)
 
 
-# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.  Each
-# writes its temporaries into caller-owned scratch arrays (CMS also into its
-# spent u and w) and its result into ``out``, one ufunc at a time in the order
-# of the formula in its docstring, so the rounding is that of the formula
-# written as one NumPy expression.
+# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.  The
+# 1-D ones write their temporaries into caller-owned scratch arrays (CMS also
+# into its spent u and w) and their result into ``out``, one ufunc at a time
+# in the order of the formula in the docstring, so the rounding is that of
+# the formula written as one NumPy expression.
 
 
 def _cms_symmetric(alpha, u, w, out, scratch):
@@ -219,35 +216,23 @@ def _cms_symmetric(alpha, u, w, out, scratch):
     return np.multiply(out, n, out=out)
 
 
-def _kanter(rho, u, w, scratch):
+def _kanter(rho, u, w):
     """Kanter's form of the one-sided CMS transform: positive rho-stable from u and w,
 
     sin(rho th) sin((1-rho) th)^{(1-rho)/rho} / sin(th)^{1/rho} * w^{-(1-rho)/rho},
-    th = pi u, into the first of three scratch arrays.
+    th = pi u.
     """
-    a, theta, t = scratch
-    np.multiply(np.pi, u, out=theta)
-    np.multiply(rho, theta, out=a)
-    np.sin(a, out=a)
-    np.multiply(1.0 - rho, theta, out=t)
-    np.sin(t, out=t)
-    np.power(t, (1.0 - rho) / rho, out=t)
-    np.multiply(a, t, out=a)
-    np.sin(theta, out=theta)
-    np.power(theta, 1.0 / rho, out=theta)
-    np.divide(a, theta, out=a)
-    np.power(w, -(1.0 - rho) / rho, out=t)
-    return np.multiply(a, t, out=a)
+    theta = np.pi * u
+    return (
+        np.sin(rho * theta)
+        * np.sin((1.0 - rho) * theta) ** ((1.0 - rho) / rho)
+        / np.sin(theta) ** (1.0 / rho)
+    ) * w ** (-(1.0 - rho) / rho)
 
 
-def _stable_isotropic(alpha, u, w, g, out, scratch):
+def _stable_isotropic(alpha, u, w, g, out):
     """Gaussian subordination sqrt(2 S) G, S = Kanter(alpha/2); g has the extra last axis d."""
-    s = _kanter(alpha / 2.0, u, w, scratch)
-    np.multiply(2.0, s, out=s)
-    np.sqrt(s, out=s)
-    for k in range(g.shape[-1]):  # per coordinate: NumPy buffers a broadcast over a short axis
-        np.multiply(s, g[..., k], out=out[..., k])
-    return out
+    return np.multiply(np.sqrt(2.0 * _kanter(alpha / 2.0, u, w))[..., None], g, out=out)
 
 
 def _pareto_signed(alpha, v, s, out, scratch):
@@ -261,22 +246,10 @@ def _pareto_signed(alpha, v, s, out, scratch):
     return np.copysign(r, np.subtract(s, 0.5, out=sign), out=r)
 
 
-def _pareto_isotropic(alpha, v, g, out, scratch):
-    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d.
-
-    |g| is summed and rooted as ``np.linalg.norm(g, axis=-1)`` does it.
-    """
-    sq, norm = scratch
-    np.multiply(g, g, out=sq)
-    np.add.reduce(sq, axis=-1, out=norm)
-    np.sqrt(norm, out=norm)
-    d = g.shape[-1]
-    for k in range(d):  # per coordinate, as in _stable_isotropic
-        np.divide(g[..., k], norm, out=out[..., k])  # the direction
-    radius = np.power(v, -1.0 / alpha, out=norm)
-    for k in range(d):
-        np.multiply(radius, out[..., k], out=out[..., k])
-    return out
+def _pareto_isotropic(alpha, v, g, out):
+    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d."""
+    direction = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.multiply((v ** (-1.0 / alpha))[..., None], direction, out=out)
 
 
 def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:

