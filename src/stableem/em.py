@@ -4,16 +4,18 @@ The ensemble engine is 1-D: it runs a drift of dimension 1 from a scalar
 x0, with the noise dZ of dX = b(X) dt + dZ.  run_ensemble advances many
 chains; ``_run_block`` holds the one definition of each scheme's step.
 
-Draw order, contract 2 (``rng.RNG_CONTRACT``).  Chains run in blocks of
+Draw order, contract 3 (``rng.RNG_CONTRACT``).  Chains run in blocks of
 _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
 be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
 c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
 block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``):
 each (C, B) variate array of the chunk, in (step, chain) order, is filled
 by one generator call, in the order that ``sampling.draw_variates``
-defines (uniforms, then exponentials).  So _BLOCK_CHAINS and _STEP_CHUNK
-are part of the draw order, and output is bit-reproducible for a fixed
-configuration regardless of worker count.  A chain's innovations are its
+defines (uniforms, then exponentials): a CMS innovation takes one uniform
+and one exponential, a 1-D Pareto innovation one uniform, which gives both
+its sign and its radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of
+the draw order, and output is bit-reproducible for a fixed configuration
+regardless of worker count.  A chain's innovations are its
 column of its block's chunks: chain i does not draw what a sampler draws
 from stream (master_seed, i), but chunk (k, c) is what a sampler's C * B
 draws from stream (master_seed, ``chunk_stream(k, c)``) give, laid out as
@@ -22,10 +24,12 @@ draws from stream (master_seed, ``chunk_stream(k, c)``) give, laid out as
 Each worker thread holds one ``_Workspace``, allocated once per run and
 reused for every block it takes: one Philox generator, moved to each
 chunk's stream with ``rng.reposition``, and the variate, transform-scratch
-and innovation arrays of one chunk.  ``sampling.transform_variates`` writes
-the innovations straight into the (C, B) array, whose rows the step loop
-reads, scales and adds in place.  The transforms and the steps work on
-contiguous operands, so NumPy allocates no iteration buffers for them.  A
+and innovation arrays of one chunk: six for CMS (u, w, three scratch and
+the innovations) and two for the 1-D Pareto (u and the innovations).
+``sampling.transform_variates`` writes the innovations straight into the
+(C, B) array, whose rows the step loop reads, scales and adds in place.
+The transforms and the steps work on contiguous operands, so NumPy
+allocates no iteration buffers for them.  A
 block writes its checkpoint rows straight into the run's (checkpoint,
 chain) output.
 """

@@ -9,7 +9,7 @@ Disjoint stream-id ranges keep the users apart:
 * reference ensembles: ``INVARIANT_STREAM + j``, ``FLOOR_STREAM + j`` and
   ``AUX_STREAM + j``;
 * the 1-D ensemble engine: ``chunk_stream(block, chunk)``, one stream per
-  block of chains and chunk of steps (draw order contract 2, see
+  block of chains and chunk of steps (draw order contract 3, see
   ``stableem.em``), which fills the chunk's (C, B) variate arrays in
   (step, chain) order.  A chain's innovations are its column of its block's
   chunks, so chain i no longer draws what a sampler draws from stream
@@ -38,8 +38,9 @@ CHUNK_STREAM = 1 << 43
 _CHUNK_BITS = 20
 _BLOCK_BITS = 40
 
-#: Version of the engine's draw order, recorded in every run's summary.
-RNG_CONTRACT = 2
+#: Version of the engine's draw order, recorded in every run's summary.  3: a
+#: 1-D Pareto innovation takes one uniform (2 drew a radius and a sign uniform).
+RNG_CONTRACT = 3
 
 #: Human-readable generator name, recorded in output metadata.
 GENERATOR_NAME = (

@@ -15,16 +15,23 @@ takes two tan, two log and one exp per draw and no sin, cos or pow (see
 ``_cms_symmetric``); d > 1 subordinates a normal vector to Kanter's
 one-sided transform.
 
+A 1-D Pareto draw takes one uniform u: its sign is that of 2u - 1 and its
+radius |2u - 1|^{-1/alpha}, since |2U - 1| is uniform on [0, 1] and
+independent of the sign of 2U - 1 (see ``_pareto_signed``).
+
 Each innovation's draw order is defined here once: ``draw_variates``
 fills arrays shaped like those of ``variate_arrays`` with the variates of
 a kind, one generator call per array, and ``transform_variates`` turns
-them into innovations, element by element.  The two 1-D transforms (CMS
-and the 1-D Pareto) write their temporaries into scratch arrays from
-``transform_scratch``; the d > 1 transforms, which only the samplers use,
-are plain NumPy expressions.  A sampler call fills one row of ``size``
-innovations with arrays of its own; the 1-D ensemble engine fills the
-(C, B) arrays of a chunk of C steps of B chains in one go and reuses one
-set of arrays and scratch per worker thread.
+them into innovations, element by element.  The CMS transform writes its
+temporaries into scratch arrays from ``transform_scratch``, and both 1-D
+transforms (CMS and the 1-D Pareto) overwrite their spent variates; the
+d > 1 transforms, which only the samplers use, are plain NumPy
+expressions.  A sampler call draws one row of ``size`` innovations, each
+variate array in one generator call, and transforms it in pieces of
+``_PIECE`` innovations, so the transform's passes run in cache and its
+scratch is one piece long; the 1-D ensemble engine fills the (C, B) arrays
+of a chunk of C steps of B chains in one go and reuses one set of arrays
+and scratch per worker thread.
 """
 
 from __future__ import annotations
@@ -74,11 +81,14 @@ CMS = "cms"  # 1-D symmetric alpha-stable, Chambers-Mallows-Stuck
 SUBORDINATED = "subordinated"  # isotropic alpha-stable in d dimensions, Gaussian subordination
 PARETO = "pareto"  # radial Pareto, with a fair sign in 1-D
 
+# Innovations a sampler transforms at a time; each array of a piece is 128 KiB.
+_PIECE = 1 << 14
+
 
 def variates(kind: str, d: int) -> tuple[int, int, int]:
     """Uniforms, exponentials and normals that one innovation of ``kind`` in R^d takes."""
     if kind == PARETO:
-        return (2, 0, 0) if d == 1 else (1, 0, d)
+        return (1, 0, 0) if d == 1 else (1, 0, d)
     if kind == CMS:
         return (1, 1, 0)
     return (1, 1, d)
@@ -99,9 +109,9 @@ def variate_arrays(kind: str, d: int, C: int, B: int) -> tuple[np.ndarray, ...]:
 def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
     """Fill contiguous ``arrays``, shaped like a part of ``variate_arrays``, each with one call.
 
-    In order: all the uniforms (angle or radius, then Pareto's 1-D sign),
-    then all the exponentials, then all the normals, d per innovation; each
-    array fills in C order.
+    In order: all the uniforms (one per innovation), then all the
+    exponentials, then all the normals, d per innovation; each array fills
+    in C order.
     """
     nu, ne, _ = variates(kind, d)
     for j, part in enumerate(arrays):
@@ -114,8 +124,11 @@ def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
 
 
 def transform_scratch(kind: str, C: int, B: int) -> tuple[np.ndarray, ...]:
-    """The scratch arrays a 1-D ``transform_variates`` needs for up to C rows of B innovations."""
-    return tuple(np.empty((C, B)) for _ in range({CMS: 3, PARETO: 1}[kind]))
+    """The scratch arrays a 1-D ``transform_variates`` needs for up to C rows of B innovations.
+
+    CMS takes three; the 1-D Pareto takes none, as it works in its spent uniforms.
+    """
+    return tuple(np.empty((C, B)) for _ in range({CMS: 3, PARETO: 0}[kind]))
 
 
 def transform_variates(
@@ -126,32 +139,40 @@ def transform_variates(
     A 1-D transform, CMS or the 1-D Pareto, writes every temporary into
     ``scratch`` from ``transform_scratch`` for at least C rows of B
     innovations (None allocates it), so a caller that keeps its scratch
-    allocates nothing per call.  The CMS transform also overwrites its
-    spent uniforms and exponentials, so ``rows`` holds no variates after a
-    CMS call; draw them again before the next one.  The d > 1 transforms
-    take no scratch.
+    allocates nothing per call.  Both 1-D transforms also overwrite their
+    spent variates, so ``rows`` holds no variates after a 1-D call; draw
+    them again before the next one.  The d > 1 transforms take no scratch.
     """
     if out.ndim == 3:
         vector = _stable_isotropic if kind == SUBORDINATED else _pareto_isotropic
         return vector(alpha, *rows, out)
     if scratch is None:
         scratch = transform_scratch(kind, *out.shape)
-    scratch = tuple(a[: len(out)] for a in scratch)
+    scratch = tuple(a[: out.shape[0], : out.shape[1]] for a in scratch)
     scalar = _cms_symmetric if kind == CMS else _pareto_signed
     return scalar(alpha, *rows, out, scratch)
 
 
 def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` innovations drawn as one row: shape (size, d)."""
+    """``size`` innovations drawn as one row and transformed in pieces: shape (size, d).
+
+    The transforms work element by element, so a row transformed piece by
+    piece is bitwise the row transformed in one go.
+    """
     rows = variate_arrays(kind, d, 1, size)
     draw_variates(rng, kind, d, [a[0] for a in rows])
-    shape = (1, size, d) if kind == SUBORDINATED or d > 1 else (1, size)
-    return transform_variates(kind, alpha, rows, np.empty(shape))[0].reshape(size, d)
+    vector = kind == SUBORDINATED or d > 1
+    out = np.empty((1, size, d) if vector else (1, size))
+    scratch = None if vector else transform_scratch(kind, 1, min(size, _PIECE))
+    for lo in range(0, size, _PIECE):
+        piece = slice(lo, lo + _PIECE)
+        transform_variates(kind, alpha, [a[:, piece] for a in rows], out[:, piece], scratch)
+    return out[0].reshape(size, d)
 
 
-# Transforms of uniforms u, v, s on [0, 1), exponentials w and normals g.  The
-# 1-D ones write their temporaries into caller-owned scratch arrays (CMS also
-# into its spent u and w) and their result into ``out``, one ufunc at a time
+# Transforms of uniforms u, v on [0, 1), exponentials w and normals g.  The
+# 1-D ones write their temporaries into their spent variates and caller-owned
+# scratch arrays, and their result into ``out``, one ufunc at a time
 # in the order of the formula in the docstring, so the rounding is that of
 # the formula written as one NumPy expression.
 
@@ -235,15 +256,21 @@ def _stable_isotropic(alpha, u, w, g, out):
     return np.multiply(np.sqrt(2.0 * _kanter(alpha / 2.0, u, w))[..., None], g, out=out)
 
 
-def _pareto_signed(alpha, v, s, out, scratch):
-    """1-D Pareto: radius v^{-1/alpha}, negated where the sign uniform s < 1/2.
+def _pareto_signed(alpha, u, out, scratch):
+    """1-D Pareto from one uniform u: radius |2u - 1|^{-1/alpha}, negated where u < 1/2.
 
-    s - 1/2 is negative exactly where s < 1/2, so copying its sign onto the
-    positive radius is that negation.
+    |2U - 1| is uniform on [0, 1] and independent of the sign of 2U - 1,
+    which is negative exactly where u < 1/2.  For the generator's
+    u = k 2^-53, 2u - 1 is exact, so pow is the only rounding step.
+    2u - 1 = 0 (u = 1/2) is read as 2^-53, half its 2^-52 resolution, so
+    every draw is finite.  Takes no scratch and overwrites the spent u.
     """
-    (sign,) = scratch
-    r = np.power(v, -1.0 / alpha, out=out)
-    return np.copysign(r, np.subtract(s, 0.5, out=sign), out=r)
+    np.multiply(2.0, u, out=u)
+    np.subtract(u, 1.0, out=u)  # 2u - 1
+    r = np.absolute(u, out=out)
+    np.maximum(r, 2.0**-53, out=r)
+    np.power(r, -1.0 / alpha, out=r)
+    return np.copysign(r, u, out=r)
 
 
 def _pareto_isotropic(alpha, v, g, out):
@@ -271,8 +298,9 @@ def sample_stable_vec(alpha: float, dim: int, rng: np.random.Generator, size: in
 def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` radial Pareto vectors R * U with P(R > r) = r^{-alpha}, r >= 1: shape (size, dim).
 
-    U is uniform on the unit sphere (a fair sign when dim == 1), and
-    R = V^{-1/alpha} with V uniform on (0, 1).  All outputs have norm >= 1.
+    U is uniform on the unit sphere and R = V^{-1/alpha} with V uniform on
+    (0, 1).  When dim == 1, one uniform u gives both: the sign of 2u - 1 and
+    V = |2u - 1|.  All outputs have norm >= 1.
     """
     check_noise(alpha, dim)
     return _sample(PARETO, alpha, dim, rng, size)

@@ -90,10 +90,10 @@ def test_pareto_cf_series_quad_agree_near_crossover():
 def test_pareto_cf_against_direct_quadrature():
     from scipy.integrate import quad
 
+    # QUADPACK's Fourier-weighted form integrates the cos(lam r) factor cycle
+    # by cycle; its reported errors are near 1e-8 at these points.
     for alpha, lam in [(1.5, 0.7), (1.2, 3.0), (1.8, 14.0)]:
-        want, err = quad(
-            lambda r: alpha * r ** (-alpha - 1.0) * math.cos(lam * r), 1.0, np.inf, limit=400
-        )
+        want, err = quad(lambda r: alpha * r ** (-alpha - 1.0), 1.0, np.inf, weight="cos", wvar=lam)
         assert pareto_cf(alpha, lam) == pytest.approx(want, abs=max(1e-8, 10 * err))
 
 

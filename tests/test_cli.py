@@ -175,7 +175,7 @@ def test_every_summary_records_the_rng_contract(tmp_path, experiment, keys):
     out = str(tmp_path / "run")
     assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
     summary = json.load(open(out + ".json"))
-    assert summary["rng_contract"] == 2
+    assert summary["rng_contract"] == 3
     assert summary["generator"] == stableem.GENERATOR_NAME
 
 

@@ -89,7 +89,7 @@ _KIND = {"stable-em": CMS, "exact-ou": CMS, "pareto-em": PARETO}
 
 
 def _reference_ensemble(cfg):
-    """The engine under draw-order contract 2, block by block and chunk by chunk.
+    """The engine under draw-order contract 3, block by block and chunk by chunk.
 
     Chunk c of block k (em._BLOCK_CHAINS chains, em._STEP_CHUNK steps) is
     drawn from a newly derived stream (seed, chunk_stream(k, c)) into

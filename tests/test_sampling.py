@@ -18,6 +18,7 @@ from stableem.sampling import (
     PARETO,
     SUBORDINATED,
     NoiseConstants,
+    _PIECE,
     _kanter,
     draw_variates,
     noise_constants,
@@ -137,8 +138,32 @@ def test_pareto_radial_survival(d):
 
 
 def test_pareto_1d_sign_symmetric():
-    z = sample_pareto_vec(1.5, 1, derive_stream(13, 0), M)[:, 0]
+    alpha = 1.5
+    z = sample_pareto_vec(alpha, 1, derive_stream(13, 0), M)[:, 0]
     assert abs(np.mean(z > 0) - 0.5) < 4.0 * 0.5 / math.sqrt(M)
+    # The radius has the Pareto tail on each sign alone: it is independent of the sign.
+    for r in (-z[z < 0], z[z > 0]):
+        assert np.all(r >= 1.0)
+        for rr in (1.25, 2.0, 4.0, 8.0):
+            want = rr**-alpha
+            assert abs(np.mean(r > rr) - want) < 4.0 * math.sqrt(want / r.size)
+
+
+# Dyadic uniforms around the ends and the middle of [0, 1), all of the form
+# k 2^-53 that the generator returns; 2u - 1 is exact at each.
+_PARETO_U = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_pareto_1d_from_one_uniform_at_dyadic_points(alpha):
+    # Negative exactly where u < 1/2, radius |2u - 1|^{-1/alpha}; u = 1/2 reads
+    # 2u - 1 = 0 as 2^-53 and gives a finite draw.
+    u = _PARETO_U.reshape(1, -1)
+    z = transform_variates(PARETO, alpha, [u.copy()], np.empty(u.shape))[0]
+    np.testing.assert_array_equal(np.signbit(z), _PARETO_U < 0.5)
+    assert np.all(np.isfinite(z))
+    want = [max(2.0 * abs(x - 0.5), 2.0**-53) ** (-1.0 / alpha) for x in _PARETO_U]
+    np.testing.assert_allclose(np.abs(z), want, rtol=1e-15, atol=0.0)
 
 
 def test_sampler_shapes():
@@ -224,9 +249,10 @@ def _expression(kind, alpha, rows, d):
             / np.sin(theta) ** (1.0 / rho)
         ) * w ** (-(1.0 - rho) / rho)
         return np.sqrt(2.0 * s)[..., None] * g
-    if d == 1:
-        v, sign = rows
-        return np.copysign(v ** (-1.0 / alpha), sign - 0.5)
+    if d == 1:  # one uniform, as sampling._pareto_signed
+        (u,) = rows
+        t = 2.0 * u - 1.0
+        return np.copysign(np.maximum(np.abs(t), 2.0**-53) ** (-1.0 / alpha), t)
     v, g = rows
     return (v ** (-1.0 / alpha))[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
 
@@ -256,7 +282,7 @@ def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
     for tile in (slice(0, rows), slice(rows, None)):
         tile_rows = [a[tile] for a in drawn]
         want = _expression(kind, alpha, tile_rows, d)
-        # CMS overwrites its spent variates, so it gets copies
+        # The 1-D transforms overwrite their spent variates, so they get copies
         spent = [a.copy() for a in tile_rows]
         got = transform_variates(kind, alpha, spent, out[: len(tile_rows[0])], scratch)
         np.testing.assert_array_equal(got, want)
@@ -275,3 +301,22 @@ def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * out.nbytes
+
+
+@pytest.mark.parametrize(
+    "kind, d, sample",
+    [
+        (CMS, 1, lambda gen, size: sample_stable_1d(1.5, gen, size)),
+        (PARETO, 1, lambda gen, size: sample_pareto_vec(1.5, 1, gen, size)),
+        (SUBORDINATED, 2, lambda gen, size: sample_stable_vec(1.5, 2, gen, size)),
+        (PARETO, 3, lambda gen, size: sample_pareto_vec(1.5, 3, gen, size)),
+    ],
+    ids=["cms-1", "pareto-1", "subordinated-2", "pareto-3"],
+)
+def test_samplers_transform_in_pieces_bitwise_as_one_row(kind, d, sample):
+    # Two full pieces and a short third: the pieces' seams change no bit.
+    size = 2 * _PIECE + 123
+    got = sample(derive_stream(17, 0), size)
+    rows = variate_arrays(kind, d, 1, size)
+    draw_variates(derive_stream(17, 0), kind, d, [a[0] for a in rows])
+    np.testing.assert_array_equal(got, _expression(kind, 1.5, rows, d).reshape(got.shape))
