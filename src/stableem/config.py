@@ -178,7 +178,8 @@ KEYS = {
     "n": Key(_count, 512),
     "lambdas": Key(_spec(parse_lambdas), "0.25,0.5,1,2"),
     "gammas": Key(_spec(parse_gamma_grid), "2^-3..2^-9"),
-    "mc": Key(_count, 10_000_000),
+    # Two antithetic pairs at least, so each estimate has a standard error.
+    "mc": Key(_bounded(_integer, lambda n: n >= 4, "be at least 4"), 10_000_000),
     "test_fn": Key(_one_of("cos", "invquad"), "cos"),
     "x": Key(_number, 5.0),
     "y": Key(_number, -5.0),
@@ -266,6 +267,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{where_given.get('m', '')}bad value for 'm': {self.m} (reference = ensemble "
                 f"needs m >= {2 * W1_BATCHES}, 2 chains in each of {W1_BATCHES} batches)"
+            )
+        if experiment == "rate" and self.reference == "oracle" and self.x0 != 0.0:
+            raise ConfigError(
+                f"{where_given.get('x0', '')}oracle reference needs x0 = 0, got x0 = {self.x0!r}"
+            )
+        if experiment == "ergodicity" and self.x == self.y:
+            # Coupled from one start the distance is 0 at every step: no decay to fit.
+            where = where_given.get("y") or where_given.get("x", "")
+            raise ConfigError(f"{where}x and y must differ, got x = y = {self.x!r}")
+        if experiment == "sample" and self.sampler == "stable-1d" and self.dim != 1:
+            raise ConfigError(
+                f"{where_given.get('dim', '')}bad value for 'dim': {self.dim} "
+                "(sampler = stable-1d draws 1-D variates; use stable-vec for dim > 1)"
             )
 
     def _parse(self, key: str, value, where: str):

@@ -9,28 +9,27 @@ _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
 be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
 c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
 block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``):
-each (C, B) variate array of the chunk, in (step, chain) order, is filled
-by one generator call, in the order that ``sampling.draw_variates``
-defines (uniforms, then exponentials): a CMS innovation takes one uniform
-and one exponential, a 1-D Pareto innovation one uniform, which gives both
-its sign and its radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of
-the draw order, and output is bit-reproducible for a fixed configuration
-regardless of worker count.  A chain's innovations are its
-column of its block's chunks: chain i does not draw what a sampler draws
-from stream (master_seed, i), but chunk (k, c) is what a sampler's C * B
-draws from stream (master_seed, ``chunk_stream(k, c)``) give, laid out as
-(C, B).
+``sampling.innovations`` draws them as C B innovations in (step, chain)
+order, filling each variate array of the chunk with one generator call
+(uniforms, then exponentials): a CMS innovation takes one uniform and one
+exponential, a 1-D Pareto innovation one uniform, which gives both its
+sign and its radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of the
+draw order, and output is bit-reproducible for a fixed configuration
+regardless of worker count.  A chain's innovations are its column of its
+block's chunks: chain i does not draw what a sampler draws from stream
+(master_seed, i), but chunk (k, c) is what a sampler's C * B draws from
+stream (master_seed, ``chunk_stream(k, c)``) give, laid out as (C, B).
 
 Each worker thread holds one ``_Workspace``, allocated once per run and
 reused for every block it takes: one Philox generator, moved to each
-chunk's stream with ``rng.reposition``, and the variate, transform-scratch
-and innovation arrays of one chunk: six for CMS (u, w, three scratch and
-the innovations) and two for the 1-D Pareto (u and the innovations).
-``sampling.transform_variates`` writes the innovations straight into the
-(C, B) array, whose rows the step loop reads, scales and adds in place.
-The transforms and the steps work on contiguous operands, so NumPy
-allocates no iteration buffers for them.  A
-block writes its checkpoint rows straight into the run's (checkpoint,
+chunk's stream with ``rng.reposition``, the flat variate and innovation
+arrays of one chunk and one piece of transform scratch, which is one
+chunk long: six arrays for CMS (u, w, three scratch and the innovations)
+and two for the 1-D Pareto (u and the innovations).  The innovations are
+written into the flat array, whose (C, B) view the step loop reads,
+scales and adds in place, row by row.  The transforms and the steps work
+on contiguous operands, so NumPy allocates no iteration buffers for them.
+A block writes its checkpoint rows straight into the run's (checkpoint,
 chain) output.
 """
 
@@ -47,10 +46,9 @@ from .sampling import (
     CMS,
     PARETO,
     check_noise,
-    draw_variates,
+    innovations,
     noise_constants,
     transform_scratch,
-    transform_variates,
     variate_arrays,
 )
 from .schedule import StepSchedule
@@ -62,7 +60,8 @@ SCHEMES = (STABLE_EM, PARETO_EM, EXACT_OU)
 
 # Fixed internals of the block engine, both part of the draw order (see the
 # module docstring); neither depends on the worker count.  A worker's chunk
-# arrays hold _STEP_CHUNK x _BLOCK_CHAINS doubles each (512 KiB), so a chunk's
+# arrays hold _STEP_CHUNK x _BLOCK_CHAINS doubles each (512 KiB, one
+# sampling._PIECE, so a chunk is transformed in one piece), and a chunk's
 # draws, transforms and steps stay in cache.
 _STEP_CHUNK = 32
 _BLOCK_CHAINS = 2048
@@ -115,7 +114,6 @@ class Snapshot:
 class EnsembleResult:
     snapshots: list[Snapshot]
     abort_count: int
-    m_chains: int
 
 
 # ---------------------------------------------------------------------------
@@ -127,42 +125,33 @@ class _Workspace:
     """One worker thread's buffers, allocated once per run and reused by every block it runs.
 
     ``gen`` is one Philox generator that blocks reposition from chunk to
-    chunk; the variate, scratch and innovation arrays hold one chunk of up
-    to ``steps`` steps of up to ``chains`` chains.
+    chunk; the flat variate and innovation arrays hold one chunk of up to
+    ``steps`` steps of up to ``chains`` chains, and ``scratch`` one
+    transform piece.
     """
 
     def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
         # stable-em and exact-ou draw CMS innovations, pareto-em 1-D Pareto ones.
         self.kind = PARETO if cfg.scheme == PARETO_EM else CMS
         self.gen = rngmod.derive_stream(cfg.master_seed, 0)
-        self.drawn = variate_arrays(self.kind, 1, steps, chains)
-        self.scratch = transform_scratch(self.kind, steps, chains)
-        self.innov = np.empty((steps, chains))
-
-
-def _head(a: np.ndarray, steps: int, chains: int) -> np.ndarray:
-    """The start of ``a``'s buffer as a contiguous (steps, chains) array.
-
-    The generator's ``out=`` fills need contiguous arrays, and a short last
-    block or chunk is not a contiguous slice of the full-size arrays.
-    """
-    return a.reshape(-1)[: steps * chains].reshape(steps, chains)
+        self.drawn = variate_arrays(self.kind, steps * chains)
+        self.scratch = transform_scratch(self.kind)
+        self.innov = np.empty(steps * chains)
 
 
 def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps: int, chains: int):
     """Chunk ``chunk`` of block ``block``: the innovations of ``steps`` steps of ``chains`` chains.
 
     The workspace's generator is moved to stream (master_seed,
-    ``rng.chunk_stream(block, chunk)``), fills each variate array with one
-    call and the transform writes the innovations into the returned
-    (steps, chains) view of the workspace.
+    ``rng.chunk_stream(block, chunk)``) and ``sampling.innovations`` fills
+    the first steps * chains entries of the workspace, returned as a
+    (steps, chains) view.
     """
-    drawn = [_head(a, steps, chains) for a in ws.drawn]
-    scratch = tuple(_head(a, steps, chains) for a in ws.scratch)
-    z = _head(ws.innov, steps, chains)
+    size = steps * chains
     rngmod.reposition(ws.gen, cfg.master_seed, rngmod.chunk_stream(block, chunk))
-    draw_variates(ws.gen, ws.kind, 1, drawn)
-    return transform_variates(ws.kind, cfg.alpha, drawn, z, scratch)
+    drawn = [a[:size] for a in ws.drawn]
+    z = innovations(ws.gen, ws.kind, cfg.alpha, drawn, ws.innov[:size], ws.scratch)
+    return z.reshape(steps, chains)
 
 
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, samples, aborted):
@@ -288,7 +277,7 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
                  samples=samples[j])
         for j, n in enumerate(cfg.checkpoints)
     ]
-    return EnsembleResult(snapshots=snaps, abort_count=abort_count, m_chains=cfg.m_chains)
+    return EnsembleResult(snapshots=snaps, abort_count=abort_count)
 
 
 def empirical_moment(snap: Snapshot, kappa: float, alpha: float) -> float:

@@ -10,10 +10,10 @@ Disjoint stream-id ranges keep the users apart:
   ``AUX_STREAM + j``;
 * the 1-D ensemble engine: ``chunk_stream(block, chunk)``, one stream per
   block of chains and chunk of steps (draw order contract 3, see
-  ``stableem.em``), which fills the chunk's (C, B) variate arrays in
-  (step, chain) order.  A chain's innovations are its column of its block's
-  chunks, so chain i no longer draws what a sampler draws from stream
-  (master_seed, i).
+  ``stableem.em``), from which ``sampling.innovations`` draws the chunk's
+  C B innovations in (step, chain) order, as the samplers draw theirs.
+  A chain's innovations are its column of its block's chunks, so chain i
+  no longer draws what a sampler draws from stream (master_seed, i).
 
 A stream is fixed by its key alone: counter and buffer start at zero.  So a
 generator can be moved to the start of another stream by setting its

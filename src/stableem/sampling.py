@@ -12,26 +12,25 @@ that take (alpha, d) refuse alpha outside (1, 2) and d < 1.
 A 1-D stable draw is the Chambers-Mallows-Stuck transform of one uniform
 and one exponential, written in the tangents of half-angles so that it
 takes two tan, two log and one exp per draw and no sin, cos or pow (see
-``_cms_symmetric``); d > 1 subordinates a normal vector to Kanter's
-one-sided transform.
+``_cms_symmetric``).
 
 A 1-D Pareto draw takes one uniform u: its sign is that of 2u - 1 and its
 radius |2u - 1|^{-1/alpha}, since |2U - 1| is uniform on [0, 1] and
 independent of the sign of 2U - 1 (see ``_pareto_signed``).
 
-Each innovation's draw order is defined here once: ``draw_variates``
-fills arrays shaped like those of ``variate_arrays`` with the variates of
-a kind, one generator call per array, and ``transform_variates`` turns
-them into innovations, element by element.  The CMS transform writes its
-temporaries into scratch arrays from ``transform_scratch``, and both 1-D
-transforms (CMS and the 1-D Pareto) overwrite their spent variates; the
-d > 1 transforms, which only the samplers use, are plain NumPy
-expressions.  A sampler call draws one row of ``size`` innovations, each
-variate array in one generator call, and transforms it in pieces of
-``_PIECE`` innovations, so the transform's passes run in cache and its
-scratch is one piece long; the 1-D ensemble engine fills the (C, B) arrays
-of a chunk of C steps of B chains in one go and reuses one set of arrays
-and scratch per worker thread.
+The 1-D draw order is defined here once, by ``innovations``, which both
+the ensemble engine and the 1-D samplers call: it fills each flat variate
+array from ``variate_arrays`` with one generator call (the uniforms, then
+for CMS the exponentials) and transforms them into innovations in pieces
+of ``_PIECE``, so the transform's passes run in cache.  The transforms
+write their temporaries into one piece of scratch from
+``transform_scratch`` and overwrite their spent variates, so a caller that
+keeps its arrays allocates nothing per call; the engine keeps one set per
+worker thread and draws each chunk of C steps of B chains as C B
+innovations in (step, chain) order.  The d > 1 samplers, which only
+``stableem sample`` and the tests use, are plain NumPy expressions: the
+isotropic stable vector subordinates normals to Kanter's one-sided
+transform, and the radial Pareto vector scales a normal direction.
 """
 
 from __future__ import annotations
@@ -78,103 +77,57 @@ def noise_constants(alpha: float, dim: int) -> NoiseConstants:
 
 
 CMS = "cms"  # 1-D symmetric alpha-stable, Chambers-Mallows-Stuck
-SUBORDINATED = "subordinated"  # isotropic alpha-stable in d dimensions, Gaussian subordination
-PARETO = "pareto"  # radial Pareto, with a fair sign in 1-D
+PARETO = "pareto"  # 1-D Pareto radius with a fair sign
 
-# Innovations a sampler transforms at a time; each array of a piece is 128 KiB.
-_PIECE = 1 << 14
-
-
-def variates(kind: str, d: int) -> tuple[int, int, int]:
-    """Uniforms, exponentials and normals that one innovation of ``kind`` in R^d takes."""
-    if kind == PARETO:
-        return (1, 0, 0) if d == 1 else (1, 0, d)
-    if kind == CMS:
-        return (1, 1, 0)
-    return (1, 1, d)
+# Innovations transformed at a time: one engine chunk (em._STEP_CHUNK x
+# em._BLOCK_CHAINS), so the engine transforms a chunk in one piece; each
+# array of a piece is 512 KiB.
+_PIECE = 1 << 16
 
 
-def variate_arrays(kind: str, d: int, C: int, B: int) -> tuple[np.ndarray, ...]:
-    """Arrays for the variates of C rows of B innovations of ``kind`` in R^d.
+def variate_arrays(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """Flat arrays for the variates of n innovations: uniforms, then for CMS exponentials."""
+    return tuple(np.empty(n) for _ in range(2 if kind == CMS else 1))
 
-    One (C, B) array per uniform and per exponential that ``variates``
-    counts, then one (C, B, d) array for the normals.  Each variate has
-    its own array, so the transforms read contiguous operands.
+
+def transform_scratch(kind: str) -> tuple[np.ndarray, ...]:
+    """One piece of scratch: three arrays of ``_PIECE`` for CMS, none for the 1-D Pareto."""
+    return tuple(np.empty(_PIECE) for _ in range(3 if kind == CMS else 0))
+
+
+def innovations(gen: np.random.Generator, kind: str, alpha: float, drawn, out, scratch):
+    """Draw and transform ``out.size`` 1-D innovations of ``kind`` into the flat ``out``.
+
+    ``drawn`` holds contiguous arrays of out's length, as from
+    ``variate_arrays``; each is filled with one generator call, the
+    uniforms first, then the exponentials.  The transform then runs over
+    pieces of ``_PIECE`` innovations, with ``scratch`` from
+    ``transform_scratch``, and overwrites the spent variates.  It works
+    element by element, so the pieces' seams change no bit.
     """
-    nu, ne, nn = variates(kind, d)
-    scalars = tuple(np.empty((C, B)) for _ in range(nu + ne))
-    return scalars + ((np.empty((C, B, d)),) if nn else ())
+    u, *w = drawn
+    gen.random(out=u)
+    for part in w:
+        gen.standard_exponential(out=part)
+    transform = _cms_symmetric if kind == CMS else _pareto_signed
+    for lo in range(0, out.size, _PIECE):
+        piece = out[lo : lo + _PIECE]
+        rows = [a[lo : lo + _PIECE] for a in drawn]
+        transform(alpha, *rows, piece, tuple(a[: piece.size] for a in scratch))
+    return out
 
 
-def draw_variates(gen: np.random.Generator, kind: str, d: int, arrays) -> None:
-    """Fill contiguous ``arrays``, shaped like a part of ``variate_arrays``, each with one call.
-
-    In order: all the uniforms (one per innovation), then all the
-    exponentials, then all the normals, d per innovation; each array fills
-    in C order.
-    """
-    nu, ne, _ = variates(kind, d)
-    for j, part in enumerate(arrays):
-        if j < nu:
-            gen.random(out=part)
-        elif j < nu + ne:
-            gen.standard_exponential(out=part)
-        else:
-            gen.standard_normal(out=part)
+def _sample(kind: str, alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` 1-D innovations of ``kind`` from ``rng``, shape (size,)."""
+    out = np.empty(size)
+    return innovations(rng, kind, alpha, variate_arrays(kind, size), out, transform_scratch(kind))
 
 
-def transform_scratch(kind: str, C: int, B: int) -> tuple[np.ndarray, ...]:
-    """The scratch arrays a 1-D ``transform_variates`` needs for up to C rows of B innovations.
-
-    CMS takes three; the 1-D Pareto takes none, as it works in its spent uniforms.
-    """
-    return tuple(np.empty((C, B)) for _ in range({CMS: 3, PARETO: 0}[kind]))
-
-
-def transform_variates(
-    kind: str, alpha: float, rows, out: np.ndarray, scratch: tuple | None = None
-) -> np.ndarray:
-    """Innovations from the arrays of variates into out: (C, B) in 1-D, (C, B, d) for d > 1.
-
-    A 1-D transform, CMS or the 1-D Pareto, writes every temporary into
-    ``scratch`` from ``transform_scratch`` for at least C rows of B
-    innovations (None allocates it), so a caller that keeps its scratch
-    allocates nothing per call.  Both 1-D transforms also overwrite their
-    spent variates, so ``rows`` holds no variates after a 1-D call; draw
-    them again before the next one.  The d > 1 transforms take no scratch.
-    """
-    if out.ndim == 3:
-        vector = _stable_isotropic if kind == SUBORDINATED else _pareto_isotropic
-        return vector(alpha, *rows, out)
-    if scratch is None:
-        scratch = transform_scratch(kind, *out.shape)
-    scratch = tuple(a[: out.shape[0], : out.shape[1]] for a in scratch)
-    scalar = _cms_symmetric if kind == CMS else _pareto_signed
-    return scalar(alpha, *rows, out, scratch)
-
-
-def _sample(kind: str, alpha: float, d: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` innovations drawn as one row and transformed in pieces: shape (size, d).
-
-    The transforms work element by element, so a row transformed piece by
-    piece is bitwise the row transformed in one go.
-    """
-    rows = variate_arrays(kind, d, 1, size)
-    draw_variates(rng, kind, d, [a[0] for a in rows])
-    vector = kind == SUBORDINATED or d > 1
-    out = np.empty((1, size, d) if vector else (1, size))
-    scratch = None if vector else transform_scratch(kind, 1, min(size, _PIECE))
-    for lo in range(0, size, _PIECE):
-        piece = slice(lo, lo + _PIECE)
-        transform_variates(kind, alpha, [a[:, piece] for a in rows], out[:, piece], scratch)
-    return out[0].reshape(size, d)
-
-
-# Transforms of uniforms u, v on [0, 1), exponentials w and normals g.  The
-# 1-D ones write their temporaries into their spent variates and caller-owned
-# scratch arrays, and their result into ``out``, one ufunc at a time
-# in the order of the formula in the docstring, so the rounding is that of
-# the formula written as one NumPy expression.
+# The 1-D transforms of uniforms u on [0, 1) and exponentials w.  They write
+# their temporaries into their spent variates and caller-owned scratch
+# arrays, and their result into ``out``, one ufunc at a time in the order of
+# the formula in the docstring, so the rounding is that of the formula
+# written as one NumPy expression.
 
 
 def _cms_symmetric(alpha, u, w, out, scratch):
@@ -251,11 +204,6 @@ def _kanter(rho, u, w):
     ) * w ** (-(1.0 - rho) / rho)
 
 
-def _stable_isotropic(alpha, u, w, g, out):
-    """Gaussian subordination sqrt(2 S) G, S = Kanter(alpha/2); g has the extra last axis d."""
-    return np.multiply(np.sqrt(2.0 * _kanter(alpha / 2.0, u, w))[..., None], g, out=out)
-
-
 def _pareto_signed(alpha, u, out, scratch):
     """1-D Pareto from one uniform u: radius |2u - 1|^{-1/alpha}, negated where u < 1/2.
 
@@ -273,26 +221,23 @@ def _pareto_signed(alpha, u, out, scratch):
     return np.copysign(r, u, out=r)
 
 
-def _pareto_isotropic(alpha, v, g, out):
-    """Radial Pareto: radius v^{-1/alpha} times the direction g/|g|; g has the extra last axis d."""
-    direction = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    return np.multiply((v ** (-1.0 / alpha))[..., None], direction, out=out)
-
-
 def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` symmetric alpha-stable variates with CF exp(-|lambda|^alpha) (CMS)."""
     check_noise(alpha, 1)
-    return _sample(CMS, alpha, 1, rng, size)[:, 0]
+    return _sample(CMS, alpha, rng, size)
 
 
 def sample_stable_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` isotropic alpha-stable vectors with CF exp(-|lambda|^alpha), shape (size, dim).
 
-    Gaussian subordination (also for dim == 1): Z = sqrt(2 S) G, S positive
-    (alpha/2)-stable, G standard normal.
+    Gaussian subordination (also for dim == 1): Z = sqrt(2 S) G, S = Kanter's
+    positive (alpha/2)-stable of u and w, G standard normal; u, w and then g
+    are each drawn in one call.
     """
     check_noise(alpha, dim)
-    return _sample(SUBORDINATED, alpha, dim, rng, size)
+    u, w = rng.random(size), rng.standard_exponential(size)
+    g = rng.standard_normal((size, dim))
+    return np.sqrt(2.0 * _kanter(alpha / 2.0, u, w))[:, None] * g
 
 
 def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -300,7 +245,11 @@ def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: in
 
     U is uniform on the unit sphere and R = V^{-1/alpha} with V uniform on
     (0, 1).  When dim == 1, one uniform u gives both: the sign of 2u - 1 and
-    V = |2u - 1|.  All outputs have norm >= 1.
+    V = |2u - 1|.  When dim > 1, V and then the normals whose direction is U
+    are each drawn in one call.  All outputs have norm >= 1.
     """
     check_noise(alpha, dim)
-    return _sample(PARETO, alpha, dim, rng, size)
+    if dim == 1:
+        return _sample(PARETO, alpha, rng, size)[:, None]
+    v, g = rng.random(size), rng.standard_normal((size, dim))
+    return (v ** (-1.0 / alpha))[:, None] * (g / np.linalg.norm(g, axis=1, keepdims=True))

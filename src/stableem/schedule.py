@@ -175,11 +175,6 @@ class ScheduleDiagnostics:
     exp_decay_ratio: np.ndarray  # e^{-rho t_n} / gamma_n^theta
     bound: float                # 2/(rho-omega) * exp((rho-omega) gamma_1 / 2)
 
-    def v_direct(self, n: int) -> float:
-        """Direct summation of v_n, for cross-checking the recurrence."""
-        g = np.diff(self.t[: n + 1])
-        return float(np.sum(g ** (1.0 + self.theta) * np.exp(-self.rho * (self.t[n] - self.t[1 : n + 1]))))
-
     def windowed_sum_ratio(self, n: int) -> float:
         """sum_{i=n*+1}^{n-1} (t_n - t_i)^{-1/alpha} gamma_i^{1+theta} / gamma_n^theta.
 

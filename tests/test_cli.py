@@ -9,6 +9,7 @@ import pytest
 
 import stableem
 from stableem.cli import main
+from stableem.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -389,7 +390,7 @@ def test_schedule_with_every_key_at_its_default_passes(tmp_path):
     (["--checkpoints", "0,-4,128,256,512,1024"], "--checkpoints: bad value for 'checkpoints'"),
     (["--dim", "2"], "unrecognized arguments: --dim"),  # rate runs the 1-D OU drift only
     (["--drift", "perturbed-ou:0.3"], "unrecognized arguments: --drift"),
-    (["--x0", "1"], "oracle reference needs x0 = 0"),
+    (["--x0", "1"], "--x0: oracle reference needs x0 = 0"),
 ])
 def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
     out = str(tmp_path / "rate")
@@ -399,18 +400,14 @@ def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
     assert not os.path.exists(out + ".json")
 
 
-@pytest.mark.parametrize("name, experiment", [
-    ("ensemble-cf", "cf-check"),
-    ("ensemble-rate", "rate"),
-    ("ensemble-rate-stable", "rate"),
-    ("sample-stable-1d", "sample"),
-    ("sample-stable-vec", "sample"),
-    ("sample-pareto", "sample"),
-    ("weak-error", "weak-error"),
-    ("rate-oracle-exact-ou", "rate"),
-    ("rate-oracle-pareto", "rate"),
-    ("ergodicity", "ergodicity"),
-])
+# Every tests/data/<name>.cfg, with the experiment its file names.
+_PINS = [
+    (cfg.stem, load_config(str(cfg)).experiment)
+    for cfg in sorted((ROOT / "tests" / "data").glob("*.cfg"))
+]
+
+
+@pytest.mark.parametrize("name, experiment", _PINS)
 def test_ensemble_output_matches_reference(tmp_path, name, experiment):
     # tests/data/<name>.csv was written by an earlier version from the config
     # beside it (tiny sizes, seed 42); a refactor that keeps the RNG contract
@@ -434,7 +431,29 @@ def test_ergodicity_from_one_start_is_rejected_before_running(tmp_path, capsys, 
     out = str(tmp_path / "erg")
     assert main(["ergodicity", "--config", str(cfg), "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: x and y must differ")
+    assert err.startswith(f"error: {cfg}:4: x and y must differ")
+    assert not os.path.exists(out + ".json")
+
+
+def test_stable_1d_sampler_refuses_a_dimension(tmp_path, capsys):
+    # stable-1d draws one column; a dim it would ignore is named with its line or flag.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("experiment = sample\nalpha = 1.5\nsampler = stable-1d\ndim = 3\n")
+    out = str(tmp_path / "sample")
+    assert main(["sample", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:4: bad value for 'dim': 3")
+    assert main(["sample", "--alpha", "1.5", "--dim", "2", "--out", out]) == 1  # default stable-1d
+    assert capsys.readouterr().err.startswith("error: --dim: bad value for 'dim': 2")
+    assert not os.path.exists(out + ".json")
+
+
+def test_weak_error_needs_two_antithetic_pairs(tmp_path, capsys):
+    # mc = 2 is one pair, whose standard error is undefined: a config error, not a FAIL.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("experiment = weak-error\nalpha = 1.5\nmc = 2\n")
+    out = str(tmp_path / "weak")
+    assert main(["weak-error", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: bad value for 'mc': '2'")
     assert not os.path.exists(out + ".json")
 
 

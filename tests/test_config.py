@@ -205,6 +205,8 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "x0", "1/0"),
     ("schedule", "rho_toy", "nan"),
     ("weak-error", "x0", "nan"),
+    ("weak-error", "mc", "3"),  # one antithetic pair has no standard error
+    ("sample", "dim", "2"),  # the default sampler, stable-1d, is 1-D
 ])
 def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):
     lines = [f"experiment = {experiment}"]

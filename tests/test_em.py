@@ -12,16 +12,7 @@ from stableem.cf_oracle import exact_ou_scale_pow
 from stableem.em import EnsembleRun, empirical_moment, run_ensemble
 from stableem.metrics import ecf
 from stableem.rng import chunk_stream, derive_stream
-from stableem.sampling import (
-    CMS,
-    PARETO,
-    draw_variates,
-    noise_constants,
-    sample_pareto_vec,
-    sample_stable_1d,
-    transform_variates,
-    variate_arrays,
-)
+from stableem.sampling import noise_constants, sample_pareto_vec, sample_stable_1d
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
@@ -85,17 +76,21 @@ def test_worker_count_does_not_change_output():
         np.testing.assert_array_equal(sa.samples, sb.samples)
 
 
-_KIND = {"stable-em": CMS, "exact-ou": CMS, "pareto-em": PARETO}
+def _sampled(scheme, alpha, gen, size):
+    """``size`` innovations of ``scheme`` from the public sampler that draws them."""
+    if scheme == "pareto-em":
+        return sample_pareto_vec(alpha, 1, gen, size)[:, 0]
+    return sample_stable_1d(alpha, gen, size)
 
 
 def _reference_ensemble(cfg):
     """The engine under draw-order contract 3, block by block and chunk by chunk.
 
     Chunk c of block k (em._BLOCK_CHAINS chains, em._STEP_CHUNK steps) is
-    drawn from a newly derived stream (seed, chunk_stream(k, c)) into
-    (step, chain) arrays and transformed by the sampling module.
+    what the scheme's sampler draws from a newly derived stream
+    (seed, chunk_stream(k, c)), laid out in (step, chain) order.
     """
-    alpha, kind = cfg.alpha, _KIND[cfg.scheme]
+    alpha = cfg.alpha
     B, C = em._BLOCK_CHAINS, em._STEP_CHUNK
     n_max = cfg.checkpoints[-1]
     g = cfg.schedule.gammas(n_max)
@@ -114,9 +109,8 @@ def _reference_ensemble(cfg):
             snaps[0][lo:hi] = x
         for c, n in enumerate(range(0, n_max, C)):
             steps = min(C, n_max - n)
-            drawn = variate_arrays(kind, 1, steps, hi - lo)
-            draw_variates(derive_stream(cfg.master_seed, chunk_stream(k, c)), kind, 1, drawn)
-            innov = transform_variates(kind, alpha, drawn, np.empty((steps, hi - lo)))
+            gen = derive_stream(cfg.master_seed, chunk_stream(k, c))
+            innov = _sampled(cfg.scheme, alpha, gen, steps * (hi - lo)).reshape(steps, hi - lo)
             for s in range(steps):
                 step = n + s
                 if cfg.scheme == "exact-ou":
@@ -223,8 +217,8 @@ def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy
 
 
 def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
-    # Two workspaces of one 32-step chunk of 2048 chains each (five arrays of
-    # 32 x 2048 doubles: variates, scratch, innovations), plus the snapshots:
+    # Two workspaces of one 32-step chunk of 2048 chains each (six arrays of
+    # 32 x 2048 doubles: u, w, three scratch, innovations), plus the snapshots:
     # about 6 MB, whatever n is.
     cfg = EnsembleRun(
         scheme="exact-ou",

@@ -16,17 +16,17 @@ from stableem.rng import derive_stream
 from stableem.sampling import (
     CMS,
     PARETO,
-    SUBORDINATED,
     NoiseConstants,
     _PIECE,
+    _cms_symmetric,
     _kanter,
-    draw_variates,
+    _pareto_signed,
+    innovations,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,
     transform_scratch,
-    transform_variates,
     variate_arrays,
 )
 from stableem.schedule import StepSchedule
@@ -149,6 +149,15 @@ def test_pareto_1d_sign_symmetric():
             assert abs(np.mean(r > rr) - want) < 4.0 * math.sqrt(want / r.size)
 
 
+def _transform(kind, alpha, *variates):
+    """A 1-D transform of copies of ``variates`` (it overwrites them), with scratch of their shape."""
+    spent = [np.array(a, dtype=float) for a in variates]
+    out = np.empty(spent[0].shape)
+    if kind == CMS:
+        return _cms_symmetric(alpha, *spent, out, tuple(np.empty(out.shape) for _ in range(3)))
+    return _pareto_signed(alpha, *spent, out, ())
+
+
 # Dyadic uniforms around the ends and the middle of [0, 1), all of the form
 # k 2^-53 that the generator returns; 2u - 1 is exact at each.
 _PARETO_U = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
@@ -158,8 +167,7 @@ _PARETO_U = np.array([0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 1.0 - 
 def test_pareto_1d_from_one_uniform_at_dyadic_points(alpha):
     # Negative exactly where u < 1/2, radius |2u - 1|^{-1/alpha}; u = 1/2 reads
     # 2u - 1 = 0 as 2^-53 and gives a finite draw.
-    u = _PARETO_U.reshape(1, -1)
-    z = transform_variates(PARETO, alpha, [u.copy()], np.empty(u.shape))[0]
+    z = _transform(PARETO, alpha, _PARETO_U)
     np.testing.assert_array_equal(np.signbit(z), _PARETO_U < 0.5)
     assert np.all(np.isfinite(z))
     want = [max(2.0 * abs(x - 0.5), 2.0**-53) ** (-1.0 / alpha) for x in _PARETO_U]
@@ -214,7 +222,7 @@ def test_cms_matches_fifty_digit_reference(alpha):
     mp = pytest.importorskip("mpmath").mp
     u, w = np.meshgrid(_U_GRID, [0.1, 1.0, 5.0], indexing="ij")
     exact = np.vectorize(lambda x, y: _cms_exact(mp, alpha, x, y))(u, w)
-    got = transform_variates(CMS, alpha, [u.copy(), w.copy()], np.empty(u.shape))
+    got = _transform(CMS, alpha, u, w)
     half = exact == 0.0  # u = 1/2
     np.testing.assert_array_equal(got[half], 0.0)
     err = np.abs(got[~half] / exact[~half] - 1.0)
@@ -223,13 +231,20 @@ def test_cms_matches_fifty_digit_reference(alpha):
     assert err[bulk].max() <= 1e-12
     assert np.all(err <= 10.0 * np.maximum(old, 2.0**-50))
     # u = 0, which the generator can return, gives a finite draw as the sin/cos form does
-    zero_u = [np.zeros((1, 1)), np.ones((1, 1))]
-    at_zero = transform_variates(CMS, alpha, zero_u, np.empty((1, 1)))
+    at_zero = _transform(CMS, alpha, [0.0], [1.0])
     assert np.isfinite(at_zero).all() and np.isfinite(_cms_sin_cos(alpha, 0.0, 1.0))
 
 
-def _expression(kind, alpha, rows, d):
-    """The transforms as plain NumPy expressions, whose rounding the 1-D scratch forms must match."""
+# The d > 1 samplers, by name, for ``_expression``.
+STABLE_VEC, PARETO_VEC = "stable-vec", "pareto-vec"
+
+
+def _expression(kind, alpha, rows):
+    """The innovations as plain NumPy expressions of their variates, which the samplers must match.
+
+    ``rows`` are the variates in the documented draw order: u, w for CMS;
+    u for the 1-D Pareto; u, w, g for STABLE_VEC; v, g for PARETO_VEC.
+    """
     if kind == CMS:  # in tangent half-angles, as sampling._cms_symmetric
         u, w = rows
         a = np.tan(alpha * (np.pi / 2 * (u - 0.5)))
@@ -240,7 +255,7 @@ def _expression(kind, alpha, rows, d):
             + (1.0 - alpha) / alpha * np.log(n / ((1.0 + a * a) * w * (1.0 + c * c)))
         )
         return z
-    if kind == SUBORDINATED:
+    if kind == STABLE_VEC:
         u, w, g = rows
         rho, theta = alpha / 2.0, np.pi * u
         s = (
@@ -249,7 +264,7 @@ def _expression(kind, alpha, rows, d):
             / np.sin(theta) ** (1.0 / rho)
         ) * w ** (-(1.0 - rho) / rho)
         return np.sqrt(2.0 * s)[..., None] * g
-    if d == 1:  # one uniform, as sampling._pareto_signed
+    if kind == PARETO:  # one uniform, as sampling._pareto_signed
         (u,) = rows
         t = 2.0 * u - 1.0
         return np.copysign(np.maximum(np.abs(t), 2.0**-53) ** (-1.0 / alpha), t)
@@ -257,46 +272,43 @@ def _expression(kind, alpha, rows, d):
     return (v ** (-1.0 / alpha))[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
 
 
-def _drawn(kind, d, rows, C, seed):
-    arrays = variate_arrays(kind, d, rows, C)
+def _variates(kind, seed, size, d=1):
+    """The variates of ``size`` innovations of ``kind`` from stream (seed, 0), one call per array."""
     gen = derive_stream(seed, 0)
-    for i in range(rows):
-        draw_variates(gen, kind, d, [a[i] for a in arrays])
-    return arrays
+    u = gen.random(size)
+    if kind == PARETO:
+        return [u]
+    if kind == PARETO_VEC:
+        return [u, gen.standard_normal((size, d))]
+    w = gen.standard_exponential(size)
+    return [u, w] if kind == CMS else [u, w, gen.standard_normal((size, d))]
 
 
-_SCALAR_KINDS = [(CMS, 1), (PARETO, 1)]  # out (C, B), with scratch; the others (C, B, d)
+_SCALAR_KINDS = [(CMS, 1), (PARETO, 1)]  # the ids keep the dimension they once named
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.7])
-@pytest.mark.parametrize("kind, d", _SCALAR_KINDS + [(SUBORDINATED, 3), (PARETO, 3), (PARETO, 9)])
+@pytest.mark.parametrize("kind, d", _SCALAR_KINDS)
 def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
-    # d = 9 sums |g|^2 over more than 8 terms, where NumPy's sum is pairwise.
-    # One scratch for a full tile of 8 rows, reused for a shorter last tile of 5.
-    C, rows = 40, 8
-    drawn = _drawn(kind, d, rows + 5, C, seed=15)
-    if (kind, d) in _SCALAR_KINDS:
-        scratch, out = transform_scratch(kind, rows, C), np.empty((rows, C))
-    else:
-        scratch, out = None, np.empty((rows, C, d))
-    for tile in (slice(0, rows), slice(rows, None)):
-        tile_rows = [a[tile] for a in drawn]
-        want = _expression(kind, alpha, tile_rows, d)
-        # The 1-D transforms overwrite their spent variates, so they get copies
-        spent = [a.copy() for a in tile_rows]
-        got = transform_variates(kind, alpha, spent, out[: len(tile_rows[0])], scratch)
-        np.testing.assert_array_equal(got, want)
+    # Two full pieces and a short third, then a shorter call of one short
+    # piece in the same arrays and scratch, as the engine reuses its workspace.
+    size = 2 * _PIECE + 123
+    drawn, scratch, out = variate_arrays(kind, size), transform_scratch(kind), np.empty(size)
+    for n, seed in ((size, 15), (500, 16)):
+        gen = derive_stream(seed, 0)
+        got = innovations(gen, kind, alpha, [a[:n] for a in drawn], out[:n], scratch)
+        np.testing.assert_array_equal(got, _expression(kind, alpha, _variates(kind, seed, n)))
 
 
 @pytest.mark.parametrize("kind, d", _SCALAR_KINDS)
 def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
-    C, rows = 512, 64
-    drawn = _drawn(kind, d, rows, C, seed=16)
-    scratch, out = transform_scratch(kind, rows, C), np.empty((rows, C))
-    transform_variates(kind, 1.5, drawn, out, scratch)
+    size = 2 * _PIECE + 123
+    drawn, scratch, out = variate_arrays(kind, size), transform_scratch(kind), np.empty(size)
+    gen = derive_stream(16, 0)
+    innovations(gen, kind, 1.5, drawn, out, scratch)
     tracemalloc.start()
     try:
-        transform_variates(kind, 1.5, drawn, out, scratch)
+        innovations(gen, kind, 1.5, drawn, out, scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -308,15 +320,16 @@ def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
     [
         (CMS, 1, lambda gen, size: sample_stable_1d(1.5, gen, size)),
         (PARETO, 1, lambda gen, size: sample_pareto_vec(1.5, 1, gen, size)),
-        (SUBORDINATED, 2, lambda gen, size: sample_stable_vec(1.5, 2, gen, size)),
-        (PARETO, 3, lambda gen, size: sample_pareto_vec(1.5, 3, gen, size)),
+        (STABLE_VEC, 2, lambda gen, size: sample_stable_vec(1.5, 2, gen, size)),
+        (PARETO_VEC, 3, lambda gen, size: sample_pareto_vec(1.5, 3, gen, size)),
     ],
     ids=["cms-1", "pareto-1", "subordinated-2", "pareto-3"],
 )
 def test_samplers_transform_in_pieces_bitwise_as_one_row(kind, d, sample):
-    # Two full pieces and a short third: the pieces' seams change no bit.
+    # Each sampler is the expression of its variates, drawn in the documented
+    # order.  The 1-D ones transform in pieces (two full and a short third),
+    # whose seams change no bit; the d > 1 ones are one expression.
     size = 2 * _PIECE + 123
     got = sample(derive_stream(17, 0), size)
-    rows = variate_arrays(kind, d, 1, size)
-    draw_variates(derive_stream(17, 0), kind, d, [a[0] for a in rows])
-    np.testing.assert_array_equal(got, _expression(kind, 1.5, rows, d).reshape(got.shape))
+    want = _expression(kind, 1.5, _variates(kind, 17, size, d))
+    np.testing.assert_array_equal(got, want.reshape(got.shape))
