@@ -7,7 +7,7 @@ law: exact samplers, characteristic-function oracles, W1 estimators,
 step-schedule diagnostics, and a reproducible parallel ensemble engine.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .cf_oracle import (
     OracleW1,

@@ -50,8 +50,8 @@ def _series_coeffs(alpha: float) -> np.ndarray:
 
 
 def first_order_cf_coefficient(alpha: float) -> float:
-    """C with 1 - phi(l) ~ C |l|^alpha as l -> 0; equals beta^alpha in 1-D."""
-    return alpha * math.pi / (2.0 * _gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+    """C with 1 - phi(l) ~ C |l|^alpha as l -> 0: beta^alpha of the 1-D ``noise_constants``."""
+    return noise_constants(alpha, 1).beta ** alpha
 
 
 @lru_cache(maxsize=4096)
@@ -267,13 +267,15 @@ def stable_em_chain_scale_pow(alpha: float, schedule: StepSchedule, n: int) -> f
     return s
 
 
-def exact_ou_scale_pow(alpha: float, t: float) -> float:
-    """sigma(t)^alpha = (1 - e^{-alpha t}) / alpha for the exact OU transition from 0.
+def exact_ou_scale_pow(alpha: float, t):
+    """sigma(t)^alpha = (1 - e^{-alpha t}) / alpha for the exact OU transition over time t.
 
-    The one scalar form of the exact-OU scale; the weak-error step uses its
-    1/alpha-th power sigma(gamma).
+    The one form of the exact-OU scale, for a scalar or an array t, with
+    ``expm1`` so that it keeps its relative accuracy as t -> 0.  The
+    exact-OU engine step and the weak-error step use its 1/alpha-th power
+    sigma(gamma).
     """
-    return (1.0 - math.exp(-alpha * t)) / alpha
+    return -np.expm1(-alpha * t) / alpha
 
 
 # ---------------------------------------------------------------------------

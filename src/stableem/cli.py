@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Each subcommand runs one experiment and writes ``<out>.csv`` and
-``<out>.json``.  It takes ``--config FILE`` and a flag for each key of
-_OVERRIDES that its experiment reads; flags replace the file's values.
+``<out>.json``.  It takes ``--config FILE`` and a flag for each key its
+experiment reads (``config.EXPERIMENT_KEYS``); flags replace the file's
+values.
 Exit codes: 0 on pass (or informational runs), 2 when a quantitative gate
 fails, 1 on usage, configuration or runtime errors.
 """
@@ -22,12 +23,6 @@ from .config import (
 )
 from .experiments import run_experiment, emit_outputs
 
-# Keys settable by flag; a subcommand takes those its experiment reads.
-_OVERRIDES = (
-    "seed", "out", "alpha", "scheme", "dim", "drift", "schedule", "m", "checkpoints", "x0",
-    "workers", "reference",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -44,15 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="key = value config file")
-        for key in _OVERRIDES:
-            if key in EXPERIMENT_KEYS[name]:
-                p.add_argument(f"--{key}")
+        for key in EXPERIMENT_KEYS[name]:
+            p.add_argument(f"--{key}")
     return parser
 
 
 def _load(args) -> ExperimentConfig:
     flags = flag_values(
-        {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key, None) is not None}
+        {key: value for key in EXPERIMENT_KEYS[args.experiment]
+         if (value := getattr(args, key)) is not None}
     )
     if not args.config:
         return ExperimentConfig(args.experiment, **flags)

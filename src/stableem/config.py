@@ -189,7 +189,7 @@ KEYS = {
     "count": Key(_count, 10_000),
     "pairs": Key(_count, 10_000),
     "box": Key(_bounded(_number, lambda b: b > 0.0, "be > 0"), 20.0),
-    "seed": Key(_integer, 0),
+    "seed": Key(_bounded(_integer, lambda s: 0 <= s < 1 << 64, "lie in [0, 2^64)"), 0),
     "out": Key(str, None),  # None: the experiment's name
 }
 

@@ -4,16 +4,17 @@ The ensemble engine is 1-D: it runs a drift of dimension 1 from a scalar
 x0, with the noise dZ of dX = b(X) dt + dZ.  run_ensemble advances many
 chains; ``_run_block`` holds the one definition of each scheme's step.
 
-Draw order, contract 3 (``rng.RNG_CONTRACT``).  Chains run in blocks of
+Draw order, contract 4 (``rng.RNG_CONTRACT``).  Chains run in blocks of
 _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
 be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
 c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
-block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``):
-``sampling.innovations`` draws them as C B innovations in (step, chain)
-order, filling each variate array of the chunk with one generator call
-(uniforms, then exponentials): a CMS innovation takes one uniform and one
-exponential, a 1-D Pareto innovation one uniform, which gives both its
-sign and its radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of the
+block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``),
+which ``rng.derive_stream`` builds for the chunk: ``sampling.innovations``
+draws them as C B innovations in (step, chain) order, filling each
+variate array of the chunk with one generator call (uniforms, then
+exponentials): a CMS innovation takes one uniform and one exponential, a
+1-D Pareto innovation one uniform, which gives both its sign and its
+radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of the
 draw order, and output is bit-reproducible for a fixed configuration
 regardless of worker count.  A chain's innovations are its column of its
 block's chunks: chain i does not draw what a sampler draws from stream
@@ -21,10 +22,9 @@ block's chunks: chain i does not draw what a sampler draws from stream
 stream (master_seed, ``chunk_stream(k, c)``) give, laid out as (C, B).
 
 Each worker thread holds one ``_Workspace``, allocated once per run and
-reused for every block it takes: one Philox generator, moved to each
-chunk's stream with ``rng.reposition``, the flat variate and innovation
-arrays of one chunk and one piece of transform scratch, which is one
-chunk long: six arrays for CMS (u, w, three scratch and the innovations)
+reused for every block it takes: the flat variate and innovation arrays
+of one chunk and one piece of transform scratch, which is one chunk long:
+six arrays for CMS (u, w, three scratch and the innovations)
 and two for the 1-D Pareto (u and the innovations).  The innovations are
 written into the flat array, whose (C, B) view the step loop reads,
 scales and adds in place, row by row.  The transforms and the steps work
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .cf_oracle import exact_ou_scale_pow
 from .drift import DriftModel
 from .sampling import (
     CMS,
@@ -124,8 +125,7 @@ class EnsembleResult:
 class _Workspace:
     """One worker thread's buffers, allocated once per run and reused by every block it runs.
 
-    ``gen`` is one Philox generator that blocks reposition from chunk to
-    chunk; the flat variate and innovation arrays hold one chunk of up to
+    The flat variate and innovation arrays hold one chunk of up to
     ``steps`` steps of up to ``chains`` chains, and ``scratch`` one
     transform piece.
     """
@@ -133,7 +133,6 @@ class _Workspace:
     def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
         # stable-em and exact-ou draw CMS innovations, pareto-em 1-D Pareto ones.
         self.kind = PARETO if cfg.scheme == PARETO_EM else CMS
-        self.gen = rngmod.derive_stream(cfg.master_seed, 0)
         self.drawn = variate_arrays(self.kind, steps * chains)
         self.scratch = transform_scratch(self.kind)
         self.innov = np.empty(steps * chains)
@@ -142,15 +141,14 @@ class _Workspace:
 def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps: int, chains: int):
     """Chunk ``chunk`` of block ``block``: the innovations of ``steps`` steps of ``chains`` chains.
 
-    The workspace's generator is moved to stream (master_seed,
-    ``rng.chunk_stream(block, chunk)``) and ``sampling.innovations`` fills
-    the first steps * chains entries of the workspace, returned as a
-    (steps, chains) view.
+    ``sampling.innovations`` draws them from stream (master_seed,
+    ``rng.chunk_stream(block, chunk)``) into the first steps * chains
+    entries of the workspace, returned as a (steps, chains) view.
     """
     size = steps * chains
-    rngmod.reposition(ws.gen, cfg.master_seed, rngmod.chunk_stream(block, chunk))
+    gen = rngmod.derive_stream(cfg.master_seed, rngmod.chunk_stream(block, chunk))
     drawn = [a[:size] for a in ws.drawn]
-    z = innovations(ws.gen, ws.kind, cfg.alpha, drawn, ws.innov[:size], ws.scratch)
+    z = innovations(gen, ws.kind, cfg.alpha, drawn, ws.innov[:size], ws.scratch)
     return z.reshape(steps, chains)
 
 
@@ -175,10 +173,7 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
     elif cfg.scheme == PARETO_EM:
         scale = g ** (1.0 / alpha) / beta
     else:
-        # sigma(gamma) as an array: NumPy's array exp and libm's scalar exp (in
-        # exact_ou_scale_pow) differ in the last bit for some gamma, so the
-        # scalar form would change the exact-OU chains.
-        scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
+        scale = exact_ou_scale_pow(alpha, g) ** (1.0 / alpha)
         decay = np.exp(-g)
 
     x = np.full(hi - lo, cfg.x0)

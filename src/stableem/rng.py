@@ -1,32 +1,28 @@
 """Deterministic random-stream derivation.
 
-Every stream is a counter-based Philox stream keyed by the pair
-(master_seed, stream_id).  The derived stream is a pure function of that
-pair, so results never depend on how work is sharded across workers.
-Disjoint stream-id ranges keep the users apart:
+Every stream is a PCG64DXSM generator seeded from the pair (master_seed,
+stream_id) by ``derive_stream``, the one constructor of every stream.
+Both words must lie in [0, 2^64); each enters the SeedSequence entropy as
+its two 32-bit halves, low first, so the entropy has a fixed width of four
+words and distinct pairs give distinct, statistically independent streams.
+The derived stream is a pure function of the pair, so results never depend
+on how work is sharded across workers.  Disjoint stream-id ranges keep the
+users apart:
 
 * the samplers of ``stableem sample`` and ``certify-drift``: stream 0;
 * reference ensembles: ``INVARIANT_STREAM + j``, ``FLOOR_STREAM + j`` and
   ``AUX_STREAM + j``;
 * the 1-D ensemble engine: ``chunk_stream(block, chunk)``, one stream per
-  block of chains and chunk of steps (draw order contract 3, see
+  block of chains and chunk of steps (draw order contract 4, see
   ``stableem.em``), from which ``sampling.innovations`` draws the chunk's
   C B innovations in (step, chain) order, as the samplers draw theirs.
   A chain's innovations are its column of its block's chunks, so chain i
-  no longer draws what a sampler draws from stream (master_seed, i).
-
-A stream is fixed by its key alone: counter and buffer start at zero.  So a
-generator can be moved to the start of another stream by setting its
-Philox state (``reposition``), which draws exactly what a newly derived
-generator would, at a fraction of the cost of building one.
+  does not draw what a sampler draws from stream (master_seed, i).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
-_ZEROS4 = (0, 0, 0, 0)  # plain ints: the state setter reads them faster than array items
 
 # Reserved stream-id offsets, far away from any index a caller adds to them.
 INVARIANT_STREAM = 1 << 40
@@ -38,14 +34,15 @@ CHUNK_STREAM = 1 << 43
 _CHUNK_BITS = 20
 _BLOCK_BITS = 40
 
-#: Version of the engine's draw order, recorded in every run's summary.  3: a
-#: 1-D Pareto innovation takes one uniform (2 drew a radius and a sign uniform).
-RNG_CONTRACT = 3
+#: Version of the draw order, recorded in every run's summary.  4: every
+#: stream is the PCG64DXSM generator of ``derive_stream`` (under 3 the pair
+#: was the key of a counter-based generator).
+RNG_CONTRACT = 4
 
 #: Human-readable generator name, recorded in output metadata.
 GENERATOR_NAME = (
-    "philox4x64 key=(master_seed<<64)|stream_id; "
-    "engine chunk stream_id=(1<<43)|(block<<20)|chunk"
+    "pcg64dxsm seeded by SeedSequence(uint64 [master_seed, stream_id] as uint32 words, "
+    "low first); engine chunk stream_id=(1<<43)|(block<<20)|chunk"
 )
 
 
@@ -57,34 +54,14 @@ def chunk_stream(block: int, chunk: int) -> int:
     return CHUNK_STREAM | block << _CHUNK_BITS | chunk
 
 
-def _key(master_seed: int, stream_id: int) -> tuple[int, int]:
-    """The 128-bit Philox key (master_seed<<64)|stream_id as its words, low first.
-
-    The two 64-bit words are the concatenation of the pair, so distinct pairs
-    map to distinct, statistically independent streams.
-    """
-    if stream_id < 0:
-        raise ValueError("stream_id must be nonnegative")
-    return int(stream_id) & _MASK64, int(master_seed) & _MASK64
-
-
 def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
-    """Return the Philox generator for (master_seed, stream_id)."""
-    key = np.array(_key(master_seed, stream_id), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Return the generator of stream (master_seed, stream_id), both in [0, 2^64).
 
-
-def reposition(gen: np.random.Generator, master_seed: int, stream_id: int) -> None:
-    """Move a Philox ``gen`` to the start of stream (master_seed, stream_id).
-
-    Its draws are then those of ``derive_stream(master_seed, stream_id)``:
-    the same key, a zero counter and an empty buffer.
+    PCG64DXSM seeded by SeedSequence of the four 32-bit words of the two
+    64-bit words, low half first.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": _key(master_seed, stream_id)},
-        "buffer": _ZEROS4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    for name, value in (("master_seed", master_seed), ("stream_id", stream_id)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    words = np.array([master_seed, stream_id], dtype="<u8").view("<u4")
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(words)))

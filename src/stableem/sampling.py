@@ -27,7 +27,8 @@ write their temporaries into one piece of scratch from
 ``transform_scratch`` and overwrite their spent variates, so a caller that
 keeps its arrays allocates nothing per call; the engine keeps one set per
 worker thread and draws each chunk of C steps of B chains as C B
-innovations in (step, chain) order.  The d > 1 samplers, which only
+innovations in (step, chain) order, from the chunk's own generator (every
+generator comes from ``rng.derive_stream``).  The d > 1 samplers, which only
 ``stableem sample`` and the tests use, are plain NumPy expressions: the
 isotropic stable vector subordinates normals to Kanter's one-sided
 transform, and the radial Pareto vector scales a normal direction.

@@ -98,9 +98,11 @@ def test_pareto_cf_against_direct_quadrature():
 
 
 def test_first_order_coefficient_matches_beta():
+    # The Gamma/sin closed form of beta^alpha in 1-D is the reference of the
+    # log-Gamma route through noise_constants that the oracles read.
     for alpha in (1.2, 1.5, 1.8):
-        beta = noise_constants(alpha, 1).beta
-        assert first_order_cf_coefficient(alpha) == pytest.approx(beta**alpha, rel=1e-12)
+        closed = alpha * math.pi / (2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+        assert first_order_cf_coefficient(alpha) == pytest.approx(closed, rel=1e-12)
 
 
 def test_beta_consistency_limit():
@@ -210,6 +212,16 @@ def test_stable_scale_recurrence():
 def test_exact_ou_scale():
     assert exact_ou_scale_pow(1.5, 0.0) == 0.0
     assert exact_ou_scale_pow(1.5, 50.0) == pytest.approx(1.0 / 1.5)
+    ts = np.array([0.0, 0.25, 50.0])
+    want = [exact_ou_scale_pow(1.5, t) for t in ts]
+    np.testing.assert_array_equal(exact_ou_scale_pow(1.5, ts), want)
+
+
+def test_exact_ou_scale_keeps_its_relative_accuracy_at_small_t():
+    # (1 - e^{-alpha t}) / alpha = t - alpha t^2 / 2 + O(t^3); at t = 2^-30 the
+    # cubic term is 3e-19 relative, and 1 - e^{-alpha t} would lose 7e-10.
+    t = 2.0**-30
+    assert exact_ou_scale_pow(1.5, t) == pytest.approx(t - 1.5 * t * t / 2.0, rel=1e-15, abs=0.0)
 
 
 def test_stable_mean_abs_frozen():

@@ -176,7 +176,7 @@ def test_every_summary_records_the_rng_contract(tmp_path, experiment, keys):
     out = str(tmp_path / "run")
     assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
     summary = json.load(open(out + ".json"))
-    assert summary["rng_contract"] == 3
+    assert summary["rng_contract"] == 4
     assert summary["generator"] == stableem.GENERATOR_NAME
 
 
@@ -345,7 +345,7 @@ def test_oracle_rate_summary_has_no_abort_count(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["schedule", "--n_max", "5"],  # a key schedule reads, but not settable by flag
+    ["schedule", "--experiment", "rate"],  # the experiment is the subcommand, not a flag
     ["schedule", "--m", "5", "--schedule", "c-over-rho-n:2,0.5"],  # a key schedule does not read
     ["rate", "--alpha"],
     ["bogus"],
@@ -454,6 +454,28 @@ def test_weak_error_needs_two_antithetic_pairs(tmp_path, capsys):
     out = str(tmp_path / "weak")
     assert main(["weak-error", "--config", str(cfg), "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg}:3: bad value for 'mc': '2'")
+    assert not os.path.exists(out + ".json")
+
+
+def test_every_key_an_experiment_reads_is_a_flag(tmp_path):
+    out = str(tmp_path / "sample")
+    argv = ["--alpha", "1.5", "--sampler", "stable-vec", "--dim", "3", "--count", "5"]
+    assert main(["sample", *argv, "--out", out]) == 0
+    with open(out + ".csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "x0", "x1", "x2"] and len(rows) == 6
+    out = str(tmp_path / "weak")
+    assert main(["weak-error", "--alpha", "1.5", "--mc", "4", "--gammas", "2^-3", "--out", out]) \
+        in (0, 2)
+    assert json.load(open(out + ".json"))["config"]["mc"] == 4
+
+
+@pytest.mark.parametrize("seed", ["-7", "18446744073709551616"])
+def test_seed_outside_64_bits_is_named(tmp_path, capsys, seed):
+    # Masked, -7 and 2^64 - 7 would write the same draws.
+    out = str(tmp_path / "sample")
+    assert main(["sample", "--alpha", "1.5", "--seed", seed, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --seed: bad value for 'seed': '{seed}'")
     assert not os.path.exists(out + ".json")
 
 

@@ -207,6 +207,8 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("weak-error", "x0", "nan"),
     ("weak-error", "mc", "3"),  # one antithetic pair has no standard error
     ("sample", "dim", "2"),  # the default sampler, stable-1d, is 1-D
+    ("sample", "seed", "-7"),  # streams take seeds in [0, 2^64), unmasked
+    ("sample", "seed", "18446744073709551616"),
 ])
 def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, value):
     lines = [f"experiment = {experiment}"]
@@ -214,6 +216,11 @@ def test_bad_structured_value_names_key_and_line(tmp_path, experiment, key, valu
     path = _write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=rf"cfg:{len(lines)}: bad value for '{key}'"):
         load_config(path)
+
+
+def test_seed_takes_every_64_bit_word():
+    for seed in (0, (1 << 64) - 1):
+        assert ExperimentConfig(experiment="sample", alpha=1.5, seed=str(seed)).seed == seed
 
 
 def test_only_an_ensemble_reference_needs_m_to_fill_the_batches():

@@ -84,7 +84,7 @@ def _sampled(scheme, alpha, gen, size):
 
 
 def _reference_ensemble(cfg):
-    """The engine under draw-order contract 3, block by block and chunk by chunk.
+    """The engine under draw-order contract 4, block by block and chunk by chunk.
 
     Chunk c of block k (em._BLOCK_CHAINS chains, em._STEP_CHUNK steps) is
     what the scheme's sampler draws from a newly derived stream
@@ -99,7 +99,7 @@ def _reference_ensemble(cfg):
     elif cfg.scheme == "pareto-em":
         scale = g ** (1.0 / alpha) / noise_constants(alpha, 1).beta
     else:
-        scale = ((1.0 - np.exp(-alpha * g)) / alpha) ** (1.0 / alpha)
+        scale = exact_ou_scale_pow(alpha, g) ** (1.0 / alpha)
         decay = np.exp(-g)
     snaps = {n: np.empty(cfg.m_chains) for n in cfg.checkpoints}
     for k, lo in enumerate(range(0, cfg.m_chains, B)):

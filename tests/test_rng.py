@@ -8,7 +8,6 @@ from stableem.rng import (
     INVARIANT_STREAM,
     chunk_stream,
     derive_stream,
-    reposition,
 )
 
 
@@ -37,40 +36,35 @@ def test_negative_stream_rejected():
         derive_stream(1, -1)
 
 
-def _draws(gen):
-    return (
-        gen.random(5),
-        gen.standard_exponential(4),
-        gen.standard_normal((3, 2)),
-        gen.integers(0, 1000, 6),
-        gen.random(3),
-    )
+@pytest.mark.parametrize("seed, stream, name", [
+    (-7, 0, "master_seed"), (1 << 64, 0, "master_seed"), (1, 1 << 64, "stream_id"),
+])
+def test_derive_stream_refuses_words_outside_64_bits(seed, stream, name):
+    # No masking: -7 and 2^64 - 7 would otherwise name one stream.
+    value = seed if name == "master_seed" else stream
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\^64\), got {value}$"):
+        derive_stream(seed, stream)
 
 
-@pytest.mark.parametrize("seed", [42, -7, (1 << 64) + 5, (1 << 70) - 1])
-@pytest.mark.parametrize("stream", [0, 1, INVARIANT_STREAM + 3, AUX_STREAM])
-def test_reposition_matches_derive_stream(seed, stream):
-    # Move a used generator from another stream; the masking of negative and
-    # >= 2^64 seeds must be the same as derive_stream's.
-    gen = derive_stream(3, 9)
-    _draws(gen)
-    reposition(gen, seed, stream)
-    want = _draws(derive_stream(seed, stream))
-    for a, b in zip(_draws(gen), want):
-        np.testing.assert_array_equal(a, b)
+def test_derive_stream_is_the_documented_constructor():
+    # PCG64DXSM from SeedSequence of the pair's four 32-bit words, low half first.
+    for seed, stream in ((0, 0), (42, INVARIANT_STREAM + 3), ((1 << 64) - 1, 5)):
+        words = [seed & 0xFFFFFFFF, seed >> 32, stream & 0xFFFFFFFF, stream >> 32]
+        want = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(words)))
+        np.testing.assert_array_equal(derive_stream(seed, stream).random(8), want.random(8))
 
 
-def test_stream_key_is_seed_high_word_stream_low_word():
-    # GENERATOR_NAME's key layout: (master_seed << 64) | stream_id.
-    seed, stream = -7, INVARIANT_STREAM + 3
-    key = ((seed & ((1 << 64) - 1)) << 64) | stream
-    want = np.random.Generator(np.random.Philox(key=key)).random(8)
-    np.testing.assert_array_equal(derive_stream(seed, stream).random(8), want)
-
-
-def test_reposition_rejects_negative_stream():
-    with pytest.raises(ValueError):
-        reposition(derive_stream(1, 0), 1, -1)
+@pytest.mark.parametrize("pair, other", [
+    (((1 << 32) + 1, 1), (1, (1 << 32) + 1)),  # both [1, 1, 1] as plain words
+    ((1 << 32, 0), (0, 1)),  # [0, 1, 0] and [0, 1]: trailing zero words change nothing
+])
+def test_pairs_that_share_a_plain_seed_sequence_differ(pair, other):
+    # SeedSequence([seed, stream]) splits each int into as many 32-bit words
+    # as it needs, so these pairs would draw alike; fixed-width words do not.
+    plain = [np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(list(p))))
+             for p in (pair, other)]
+    np.testing.assert_array_equal(plain[0].random(8), plain[1].random(8))
+    assert not np.array_equal(derive_stream(*pair).random(8), derive_stream(*other).random(8))
 
 
 def test_chunk_stream_packs_block_above_chunk():
@@ -92,11 +86,16 @@ def test_chunk_stream_refuses_values_outside_its_fields(block, chunk, name):
 
 def test_chunk_streams_overlap_no_other_range():
     # Chain-sized ids and the reference offsets (plus any index below 2^40)
-    # lie below the lowest engine stream; the highest still fits the key's
-    # 64-bit stream word.
+    # lie below the lowest engine stream; the highest still fits the 64-bit
+    # stream word.
     lowest, highest = chunk_stream(0, 0), chunk_stream((1 << 40) - 1, (1 << 20) - 1)
     assert AUX_STREAM + (1 << 40) <= lowest
     assert max(INVARIANT_STREAM, FLOOR_STREAM) + (1 << 40) <= lowest
     assert highest < 1 << 64
-    want = np.random.Generator(np.random.Philox(key=(9 << 64) | highest)).random(4)
-    np.testing.assert_array_equal(derive_stream(9, highest).random(4), want)
+
+
+def test_highest_chunk_stream_is_accepted():
+    highest = chunk_stream((1 << 40) - 1, (1 << 20) - 1)
+    a, b = derive_stream(9, highest).random(4), derive_stream(9, highest - 1).random(4)
+    assert np.all((0.0 <= a) & (a < 1.0))
+    assert not np.array_equal(a, b)
