@@ -86,7 +86,6 @@ def drift_by_name(name: str, dim: int) -> DriftModel:
 @dataclass
 class CertificationReport:
     passed: bool
-    n_pairs: int
     checks: dict = field(default_factory=dict)   # check name -> worst margin
     witness: dict | None = None                  # first violated inequality
 
@@ -117,7 +116,7 @@ def certify_assumptions(
     dxy = np.linalg.norm(x - y, axis=1)
     dbxy = np.linalg.norm(bx - by, axis=1)
 
-    report = CertificationReport(passed=True, n_pairs=n_pairs)
+    report = CertificationReport(passed=True)
 
     def fail(check, idx, lhs, rhs):
         report.passed = False

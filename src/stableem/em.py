@@ -4,33 +4,32 @@ The ensemble engine is 1-D: it runs a drift of dimension 1 from a scalar
 x0, with the noise dZ of dX = b(X) dt + dZ.  run_ensemble advances many
 chains; ``_run_block`` holds the one definition of each scheme's step.
 
-Draw order, contract 4 (``rng.RNG_CONTRACT``).  Chains run in blocks of
-_BLOCK_CHAINS (block k holds chains k B .. k B + B - 1; the last block may
-be shorter) and steps in chunks of _STEP_CHUNK (chunk c holds steps c C ..
-c C + C - 1; the last chunk may be shorter).  The innovations of chunk c of
-block k come from the one stream (master_seed, ``rng.chunk_stream(k, c)``),
-which ``rng.derive_stream`` builds for the chunk: ``sampling.innovations``
-draws them as C B innovations in (step, chain) order, filling each
-variate array of the chunk with one generator call (uniforms, then
-exponentials): a CMS innovation takes one uniform and one exponential, a
-1-D Pareto innovation one uniform, which gives both its sign and its
-radius.  So _BLOCK_CHAINS and _STEP_CHUNK are part of the
-draw order, and output is bit-reproducible for a fixed configuration
-regardless of worker count.  A chain's innovations are its column of its
-block's chunks: chain i does not draw what a sampler draws from stream
-(master_seed, i), but chunk (k, c) is what a sampler's C * B draws from
-stream (master_seed, ``chunk_stream(k, c)``) give, laid out as (C, B).
+Draw order, contract 4 (``rng.RNG_CONTRACT``), stated here once.  Chains
+run in blocks of _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1;
+the last block may be shorter) and steps in chunks of _STEP_CHUNK (chunk c
+holds steps c C .. c C + C - 1; the last chunk may be shorter).  The
+innovations of chunk c of block k come from the one stream (master_seed,
+``rng.chunk_stream(k, c)``), which ``rng.derive_stream`` builds for the
+chunk, as C B innovations in (step, chain) order.  Each variate array of
+the chunk is filled with one generator call: the uniforms, then for CMS
+the exponentials.  A CMS innovation takes one uniform and one exponential,
+a 1-D Pareto innovation one uniform, which gives both its sign and its
+radius.  The 1-D samplers draw in the same order from their own stream,
+so chunk (k, c) is what a sampler's C B draws from stream (master_seed,
+``chunk_stream(k, c)``) give, laid out as (C, B).  A chain's innovations
+are its column of its block's chunks: chain i does not draw what a
+sampler draws from stream (master_seed, i).  _BLOCK_CHAINS and _STEP_CHUNK
+are part of the draw order, so output is bit-reproducible for a fixed
+configuration regardless of worker count.
 
-Each worker thread holds one ``_Workspace``, allocated once per run and
-reused for every block it takes: the flat variate and innovation arrays
-of one chunk and one piece of transform scratch, which is one chunk long:
-six arrays for CMS (u, w, three scratch and the innovations)
-and two for the 1-D Pareto (u and the innovations).  The innovations are
-written into the flat array, whose (C, B) view the step loop reads,
-scales and adds in place, row by row.  The transforms and the steps work
-on contiguous operands, so NumPy allocates no iteration buffers for them.
-A block writes its checkpoint rows straight into the run's (checkpoint,
-chain) output.
+run_ensemble builds the run's step plan once (``_plan``).  Each worker
+thread holds one ``sampling.Innovations`` for one chunk, allocated once
+per run and reused for every block it takes, and draws each chunk into it
+(``_fill_chunk``).  The step loop reads the innovations' (C, B) view,
+scales and adds it in place, row by row, so the transforms and the steps
+work on contiguous operands and NumPy allocates no iteration buffers for
+them.  A block writes its checkpoint rows straight into the run's
+(checkpoint, chain) output.
 """
 
 from __future__ import annotations
@@ -43,15 +42,7 @@ import numpy as np
 from . import rng as rngmod
 from .cf_oracle import exact_ou_scale_pow
 from .drift import DriftModel
-from .sampling import (
-    CMS,
-    PARETO,
-    check_noise,
-    innovations,
-    noise_constants,
-    transform_scratch,
-    variate_arrays,
-)
+from .sampling import CMS, PARETO, Innovations, check_noise, noise_constants
 from .schedule import StepSchedule
 
 STABLE_EM = "stable-em"
@@ -90,6 +81,10 @@ class EnsembleRun:
         check_noise(self.alpha, self.drift.dim)
         if self.drift.dim != 1:
             raise ValueError(f"the engine is 1-D: drift dim must be 1, got {self.drift.dim}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        if not np.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         if self.m_chains < 1:
             raise ValueError("m_chains must be >= 1")
         cps = tuple(int(c) for c in self.checkpoints)
@@ -122,38 +117,37 @@ class EnsembleResult:
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    """One worker thread's buffers, allocated once per run and reused by every block it runs.
+def _plan(cfg: EnsembleRun, gamma: np.ndarray) -> tuple:
+    """The run's step plan (gamma, scale, decay, rows), built once per run.
 
-    The flat variate and innovation arrays hold one chunk of up to
-    ``steps`` steps of up to ``chains`` chains, and ``scratch`` one
-    transform piece.
+    The step from x_n to x_{n+1} takes gamma[n] and scales its innovation
+    by scale[n]; exact-ou also decays x by decay[n] (None for the other
+    schemes).  Checkpoint n is row rows[n] of the snapshots.
     """
+    alpha, decay = cfg.alpha, None
+    if cfg.scheme == STABLE_EM:
+        scale = gamma ** (1.0 / alpha)
+    elif cfg.scheme == PARETO_EM:
+        scale = gamma ** (1.0 / alpha) / noise_constants(alpha, 1).beta
+    else:
+        scale = exact_ou_scale_pow(alpha, gamma) ** (1.0 / alpha)
+        decay = np.exp(-gamma)
+    return gamma, scale, decay, {n: j for j, n in enumerate(cfg.checkpoints)}
 
-    def __init__(self, cfg: EnsembleRun, chains: int, steps: int):
-        # stable-em and exact-ou draw CMS innovations, pareto-em 1-D Pareto ones.
-        self.kind = PARETO if cfg.scheme == PARETO_EM else CMS
-        self.drawn = variate_arrays(self.kind, steps * chains)
-        self.scratch = transform_scratch(self.kind)
-        self.innov = np.empty(steps * chains)
 
-
-def _fill_chunk(cfg: EnsembleRun, ws: _Workspace, block: int, chunk: int, steps: int, chains: int):
+def _fill_chunk(cfg: EnsembleRun, ws: Innovations, block: int, chunk: int, steps: int, chains: int):
     """Chunk ``chunk`` of block ``block``: the innovations of ``steps`` steps of ``chains`` chains.
 
-    ``sampling.innovations`` draws them from stream (master_seed,
-    ``rng.chunk_stream(block, chunk)``) into the first steps * chains
-    entries of the workspace, returned as a (steps, chains) view.
+    They are drawn from stream (master_seed, ``rng.chunk_stream(block,
+    chunk)``) into the first steps * chains entries of ``ws``, returned as
+    a (steps, chains) view.
     """
-    size = steps * chains
     gen = rngmod.derive_stream(cfg.master_seed, rngmod.chunk_stream(block, chunk))
-    drawn = [a[:size] for a in ws.drawn]
-    z = innovations(gen, ws.kind, cfg.alpha, drawn, ws.innov[:size], ws.scratch)
-    return z.reshape(steps, chains)
+    return ws.draw(gen, cfg.alpha, steps * chains).reshape(steps, chains)
 
 
-def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, samples, aborted):
-    """Chains lo..hi-1 through every checkpoint, with the step gamma = g[n] from x_n to x_{n+1}:
+def _run_block(cfg: EnsembleRun, lo: int, hi: int, plan: tuple, ws: Innovations, samples):
+    """Chains lo..hi-1 through every checkpoint, with gamma = gamma[n] of ``plan``, x_n to x_{n+1}:
 
     stable-em  x' = x + gamma b(x) + gamma^{1/alpha} zeta,
     pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) Ztilde,
@@ -161,26 +155,14 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
 
     with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``.
 
-    The chains' snapshots go to columns lo..hi-1 of ``samples`` (checkpoint,
-    m) and their abort flags to the same entries of ``aborted``.
+    The chains' snapshots go to columns lo..hi-1 of ``samples`` (checkpoint, m).
     """
-    alpha = cfg.alpha
+    g, scale, decay, rows = plan
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
-    beta = noise_constants(alpha, 1).beta if cfg.scheme == PARETO_EM else None
-
-    if cfg.scheme == STABLE_EM:
-        scale = g ** (1.0 / alpha)
-    elif cfg.scheme == PARETO_EM:
-        scale = g ** (1.0 / alpha) / beta
-    else:
-        scale = exact_ou_scale_pow(alpha, g) ** (1.0 / alpha)
-        decay = np.exp(-g)
-
     x = np.full(hi - lo, cfg.x0)
     out = samples[:, lo:hi]
-    cp_index = {n: i for i, n in enumerate(cfg.checkpoints)}
-    if 0 in cp_set:
-        out[cp_index[0]] = x
+    if 0 in rows:
+        out[rows[0]] = x
 
     for n in range(0, n_max, _STEP_CHUNK):
         n1 = min(n + _STEP_CHUNK, n_max)
@@ -191,67 +173,59 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, g, cp_set, ws: _Workspace, sa
             zeta *= scale[step]
             # In place, with the rounding of decay*x + scale*zeta and of
             # (x + g*b(x)) + scale*zeta.
-            if cfg.scheme == EXACT_OU:
+            if decay is not None:
                 x *= decay[step]
             else:
                 drift = g[step] * cfg.drift(x)
                 drift += x
                 x = drift
             x += zeta
-            if (step + 1) in cp_set:
-                out[cp_index[step + 1]] = x
-    bad = ~np.isfinite(x)
-    # A chain that overflowed mid-way stays non-finite forever, so marking
-    # NaNs checkpoint-wise after the fact is equivalent to an abort.
-    for row in out:
-        nonfinite = ~np.isfinite(row)
-        row[nonfinite] = np.nan
-        bad |= nonfinite
-    aborted[lo:hi] = bad
+            if step + 1 in rows:
+                out[rows[step + 1]] = x
 
 
 def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
     """Advance m_chains independent chains, recording checkpoint snapshots.
 
-    Chains shard into blocks of a fixed size; min(workers, blocks) threads
-    each take blocks in turn and write them at their fixed chain range, so any
-    worker count produces identical output.  A chain aborts on a non-finite
-    position (NaN in snapshots); the run fails if more than ABORT_BUDGET
-    of the chains abort.
+    Chains shard into blocks of a fixed size; worker t of T = min(workers,
+    blocks) threads runs blocks t, t + T, t + 2T, ... and writes them at
+    their fixed chain range, so any worker count produces identical output.
+    A chain aborts when any of its snapshots is non-finite; a non-finite
+    position stays non-finite under every step, and x0 is finite.  Its
+    snapshots are then NaN, and the run fails if more than ABORT_BUDGET of
+    the chains abort.
     """
-    cp_set = frozenset(cfg.checkpoints)
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
     g = cfg.schedule.gammas(n_max) if n_max else np.empty(0)
     t = cfg.schedule.t_grid(n_max)
+    plan = _plan(cfg, g)
 
     block = _BLOCK_CHAINS
     starts = range(0, cfg.m_chains, block)
     if n_max:  # a run past the engine's stream-id fields fails before any work
         rngmod.chunk_stream(len(starts) - 1, (n_max - 1) // _STEP_CHUNK)
-    next_start, lock = iter(starts), threading.Lock()
+    kind = PARETO if cfg.scheme == PARETO_EM else CMS  # stable-em and exact-ou draw CMS
+    size = min(block, cfg.m_chains) * min(n_max, _STEP_CHUNK)
     samples = np.empty((len(cfg.checkpoints), cfg.m_chains))
-    aborted = np.zeros(cfg.m_chains, dtype=bool)
 
-    def work():
-        ws = _Workspace(cfg, min(block, cfg.m_chains), min(n_max, _STEP_CHUNK))
-        while True:
-            with lock:
-                lo = next(next_start, None)
-            if lo is None:
-                return
-            _run_block(cfg, lo, min(lo + block, cfg.m_chains), g, cp_set, ws, samples, aborted)
+    def work(mine):
+        ws = Innovations(kind, size)
+        for lo in mine:
+            _run_block(cfg, lo, min(lo + block, cfg.m_chains), plan, ws, samples)
 
     threads = min(workers, len(starts))
     if threads > 1:
         errors = []
 
-        def guarded():
+        def guarded(mine):
             try:
-                work()
+                work(mine)
             except BaseException as exc:  # re-raised in the calling thread
                 errors.append(exc)
 
-        pool = [threading.Thread(target=guarded) for _ in range(threads)]
+        pool = [
+            threading.Thread(target=guarded, args=(starts[k::threads],)) for k in range(threads)
+        ]
         for thread in pool:
             thread.start()
         for thread in pool:
@@ -259,9 +233,11 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
         if errors:
             raise errors[0]
     else:
-        work()
+        work(starts)
 
-    abort_count = int(aborted.sum())
+    nonfinite = ~np.isfinite(samples)
+    samples[nonfinite] = np.nan
+    abort_count = int(nonfinite.any(axis=0).sum())
     if abort_count > ABORT_BUDGET * cfg.m_chains:
         raise RuntimeError(
             f"{abort_count}/{cfg.m_chains} chains hit non-finite positions "

@@ -16,7 +16,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]
 
 
 def w1_sorted_1d(xs, ys) -> float:
@@ -116,5 +115,4 @@ def rate_fit(points) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(min(max(r2, 0.0), 1.0)),
-        points=tuple(kept),
     )

@@ -13,11 +13,8 @@ users apart:
 * reference ensembles: ``INVARIANT_STREAM + j``, ``FLOOR_STREAM + j`` and
   ``AUX_STREAM + j``;
 * the 1-D ensemble engine: ``chunk_stream(block, chunk)``, one stream per
-  block of chains and chunk of steps (draw order contract 4, see
-  ``stableem.em``), from which ``sampling.innovations`` draws the chunk's
-  C B innovations in (step, chain) order, as the samplers draw theirs.
-  A chain's innovations are its column of its block's chunks, so chain i
-  does not draw what a sampler draws from stream (master_seed, i).
+  block of chains and chunk of steps, drawn in the order that
+  ``stableem.em`` states (draw order contract 4).
 """
 
 from __future__ import annotations

@@ -18,20 +18,18 @@ A 1-D Pareto draw takes one uniform u: its sign is that of 2u - 1 and its
 radius |2u - 1|^{-1/alpha}, since |2U - 1| is uniform on [0, 1] and
 independent of the sign of 2U - 1 (see ``_pareto_signed``).
 
-The 1-D draw order is defined here once, by ``innovations``, which both
-the ensemble engine and the 1-D samplers call: it fills each flat variate
-array from ``variate_arrays`` with one generator call (the uniforms, then
-for CMS the exponentials) and transforms them into innovations in pieces
-of ``_PIECE``, so the transform's passes run in cache.  The transforms
-write their temporaries into one piece of scratch from
-``transform_scratch`` and overwrite their spent variates, so a caller that
-keeps its arrays allocates nothing per call; the engine keeps one set per
-worker thread and draws each chunk of C steps of B chains as C B
-innovations in (step, chain) order, from the chunk's own generator (every
-generator comes from ``rng.derive_stream``).  The d > 1 samplers, which only
-``stableem sample`` and the tests use, are plain NumPy expressions: the
-isotropic stable vector subordinates normals to Kanter's one-sided
-transform, and the radial Pareto vector scales a normal direction.
+``Innovations`` is the one holder of 1-D innovation buffers: the flat
+variate arrays, one piece of transform scratch and the innovations.  Its
+``draw`` fills the variate arrays in the draw order stated in
+``stableem.em`` and transforms them in pieces of ``_PIECE``, so the
+transform's passes run in cache.  The transforms write their temporaries
+into the scratch and overwrite their spent variates, so a holder allocates
+nothing per draw.  The 1-D samplers draw through a holder of their own,
+and each worker thread of the ensemble engine through one holder per run.
+The d > 1 samplers, which only ``stableem sample`` and the tests use, are
+plain NumPy expressions: the isotropic stable vector subordinates normals
+to Kanter's one-sided transform, and the radial Pareto vector scales a
+normal direction.
 """
 
 from __future__ import annotations
@@ -86,42 +84,40 @@ PARETO = "pareto"  # 1-D Pareto radius with a fair sign
 _PIECE = 1 << 16
 
 
-def variate_arrays(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Flat arrays for the variates of n innovations: uniforms, then for CMS exponentials."""
-    return tuple(np.empty(n) for _ in range(2 if kind == CMS else 1))
+class Innovations:
+    """Buffers for up to ``size`` 1-D innovations of ``kind``, reused by every ``draw``.
 
-
-def transform_scratch(kind: str) -> tuple[np.ndarray, ...]:
-    """One piece of scratch: three arrays of ``_PIECE`` for CMS, none for the 1-D Pareto."""
-    return tuple(np.empty(_PIECE) for _ in range(3 if kind == CMS else 0))
-
-
-def innovations(gen: np.random.Generator, kind: str, alpha: float, drawn, out, scratch):
-    """Draw and transform ``out.size`` 1-D innovations of ``kind`` into the flat ``out``.
-
-    ``drawn`` holds contiguous arrays of out's length, as from
-    ``variate_arrays``; each is filled with one generator call, the
-    uniforms first, then the exponentials.  The transform then runs over
-    pieces of ``_PIECE`` innovations, with ``scratch`` from
-    ``transform_scratch``, and overwrites the spent variates.  It works
-    element by element, so the pieces' seams change no bit.
+    ``variates`` are the flat variate arrays (the uniforms, then for CMS the
+    exponentials), ``scratch`` one piece of transform scratch (three arrays
+    for CMS, none for the 1-D Pareto) and ``out`` the innovations.
     """
-    u, *w = drawn
-    gen.random(out=u)
-    for part in w:
-        gen.standard_exponential(out=part)
-    transform = _cms_symmetric if kind == CMS else _pareto_signed
-    for lo in range(0, out.size, _PIECE):
-        piece = out[lo : lo + _PIECE]
-        rows = [a[lo : lo + _PIECE] for a in drawn]
-        transform(alpha, *rows, piece, tuple(a[: piece.size] for a in scratch))
-    return out
 
+    def __init__(self, kind: str, size: int):
+        self.kind = kind
+        self.variates = tuple(np.empty(size) for _ in range(2 if kind == CMS else 1))
+        self.scratch = tuple(np.empty(min(size, _PIECE)) for _ in range(3 if kind == CMS else 0))
+        self.out = np.empty(size)
 
-def _sample(kind: str, alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` 1-D innovations of ``kind`` from ``rng``, shape (size,)."""
-    out = np.empty(size)
-    return innovations(rng, kind, alpha, variate_arrays(kind, size), out, transform_scratch(kind))
+    def draw(self, gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
+        """Draw and transform ``size`` innovations into the first ``size`` entries of ``out``.
+
+        Each variate array is filled with one generator call, in the draw
+        order of ``stableem.em``.  The transform then runs over pieces of
+        ``_PIECE`` innovations and overwrites the spent variates.  It
+        works element by element, so the pieces' seams change no bit.
+        Returns the (size,) view of ``out``.
+        """
+        out = self.out[:size]
+        u, *w = drawn = [a[:size] for a in self.variates]
+        gen.random(out=u)
+        for part in w:
+            gen.standard_exponential(out=part)
+        transform = _cms_symmetric if self.kind == CMS else _pareto_signed
+        for lo in range(0, size, _PIECE):
+            piece = out[lo : lo + _PIECE]
+            rows = [a[lo : lo + _PIECE] for a in drawn]
+            transform(alpha, *rows, piece, tuple(a[: piece.size] for a in self.scratch))
+        return out
 
 
 # The 1-D transforms of uniforms u on [0, 1) and exponentials w.  They write
@@ -225,7 +221,7 @@ def _pareto_signed(alpha, u, out, scratch):
 def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` symmetric alpha-stable variates with CF exp(-|lambda|^alpha) (CMS)."""
     check_noise(alpha, 1)
-    return _sample(CMS, alpha, rng, size)
+    return Innovations(CMS, size).draw(rng, alpha, size)
 
 
 def sample_stable_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -251,6 +247,6 @@ def sample_pareto_vec(alpha: float, dim: int, rng: np.random.Generator, size: in
     """
     check_noise(alpha, dim)
     if dim == 1:
-        return _sample(PARETO, alpha, rng, size)[:, None]
+        return Innovations(PARETO, size).draw(rng, alpha, size)[:, None]
     v, g = rng.random(size), rng.standard_normal((size, dim))
     return (v ** (-1.0 / alpha))[:, None] * (g / np.linalg.norm(g, axis=1, keepdims=True))

@@ -249,18 +249,25 @@ def test_bad_workers_env_exits_one_naming_it(tmp_path, monkeypatch, capsys, valu
     assert f"STABLEEM_WORKERS: bad value for 'workers': '{value}'" in capsys.readouterr().err
 
 
-def test_ensemble_rate_csv_is_byte_identical_across_workers(tmp_path, monkeypatch):
-    # Blocks of 300 chains, so that the 2000 chains really shard over two
-    # workers.  The W1 error draws no random numbers, so every column,
-    # stderr included, is independent of the worker count.
+@pytest.mark.parametrize(
+    "name", ["ensemble-cf", "ensemble-rate", "ensemble-rate-stable", "ergodicity"]
+)
+def test_ensemble_rate_csv_is_byte_identical_across_workers(tmp_path, monkeypatch, name):
+    # Blocks of 16 chains, so that every ensemble pin's config shards into
+    # 4 to 313 blocks over three workers.  The block size is part of the draw
+    # order, so the runs are compared with each other, not with the pin.  The
+    # W1 error draws no random numbers, so every column, stderr included, is
+    # independent of the worker count.
     import stableem.em as em
 
-    monkeypatch.setattr(em, "_BLOCK_CHAINS", 300)
-    cfg = ROOT / "tests" / "data" / "ensemble-rate.cfg"
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 16)
+    cfg = ROOT / "tests" / "data" / f"{name}.cfg"
+    experiment = load_config(str(cfg)).experiment
     outs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "3"):
         out = str(tmp_path / f"w{workers}")
-        assert main(["rate", "--config", str(cfg), "--workers", workers, "--out", out]) in (0, 2)
+        argv = [experiment, "--config", str(cfg), "--workers", workers, "--out", out]
+        assert main(argv) in (0, 2)
         outs.append(Path(out + ".csv").read_bytes())
     assert outs[0] == outs[1]
 

@@ -12,7 +12,14 @@ from stableem.cf_oracle import exact_ou_scale_pow
 from stableem.em import EnsembleRun, empirical_moment, run_ensemble
 from stableem.metrics import ecf
 from stableem.rng import chunk_stream, derive_stream
-from stableem.sampling import noise_constants, sample_pareto_vec, sample_stable_1d
+from stableem.sampling import (
+    CMS,
+    PARETO,
+    Innovations,
+    noise_constants,
+    sample_pareto_vec,
+    sample_stable_1d,
+)
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
@@ -177,7 +184,8 @@ def test_first_chunk_is_what_the_samplers_draw(scheme):
         checkpoints=(C,),
         master_seed=seed,
     )
-    ws = em._Workspace(cfg, B + 3, C + 2)  # a full-size workspace, larger than the chunk
+    kind = PARETO if scheme == "pareto-em" else CMS
+    ws = Innovations(kind, (B + 3) * (C + 2))  # a buffer larger than the chunk
     for block, chunk in ((0, 0), (3, 5)):
         z = em._fill_chunk(cfg, ws, block, chunk, C, B)
         gen = derive_stream(seed, chunk_stream(block, chunk))
@@ -191,19 +199,20 @@ def test_first_chunk_is_what_the_samplers_draw(scheme):
 @pytest.mark.parametrize("m, blocks", [(3, 1), (10, 3)])
 def test_no_more_threads_than_blocks(monkeypatch, block_spy, m, blocks):
     # Blocks of 4 chains: 3 chains make one block, run in the calling thread;
-    # 10 make three, run by three threads, each with one workspace.
+    # 10 make three, run by three threads, each with one buffer.
     monkeypatch.setattr(em, "_BLOCK_CHAINS", 4)
     _run("stable-em", m, (3,), seed=5, workers=6)
     assert sorted(lo for lo, _ in block_spy.blocks) == list(range(0, m, 4))
-    assert len(block_spy.workspaces) == len(set(block_spy.workspaces)) == blocks
-    assert {thread for _, thread in block_spy.blocks} <= set(block_spy.workspaces)
+    assert len(block_spy.buffers) == len(set(block_spy.buffers)) == blocks
+    assert {thread for _, thread in block_spy.blocks} <= set(block_spy.buffers)
     if blocks == 1:
-        assert block_spy.workspaces == [threading.current_thread()]
+        assert block_spy.buffers == [threading.current_thread()]
 
 
 def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy):
-    # More workers than cores take 34 blocks of 3 chains from the shared
-    # counter while the interpreter switches threads every microsecond.
+    # More workers than cores run 34 blocks of 3 chains, worker t taking
+    # blocks t, t + 4, t + 8, ..., while the interpreter switches threads
+    # every microsecond.
     monkeypatch.setattr(em, "_BLOCK_CHAINS", 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -217,7 +226,7 @@ def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy
 
 
 def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
-    # Two workspaces of one 32-step chunk of 2048 chains each (six arrays of
+    # Two buffers of one 32-step chunk of 2048 chains each (six arrays of
     # 32 x 2048 doubles: u, w, three scratch, innovations), plus the snapshots:
     # about 6 MB, whatever n is.
     cfg = EnsembleRun(
@@ -262,6 +271,58 @@ def test_engine_refuses_a_drift_above_one_dimension():
                 checkpoints=(1,),
                 master_seed=0,
             )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("master_seed", -5, r"master_seed must lie in \[0, 2\^64\), got -5"),
+        ("x0", math.inf, "x0 must be finite, got inf"),
+        ("m_chains", 0, "m_chains must be >= 1"),
+        ("checkpoints", (-1, 4), "checkpoints must be nonnegative"),
+        ("drift", builtin_perturbed_ou(1, 0.1), "exact-ou requires the ou drift"),
+    ],
+    ids=["master_seed", "x0", "m_chains", "checkpoints", "drift"],
+)
+def test_ensemble_run_refuses_bad_input_naming_the_field(field, value, message):
+    # Refused when the run is built, before any work; with checkpoint 0 alone
+    # a bad seed would otherwise draw nothing and pass silently.
+    run = dict(
+        scheme="exact-ou",
+        alpha=ALPHA,
+        drift=OU,
+        schedule=SCHED,
+        m_chains=10,
+        x0=0.0,
+        checkpoints=(0,),
+        master_seed=0,
+    )
+    with pytest.raises(ValueError, match=message):
+        EnsembleRun(**{**run, field: value})
+
+
+def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
+    # Two workers over three blocks: the drift fails in both threads, and the
+    # caller gets the exception once both threads have ended.
+    monkeypatch.setattr(em, "_BLOCK_CHAINS", 4)
+
+    def failing(x):
+        raise ArithmeticError("drift failed")
+
+    cfg = EnsembleRun(
+        scheme="stable-em",
+        alpha=ALPHA,
+        drift=DriftModel(fn=failing, dim=1, lipschitz_l=1.0, dissip_theta1=1.0, dissip_k=0.0),
+        schedule=SCHED,
+        m_chains=10,
+        x0=0.0,
+        checkpoints=(3,),
+        master_seed=0,
+    )
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="drift failed"):
+        run_ensemble(cfg, workers=2)
+    assert threading.active_count() == before
 
 
 def test_checkpoints_must_increase():

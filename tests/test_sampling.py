@@ -18,16 +18,14 @@ from stableem.sampling import (
     PARETO,
     NoiseConstants,
     _PIECE,
+    Innovations,
     _cms_symmetric,
     _kanter,
     _pareto_signed,
-    innovations,
     noise_constants,
     sample_pareto_vec,
     sample_stable_1d,
     sample_stable_vec,
-    transform_scratch,
-    variate_arrays,
 )
 from stableem.schedule import StepSchedule
 
@@ -291,28 +289,27 @@ _SCALAR_KINDS = [(CMS, 1), (PARETO, 1)]  # the ids keep the dimension they once 
 @pytest.mark.parametrize("kind, d", _SCALAR_KINDS)
 def test_transforms_with_scratch_are_bitwise_the_expressions(kind, d, alpha):
     # Two full pieces and a short third, then a shorter call of one short
-    # piece in the same arrays and scratch, as the engine reuses its workspace.
+    # piece in the same arrays and scratch, as an engine worker reuses its buffer.
     size = 2 * _PIECE + 123
-    drawn, scratch, out = variate_arrays(kind, size), transform_scratch(kind), np.empty(size)
+    buffer = Innovations(kind, size)
     for n, seed in ((size, 15), (500, 16)):
-        gen = derive_stream(seed, 0)
-        got = innovations(gen, kind, alpha, [a[:n] for a in drawn], out[:n], scratch)
+        got = buffer.draw(derive_stream(seed, 0), alpha, n)
         np.testing.assert_array_equal(got, _expression(kind, alpha, _variates(kind, seed, n)))
 
 
 @pytest.mark.parametrize("kind, d", _SCALAR_KINDS)
 def test_transforms_with_scratch_allocate_under_one_percent_of_a_tile(kind, d):
     size = 2 * _PIECE + 123
-    drawn, scratch, out = variate_arrays(kind, size), transform_scratch(kind), np.empty(size)
+    buffer = Innovations(kind, size)
     gen = derive_stream(16, 0)
-    innovations(gen, kind, 1.5, drawn, out, scratch)
+    buffer.draw(gen, 1.5, size)
     tracemalloc.start()
     try:
-        innovations(gen, kind, 1.5, drawn, out, scratch)
+        buffer.draw(gen, 1.5, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.01 * out.nbytes
+    assert peak < 0.01 * buffer.out.nbytes
 
 
 @pytest.mark.parametrize(
