@@ -35,7 +35,6 @@ from .em import (
     STABLE_EM,
     EnsembleResult,
     EnsembleRun,
-    Snapshot,
     empirical_moment,
     run_ensemble,
 )

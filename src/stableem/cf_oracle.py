@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .sampling import noise_constants
+from .sampling import check_noise, noise_constants
 from .schedule import StepSchedule
 
 _SERIES_CUTOFF = 10.0
@@ -87,8 +87,7 @@ def pareto_cf(alpha: float, lam):
     around the |l|^alpha singular term; large arguments fall back to
     oscillatory quadrature.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    check_noise(alpha, 1)
     out = 1.0 + _pareto_cf_m1(alpha, np.abs(np.atleast_1d(np.asarray(lam, dtype=float))))
     return float(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
 
@@ -242,8 +241,7 @@ def pareto_em_chain_cf(alpha: float, schedule: StepSchedule, x0: float, n: int, 
 
 def stable_ou_invariant_cf(alpha: float, lam):
     """CF of the invariant law of dX = -X dt + dZ: exp(-|l|^alpha / alpha)."""
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
+    check_noise(alpha, 1)
     return np.exp(-np.abs(lam) ** alpha / alpha)
 
 

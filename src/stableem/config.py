@@ -211,6 +211,11 @@ EXPERIMENT_KEYS = {
 }
 EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
+# The key that sets how many steps of its schedule each such experiment runs.
+_HORIZON = {
+    "rate": "checkpoints", "ergodicity": "checkpoints", "cf-check": "n", "schedule": "n_max",
+}
+
 # Where one experiment reads a key with another default or fewer values.
 _PER_EXPERIMENT = {
     ("weak-error", "x0"): Key(_number, 0.5),
@@ -281,6 +286,18 @@ class ExperimentConfig:
                 f"{where_given.get('dim', '')}bad value for 'dim': {self.dim} "
                 "(sampler = stable-1d draws 1-D variates; use stable-vec for dim > 1)"
             )
+        horizon = _HORIZON.get(experiment)
+        schedule = self.build_schedule() if horizon else None
+        if schedule is not None and schedule.family == "explicit":
+            steps = (
+                self.checkpoint_list()[-1] if horizon == "checkpoints" else getattr(self, horizon)
+            )
+            if len(schedule.values) < steps:
+                where = where_given.get("schedule") or where_given.get(horizon, "")
+                raise ConfigError(
+                    f"{where}{horizon} asks for {steps} steps, but the explicit schedule has "
+                    f"only {len(schedule.values)} steps"
+                )
 
     def _parse(self, key: str, value, where: str):
         try:

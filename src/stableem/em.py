@@ -22,19 +22,23 @@ sampler draws from stream (master_seed, i).  _BLOCK_CHAINS and _STEP_CHUNK
 are part of the draw order, so output is bit-reproducible for a fixed
 configuration regardless of worker count.
 
-run_ensemble builds the run's step plan once (``_plan``).  Each worker
-thread holds one ``sampling.Innovations`` for one chunk, allocated once
-per run and reused for every block it takes, and draws each chunk into it
+run_ensemble builds the run's step plan once (``_plan``) and runs the
+blocks on one thread pool, whatever the worker count: shard t of T holds
+blocks t, t + T, t + 2T, ...  Each shard allocates one
+``sampling.Innovations`` for one chunk on the pool thread that runs it,
+reuses it for every block of the shard, and draws each chunk into it
 (``_fill_chunk``).  The step loop reads the innovations' (C, B) view,
 scales and adds it in place, row by row, so the transforms and the steps
 work on contiguous operands and NumPy allocates no iteration buffers for
 them.  A block writes its checkpoint rows straight into the run's
-(checkpoint, chain) output.
+(checkpoint, chain) array, which run_ensemble returns as
+``EnsembleResult.samples``; the checkpoints' n, t_n and gamma_n are the
+schedule's.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +103,8 @@ class EnsembleRun:
 
 
 @dataclass
-class Snapshot:
-    n: int
-    t: float
-    gamma_n: float
-    samples: np.ndarray  # (m,); aborted chains are NaN
-
-
-@dataclass
 class EnsembleResult:
-    snapshots: list[Snapshot]
+    samples: np.ndarray  # (checkpoint, m): row j is the chains at checkpoints[j]; aborted ones NaN
     abort_count: int
 
 
@@ -122,7 +118,7 @@ def _plan(cfg: EnsembleRun, gamma: np.ndarray) -> tuple:
 
     The step from x_n to x_{n+1} takes gamma[n] and scales its innovation
     by scale[n]; exact-ou also decays x by decay[n] (None for the other
-    schemes).  Checkpoint n is row rows[n] of the snapshots.
+    schemes).  Checkpoint n is row rows[n] of the positions array.
     """
     alpha, decay = cfg.alpha, None
     if cfg.scheme == STABLE_EM:
@@ -155,7 +151,7 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, plan: tuple, ws: Innovations,
 
     with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``.
 
-    The chains' snapshots go to columns lo..hi-1 of ``samples`` (checkpoint, m).
+    The chains' checkpoint positions go to columns lo..hi-1 of ``samples`` (checkpoint, m).
     """
     g, scale, decay, rows = plan
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
@@ -185,20 +181,19 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, plan: tuple, ws: Innovations,
 
 
 def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
-    """Advance m_chains independent chains, recording checkpoint snapshots.
+    """Advance m_chains independent chains, recording their positions at each checkpoint.
 
     Chains shard into blocks of a fixed size; worker t of T = min(workers,
-    blocks) threads runs blocks t, t + T, t + 2T, ... and writes them at
-    their fixed chain range, so any worker count produces identical output.
-    A chain aborts when any of its snapshots is non-finite; a non-finite
+    blocks) pool threads runs blocks t, t + T, t + 2T, ... and writes them
+    at their fixed chain range, so any worker count produces identical
+    output.  The first worker error is raised once every thread has ended.
+    A chain aborts when any of its positions is non-finite; a non-finite
     position stays non-finite under every step, and x0 is finite.  Its
-    snapshots are then NaN, and the run fails if more than ABORT_BUDGET of
+    positions are then NaN, and the run fails if more than ABORT_BUDGET of
     the chains abort.
     """
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
-    g = cfg.schedule.gammas(n_max) if n_max else np.empty(0)
-    t = cfg.schedule.t_grid(n_max)
-    plan = _plan(cfg, g)
+    plan = _plan(cfg, cfg.schedule.gammas(n_max) if n_max else np.empty(0))
 
     block = _BLOCK_CHAINS
     starts = range(0, cfg.m_chains, block)
@@ -214,26 +209,10 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
             _run_block(cfg, lo, min(lo + block, cfg.m_chains), plan, ws, samples)
 
     threads = min(workers, len(starts))
-    if threads > 1:
-        errors = []
-
-        def guarded(mine):
-            try:
-                work(mine)
-            except BaseException as exc:  # re-raised in the calling thread
-                errors.append(exc)
-
-        pool = [
-            threading.Thread(target=guarded, args=(starts[k::threads],)) for k in range(threads)
-        ]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        if errors:
-            raise errors[0]
-    else:
-        work(starts)
+    with ThreadPoolExecutor(threads) as pool:
+        # Leaving the block waits for every thread, also when result() raises.
+        for shard in [pool.submit(work, starts[t::threads]) for t in range(threads)]:
+            shard.result()
 
     nonfinite = ~np.isfinite(samples)
     samples[nonfinite] = np.nan
@@ -243,16 +222,11 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
             f"{abort_count}/{cfg.m_chains} chains hit non-finite positions "
             f"(budget {ABORT_BUDGET:.1%})"
         )
-    snaps = [
-        Snapshot(n=n, t=float(t[n]), gamma_n=float(g[n - 1]) if n >= 1 else float("nan"),
-                 samples=samples[j])
-        for j, n in enumerate(cfg.checkpoints)
-    ]
-    return EnsembleResult(snapshots=snaps, abort_count=abort_count)
+    return EnsembleResult(samples=samples, abort_count=abort_count)
 
 
-def empirical_moment(snap: Snapshot, kappa: float, alpha: float) -> float:
-    """(1/m) sum_i |x_i|^kappa; refuses kappa >= alpha (infinite moment)."""
+def empirical_moment(xs: np.ndarray, kappa: float, alpha: float) -> float:
+    """(1/m) sum_i |x_i|^kappa over the finite x_i; refuses kappa >= alpha (infinite moment)."""
     if kappa >= alpha:
         raise ValueError(
             f"kappa={kappa} >= alpha={alpha}: stable laws have no finite alpha-moment, "
@@ -260,7 +234,7 @@ def empirical_moment(snap: Snapshot, kappa: float, alpha: float) -> float:
         )
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    powers = np.abs(snap.samples)
+    powers = np.abs(xs)
     np.power(powers, kappa, out=powers)
     total = powers.sum()
     if np.isnan(total):  # aborted chains are NaN; average over the others

@@ -36,7 +36,7 @@ from .cf_oracle import (
     w1_pareto_chain_vs_invariant,
     w1_stable_chain_vs_invariant,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .drift import builtin_ou, certify_assumptions, drift_by_name
 from .em import EXACT_OU, PARETO_EM, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble
 from .metrics import W1_BATCHES, ecf, rate_fit, w1_sorted_1d
@@ -55,17 +55,6 @@ class ExperimentReport:
     rows: list
     summary: dict
     verdict: bool | None  # None: informational only, exit 0
-
-
-def _schedule(cfg: ExperimentConfig, key: str, n: int):
-    """The config's schedule; an explicit one must hold the n steps that ``key`` asks for."""
-    schedule = cfg.build_schedule()
-    if schedule.family == "explicit" and len(schedule.values) < n:
-        raise ConfigError(
-            f"{key} asks for {n} steps, but the explicit schedule has only "
-            f"{len(schedule.values)} steps"
-        )
-    return schedule
 
 
 _OU = builtin_ou(1)  # the drift of every engine run here, and of the stable-EM rate gate
@@ -129,7 +118,7 @@ _ORACLES = {
 
 def run_rate_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     checkpoints = cfg.checkpoint_list()
-    schedule = _schedule(cfg, "checkpoints", checkpoints[-1])
+    schedule = cfg.build_schedule()
     summary = _base_summary(cfg, schedule)
     rows_for = _oracle_rows if cfg.reference == "oracle" else _ensemble_rows
     rows = rows_for(cfg, schedule, checkpoints, summary)
@@ -172,6 +161,7 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
     """Empirical W1 of m chains to m invariant draws, its floor, and the stderr of w1 - floor."""
     alpha = cfg.alpha
     result = _ensemble(cfg, cfg.scheme, schedule, cfg.x0, checkpoints)
+    t = schedule.t_grid(checkpoints[-1])
     ref_a = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM)
     ref_b = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.FLOOR_STREAM + 1)
     floor = w1_sorted_1d(ref_a, ref_b)
@@ -180,32 +170,30 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
     # the 1 %-of-wall accounting tolerance; so its time is this experiment's own.
     summary["floor_stderr"] = metrics.w1_gap_stderr(alpha, ref_a, ref_b)
     rows = []
-    m_used = cfg.m
-    for j, snap in enumerate(result.snapshots):
-        xs = snap.samples[np.isfinite(snap.samples)]
-        m_used = min(m_used, int(xs.size))
+    for j, (n, row) in enumerate(zip(checkpoints, result.samples)):
+        xs = row[np.isfinite(row)]
         if xs.size < 2 * W1_BATCHES:
             raise RuntimeError(
-                f"only {xs.size} of {cfg.m} chains are finite at n = {snap.n}; the W1 error "
+                f"only {xs.size} of {cfg.m} chains are finite at n = {n}; the W1 error "
                 f"needs at least {2 * W1_BATCHES} ({W1_BATCHES} batches of 2)"
             )
         ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
         w1 = w1_sorted_1d(xs, ref)
         stderr = metrics.w1_gap_stderr(alpha, xs, ref, ref_a, ref_b)  # of w1 - floor
-        moment = empirical_moment(snap, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
+        moment = empirical_moment(row, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
         rows.append({
-            "n": snap.n,
-            "t_n": snap.t,
-            "gamma_n": snap.gamma_n,
+            "n": n,
+            "t_n": float(t[n]),
+            "gamma_n": schedule.gamma_at(n),
             "w1": w1,
             "stderr": stderr,
             "floor": floor,
             "used": int(w1 > 5.0 * floor),
             "moment_kappa": moment,
         })
-    # Chains that went non-finite, and the fewest finite ones a checkpoint used.
+    # Chains that went non-finite, and the finite ones every checkpoint used.
     summary["abort_count"] = result.abort_count
-    summary["m_used"] = m_used
+    summary["m_used"] = cfg.m - result.abort_count
     moments = [r["moment_kappa"] for r in rows]
     if np.all(np.isfinite(moments)):
         summary["kappa"] = cfg.kappa
@@ -233,7 +221,7 @@ def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | No
     if len(usable) < 4:
         raise RuntimeError(
             f"only {len(usable)} checkpoints rise above 5x the statistical floor "
-            f"({floor:.4g}); raise m_chains or use reference=oracle"
+            f"({floor:.4g}); raise m or use reference=oracle"
         )
     fit = rate_fit(usable)
     summary.update({
@@ -340,11 +328,11 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     checkpoints = cfg.checkpoint_list()
-    schedule = _schedule(cfg, "checkpoints", checkpoints[-1])
-    runs = {
-        label: _ensemble(cfg, EXACT_OU, schedule, start, checkpoints).snapshots
-        for label, start in (("x", cfg.x), ("y", cfg.y))
-    }
+    schedule = cfg.build_schedule()
+    x, y = (
+        _ensemble(cfg, EXACT_OU, schedule, start, checkpoints).samples for start in (cfg.x, cfg.y)
+    )
+    t = schedule.t_grid(checkpoints[-1])
 
     d0 = abs(cfg.x - cfg.y)
     # Expected coupled distance uses the same product of per-step decay
@@ -352,13 +340,13 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # not polluted by the exp-of-sum vs product-of-exps rounding gap.
     decay_prod = np.cumprod(np.exp(-schedule.gammas(checkpoints[-1])))
     rows = []
-    for sx, sy in zip(runs["x"], runs["y"]):
-        dist = np.abs(sx.samples - sy.samples)
-        expected = d0 * float(decay_prod[sx.n - 1])
+    for n, xs, ys in zip(checkpoints, x, y):
+        dist = np.abs(xs - ys)
+        expected = d0 * float(decay_prod[n - 1])
         rows.append({
-            "n": sx.n,
-            "t_n": sx.t,
-            "w1": w1_sorted_1d(sx.samples, sy.samples),
+            "n": n,
+            "t_n": float(t[n]),
+            "w1": w1_sorted_1d(xs, ys),
             "coupled_mean_dist": float(dist.mean()),
             "expected_dist": expected,
             "max_coupling_error": float(np.max(np.abs(dist - expected))),
@@ -391,9 +379,9 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     n = cfg.n
-    schedule = _schedule(cfg, "n", n)
+    schedule = cfg.build_schedule()
     result = _ensemble(cfg, PARETO_EM, schedule, cfg.x0, (n,))
-    xs = result.snapshots[0].samples
+    xs = result.samples[0]
     xs = xs[np.isfinite(xs)]
     threshold = 4.0 / math.sqrt(xs.size)
 
@@ -428,7 +416,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
-    schedule = _schedule(cfg, "n_max", cfg.n_max)
+    schedule = cfg.build_schedule()
     alpha = float(cfg.alpha)
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sampling import check_noise
+
 C_OVER_RHO_N = "c-over-rho-n"
 POLYNOMIAL = "poly"
 EXPLICIT = "explicit"
@@ -149,10 +151,7 @@ def rho_theory(alpha: float, d: int) -> float:
     Astronomically conservative for d > 1; experiments use a toy rho instead.
     Underflows to 0.0 (with a RuntimeWarning) for large d.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_noise(alpha, d)
     log_rho = (2 * alpha - 4) * math.log(d) if d > 1 else 0.0
     log_rho += -d * math.log(2.0) - 2.0**d * d ** (4 - 2 * alpha)
     if log_rho < math.log(5e-324):

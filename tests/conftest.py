@@ -10,8 +10,9 @@ from stableem import em
 def block_spy(monkeypatch):
     """Record each block the ensemble engine runs as (lo, thread), and the thread of each buffer.
 
-    Every thread that runs blocks allocates one innovation buffer per run,
-    so ``buffers`` lists the threads the engine used.
+    Each shard of the run (worker t's blocks t, t + T, ...) allocates one
+    innovation buffer on the pool thread that runs it, so ``buffers`` holds
+    one thread per shard.
     """
     spy = SimpleNamespace(blocks=[], buffers=[])
     run_block, make_buffer = em._run_block, em.Innovations

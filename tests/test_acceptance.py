@@ -200,7 +200,7 @@ def test_criterion_07_moment_bounded_along_chains():
             master_seed=42,
         )
         res = run_ensemble(run, workers=2)
-        moms = [empirical_moment(s, kappa, alpha) for s in res.snapshots]
+        moms = [empirical_moment(xs, kappa, alpha) for xs in res.samples]
         good = max(moms) <= 2.0 * moms[0]
         ok &= good
         details.append(f"{scheme}: max/first = {max(moms) / moms[0]:.2f}")

@@ -71,6 +71,8 @@ def test_pareto_cf_at_zero_and_bounds():
         vals = pareto_cf(alpha, np.linspace(0.0, 30.0, 200))
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
         assert np.all(vals[np.linspace(0.0, 30.0, 200) < 1.0] > 0.0)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\), got 2.0"):
+        pareto_cf(2.0, 0.5)
 
 
 def test_pareto_cf_even():
@@ -306,3 +308,5 @@ def test_invariant_cf():
     np.testing.assert_allclose(
         stable_ou_invariant_cf(1.5, lam), [1.0, math.exp(-1.0 / 1.5)]
     )
+    with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\), got 1.0"):
+        stable_ou_invariant_cf(1.0, lam)

@@ -49,7 +49,13 @@ def test_explicit_schedule_shorter_than_n_max_is_config_error(tmp_path, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "n_max" in err and "8 steps" in err
+    assert err.startswith("error: --schedule: n_max asks for") and "8 steps" in err
+    # From a file, the error is located at the schedule's line.
+    cfg = tmp_path / "cfg"
+    cfg.write_text("experiment = schedule\nn_max = 64\nschedule = explicit:0.5,0.4,0.3\n")
+    assert main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: n_max asks for 64 steps")
+    assert not os.path.exists(str(tmp_path / "x") + ".json")
 
 
 @pytest.mark.parametrize("experiment, key", [
@@ -64,7 +70,7 @@ def test_explicit_schedule_shorter_than_run_is_config_error(tmp_path, capsys, ex
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"error: {key} asks for" in err and "only 8 steps" in err
+    assert err.startswith(f"error: --schedule: {key} asks for") and "only 8 steps" in err
 
 
 @pytest.mark.parametrize("c, spans", [("0.5", True), ("0.9", False)])
@@ -305,8 +311,8 @@ def _with_aborts(monkeypatch):
 
     def run_ensemble(run, workers=1):
         result = real(run, workers=workers)
-        result.snapshots[-1].samples[:3] = np.nan
-        result.snapshots[0].samples[0] = np.nan
+        result.samples[-1, :3] = np.nan
+        result.samples[0, 0] = np.nan
         result.abort_count = 3
         return result
 
@@ -341,6 +347,19 @@ def test_aborts_that_leave_too_few_chains_to_slice_are_an_error(tmp_path, monkey
     out = str(tmp_path / "run")
     assert main(["rate", "--config", str(cfg), "--out", out]) == 1
     assert "only 38 of 41 chains are finite at n = 32" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
+def test_too_few_usable_checkpoints_names_the_key_to_raise(tmp_path, capsys):
+    # 400 chains over 8 steps: no checkpoint's W1 rises above 5x the floor.
+    out = str(tmp_path / "rate")
+    assert main([
+        "rate", "--alpha", "1.5", "--scheme", "pareto-em", "--reference", "ensemble",
+        "--m", "400", "--checkpoints", "1..8 geometric", "--out", out,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: only 0 checkpoints rise above 5x the statistical floor")
+    assert "raise m or use reference=oracle" in err
     assert not os.path.exists(out + ".json")
 
 
@@ -398,6 +417,7 @@ def test_schedule_with_every_key_at_its_default_passes(tmp_path):
     (["--dim", "2"], "unrecognized arguments: --dim"),  # rate runs the 1-D OU drift only
     (["--drift", "perturbed-ou:0.3"], "unrecognized arguments: --drift"),
     (["--x0", "1"], "--x0: oracle reference needs x0 = 0"),
+    (["--checkpoints", "1..8 linear"], "--checkpoints: bad value for 'checkpoints'"),
 ])
 def test_rate_input_it_cannot_run_is_named(tmp_path, capsys, argv, message):
     out = str(tmp_path / "rate")

@@ -50,6 +50,12 @@ def test_unknown_key_reports_line(tmp_path):
         load_config(path)
 
 
+def test_line_without_equals_sign_reports_line(tmp_path):
+    path = _write(tmp_path, "experiment = rate\nalpha 1.5\n")
+    with pytest.raises(ConfigError, match=r"cfg:2: expected 'key = value', got 'alpha 1.5'"):
+        load_config(path)
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = _write(tmp_path, "experiment = rate\nalpha = 1.5\nalpha = 1.2\n")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -187,6 +193,7 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
 @pytest.mark.parametrize("experiment, key, value", [
     ("rate", "checkpoints", "8,16,x"),
     ("rate", "checkpoints", "0,-4,128,256"),
+    ("rate", "checkpoints", "1..8 linear"),  # the one qualifier is 'geometric'
     ("ergodicity", "checkpoints", "1024,512,256,128"),
     ("cf-check", "lambdas", "0.5,abc"),
     ("certify-drift", "drift", "perturbed-ou:x"),
