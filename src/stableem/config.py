@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .drift import drift_by_name
 from .metrics import W1_BATCHES
-from .schedule import StepSchedule
+from .schedule import StepSchedule, omega_of
 
 
 class ConfigError(ValueError):
@@ -83,7 +83,7 @@ def _spec(parse):
 
 
 def parse_schedule(spec: str, theta: float) -> StepSchedule:
-    """Schedule syntax: c-over-n:G1 | c-over-rho-n:C,RHO | poly:G1,A | explicit:v1,v2,..."""
+    """Schedule syntax: c-over-n:G1 | c-over-rho-n:C,RHO | poly:G1,A; each a closed formula."""
     name, _, rest = spec.partition(":")
     try:
         if name == "c-over-n":
@@ -94,8 +94,6 @@ def parse_schedule(spec: str, theta: float) -> StepSchedule:
         if name == "poly":
             g1, a = (_number(v) for v in rest.split(","))
             return StepSchedule.polynomial(gamma1=g1, a=a, theta=theta)
-        if name == "explicit":
-            return StepSchedule.explicit([_number(v) for v in rest.split(",")], theta=theta)
     except ValueError as exc:
         raise ConfigError(f"bad schedule spec {spec!r}") from exc
     raise ConfigError(f"unknown schedule family {name!r}")
@@ -211,11 +209,6 @@ EXPERIMENT_KEYS = {
 }
 EXPERIMENTS = tuple(EXPERIMENT_KEYS)
 
-# The key that sets how many steps of its schedule each such experiment runs.
-_HORIZON = {
-    "rate": "checkpoints", "ergodicity": "checkpoints", "cf-check": "n", "schedule": "n_max",
-}
-
 # Where one experiment reads a key with another default or fewer values.
 _PER_EXPERIMENT = {
     ("weak-error", "x0"): Key(_number, 0.5),
@@ -286,18 +279,22 @@ class ExperimentConfig:
                 f"{where_given.get('dim', '')}bad value for 'dim': {self.dim} "
                 "(sampler = stable-1d draws 1-D variates; use stable-vec for dim > 1)"
             )
-        horizon = _HORIZON.get(experiment)
-        schedule = self.build_schedule() if horizon else None
-        if schedule is not None and schedule.family == "explicit":
-            steps = (
-                self.checkpoint_list()[-1] if horizon == "checkpoints" else getattr(self, horizon)
+        if experiment == "schedule" and self.rho_toy <= (omega := omega_of(self.build_schedule())):
+            key = "rho_toy" if "rho_toy" in where_given else "schedule"
+            raise ConfigError(
+                f"{where_given.get(key, '')}bad value for {key!r}: {getattr(self, key)!r} "
+                f"(need rho_toy > omega, got rho_toy = {self.rho_toy!r} <= omega = {omega!r})"
             )
-            if len(schedule.values) < steps:
-                where = where_given.get("schedule") or where_given.get(horizon, "")
-                raise ConfigError(
-                    f"{where}{horizon} asks for {steps} steps, but the explicit schedule has "
-                    f"only {len(schedule.values)} steps"
-                )
+        # The chain-law oracles contract by 1 - gamma_j at every step; both
+        # schedule families decrease, so gamma_1 < 1 covers every step.
+        chain_law = experiment == "cf-check" or (
+            experiment == "rate" and self.reference == "oracle" and self.scheme != "exact-ou"
+        )
+        if chain_law and (gamma1 := self.build_schedule().gamma_at(1)) >= 1.0:
+            raise ConfigError(
+                f"{where_given.get('schedule', '')}bad value for 'schedule': {self.schedule!r} "
+                f"(the chain-law oracle needs every step below 1, got gamma_1 = {gamma1!r})"
+            )
 
     def _parse(self, key: str, value, where: str):
         try:

@@ -421,15 +421,10 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 
     # Numerical tail estimate of omega for cross-checking the closed form.
-    # An explicit schedule has no closed form: omega_of already estimates
-    # it from the tail, so there is nothing to cross-check.
     th = schedule.theta
-    if schedule.family == "explicit":
-        omega_numeric = None
-    else:
-        k = cfg.n_max * 10
-        gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
-        omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
+    k = cfg.n_max * 10
+    gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
+    omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
 
     ns = [1]
     while ns[-1] * 2 <= cfg.n_max:
@@ -459,9 +454,7 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
         "v_ratio_final": rows[-1]["v_over_gamma_theta"],
         "exp_decay_ratio_final": rows[-1]["exp_decay_ratio"],
     })
-    omega_ok = omega_numeric is None or (
-        abs(omega_numeric - diag.omega) <= 0.01 * max(abs(diag.omega), 1e-30)
-    )
+    omega_ok = abs(omega_numeric - diag.omega) <= 0.01 * max(abs(diag.omega), 1e-30)
     verdict = bool(
         rows[-1]["v_over_gamma_theta"] <= diag.bound
         and omega_ok

@@ -1,17 +1,17 @@
 """Decreasing step-size schedules and their ergodicity diagnostics.
 
-A schedule is one of three families:
+A schedule is an infinite decreasing sequence given by a closed formula,
+one of two families:
 
 * ``c-over-rho-n``: gamma_k = c / (rho * k),
-* ``poly``:         gamma_k = gamma1 * k^{-a} with a in (0, 1],
-* ``explicit``:     a user-supplied nonincreasing positive list.
+* ``poly``:         gamma_k = gamma1 * k^{-a} with a in (0, 1].
 
 Alongside the steps themselves the module computes the partial sums t_n,
-the limsup quantity omega, the theoretical ergodicity constant rho, and
-the v_n / n* sequences used to sanity-check the step-size decay recurrence
-numerically.  The windowed sum over the last unit of time before t_n is
-evaluated on demand, only at the n a caller asks for
-(``ScheduleDiagnostics.windowed_sum_ratio``).
+the limsup quantity omega (closed-form for both families), the theoretical
+ergodicity constant rho, and the v_n / n* sequences used to sanity-check
+the step-size decay recurrence numerically.  The windowed sum over the last
+unit of time before t_n is evaluated on demand, only at the n a caller asks
+for (``ScheduleDiagnostics.windowed_sum_ratio``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .sampling import check_noise
 
 C_OVER_RHO_N = "c-over-rho-n"
 POLYNOMIAL = "poly"
-EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class StepSchedule:
     rho: float | None = None
     gamma1: float | None = None
     a: float | None = None
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
@@ -50,14 +48,6 @@ class StepSchedule:
                 raise ValueError("poly needs positive gamma1")
             if self.a is None or not 0.0 < self.a <= 1.0:
                 raise ValueError("poly needs exponent a in (0, 1]")
-        elif self.family == EXPLICIT:
-            if not self.values:
-                raise ValueError("explicit schedule needs at least one step")
-            v = np.asarray(self.values, dtype=float)
-            if np.any(v <= 0):
-                raise ValueError("explicit steps must be strictly positive")
-            if np.any(np.diff(v) > 0):
-                raise ValueError("explicit steps must be nonincreasing")
         else:
             raise ValueError(f"unknown schedule family {self.family!r}")
 
@@ -71,10 +61,6 @@ class StepSchedule:
     def polynomial(cls, gamma1: float, a: float, theta: float = 1.0) -> "StepSchedule":
         return cls(family=POLYNOMIAL, gamma1=gamma1, a=a, theta=theta)
 
-    @classmethod
-    def explicit(cls, values, theta: float = 1.0) -> "StepSchedule":
-        return cls(family=EXPLICIT, values=tuple(float(v) for v in values), theta=theta)
-
     # -- evaluation ---------------------------------------------------------
 
     def _steps(self, k: np.ndarray) -> np.ndarray:
@@ -84,11 +70,7 @@ class StepSchedule:
         """
         if self.family == C_OVER_RHO_N:
             return self.c / (self.rho * k)
-        if self.family == POLYNOMIAL:
-            return self.gamma1 * k ** (-self.a)
-        if k.size and k.max() > len(self.values):
-            raise IndexError(f"explicit schedule has only {len(self.values)} steps")
-        return np.asarray(self.values, dtype=float)[k.astype(np.intp) - 1]
+        return self.gamma1 * k ** (-self.a)
 
     def gamma_at(self, k: int) -> float:
         """The k-th step size, 1-based; equal to gammas(n)[k - 1] for every n >= k."""
@@ -117,32 +99,21 @@ class StepSchedule:
     def describe(self) -> str:
         if self.family == C_OVER_RHO_N:
             return f"c-over-rho-n:c={self.c},rho={self.rho},theta={self.theta}"
-        if self.family == POLYNOMIAL:
-            return f"poly:gamma1={self.gamma1},a={self.a},theta={self.theta}"
-        return f"explicit:{len(self.values)} steps,theta={self.theta}"
+        return f"poly:gamma1={self.gamma1},a={self.a},theta={self.theta}"
 
 
 def omega_of(s: StepSchedule) -> float:
-    """limsup_k (gamma_k^theta - gamma_{k+1}^theta) / gamma_{k+1}^{1+theta}.
+    """limsup_k (gamma_k^theta - gamma_{k+1}^theta) / gamma_{k+1}^{1+theta}, in closed form.
 
-    Closed form for the built-in families; a tail estimate (last quarter of
-    the list) for explicit schedules.
+    theta * rho / c for c-over-rho-n; for poly, theta / gamma1 at a = 1 and
+    0 for a < 1, where the steps decay sub-harmonically.
     """
     th = s.theta
     if s.family == C_OVER_RHO_N:
         return th * s.rho / s.c
-    if s.family == POLYNOMIAL:
-        if s.a < 1.0:
-            return 0.0
-        return th / s.gamma1
-    n = len(s.values)
-    if n < 8:
-        raise ValueError("explicit schedule too short to estimate omega (need >= 8 steps)")
-    g = np.asarray(s.values, dtype=float)
-    lo = 3 * n // 4
-    gk, gk1 = g[lo:-1], g[lo + 1:]
-    ratios = (gk**th - gk1**th) / gk1 ** (1.0 + th)
-    return float(ratios.max())
+    if s.a < 1.0:
+        return 0.0
+    return th / s.gamma1
 
 
 def rho_theory(alpha: float, d: int) -> float:
@@ -192,7 +163,7 @@ class ScheduleDiagnostics:
 
 
 def decay_diagnostics(
-    s: StepSchedule, rho: float, n_max: int, alpha: float = 1.5
+    s: StepSchedule, rho: float, n_max: int, alpha: float
 ) -> ScheduleDiagnostics:
     """Sequences probing the step-schedule decay recurrence up to n_max.
 

@@ -6,6 +6,7 @@ import pytest
 from stableem.cf_oracle import (
     _SERIES_CUTOFF,
     _gap_nodes,
+    _log_chain_cf,
     _log_series,
     _pareto_cf_m1_series,
     _pareto_chain_coeffs,
@@ -128,7 +129,7 @@ def test_chain_cf_zero_steps_is_point_mass():
 
 
 def test_chain_cf_one_step_brute_force():
-    s = StepSchedule.explicit([0.25], theta=1.0)
+    s = StepSchedule.c_over_rho_n(c=0.25, rho=1.0)  # gamma_1 = 0.25
     alpha, x0, lam = 1.5, 1.0, 1.3
     beta = noise_constants(alpha, 1).beta
     # one step: Y1 = (1-g) x0 + (g^{1/a}/beta) Z
@@ -155,16 +156,20 @@ def test_chain_cf_matches_direct_product(n, lam_max):
 
 
 def test_chain_cf_far_nodes_take_direct_path():
-    # Coefficients spanning 22 decades: at l = 1e13 the scaled powers
-    # (l max c)^e overflow, so that node must skip the power sums.
-    s = StepSchedule.explicit([0.99] * 12 + [0.001] * 4)
-    coef, _ = _pareto_chain_coeffs(1.5, s, 16)
+    # The coefficients of twelve 0.99 steps then four 0.001 steps span 22
+    # decades: at l = 1e13 the scaled powers (l max c)^e overflow, so that
+    # node must skip the power sums.
+    alpha = 1.5
+    g = np.array([0.99] * 12 + [0.001] * 4)
+    suffix = np.concatenate([np.cumsum(np.log1p(-g)[::-1])[::-1][1:], [0.0]])
+    coef = g ** (1.0 / alpha) / noise_constants(alpha, 1).beta * np.exp(suffix)
+    assert coef.max() / coef.min() > 1e22
     lams = np.array([1e3, 1e9, 1e13])
-    log_mag, sign = _direct_log_chain_cf(1.5, coef, lams)
-    got = pareto_em_chain_cf(1.5, s, 0.0, 16, lams)
-    assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(np.log(np.abs(got)), log_mag, rtol=1e-12)
-    np.testing.assert_array_equal(np.sign(got.real), sign)
+    want_log_mag, want_sign = _direct_log_chain_cf(alpha, coef, lams)
+    log_mag, sign = _log_chain_cf(alpha, coef, lams)
+    assert np.all(np.isfinite(log_mag))
+    np.testing.assert_allclose(log_mag, want_log_mag, rtol=1e-12)
+    np.testing.assert_array_equal(sign, want_sign)
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
@@ -199,7 +204,7 @@ def test_chain_cf_modulus_bounded():
 
 
 def test_chain_cf_rejects_unit_steps():
-    s = StepSchedule.explicit([1.0, 0.5])
+    s = StepSchedule.c_over_rho_n(c=1.0, rho=1.0)  # gamma_1 = 1
     with pytest.raises(ValueError):
         pareto_em_chain_cf(1.5, s, 0.0, 2, 1.0)
 

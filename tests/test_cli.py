@@ -42,35 +42,66 @@ def test_schedule_csv_matches_benchmark_reference(tmp_path):
     assert Path(out + ".csv").read_bytes() == reference
 
 
-def test_explicit_schedule_shorter_than_n_max_is_config_error(tmp_path, capsys):
-    code = main([
-        "schedule", "--schedule", "explicit:0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --schedule: n_max asks for") and "8 steps" in err
-    # From a file, the error is located at the schedule's line.
+@pytest.mark.parametrize("experiment", ["rate", "ergodicity", "cf-check", "schedule"])
+def test_explicit_schedule_is_refused_at_its_key(tmp_path, capsys, experiment):
+    # Every schedule is a closed formula; a step list is an unknown family.
+    out = str(tmp_path / "x")
+    steps = "explicit:0.5,0.4,0.3"
+    assert main([experiment, "--alpha", "1.5", "--schedule", steps, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --schedule: bad value for 'schedule'")
     cfg = tmp_path / "cfg"
-    cfg.write_text("experiment = schedule\nn_max = 64\nschedule = explicit:0.5,0.4,0.3\n")
-    assert main(["schedule", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: n_max asks for 64 steps")
-    assert not os.path.exists(str(tmp_path / "x") + ".json")
+    cfg.write_text(f"experiment = {experiment}\nalpha = 1.5\nschedule = {steps}\n")
+    assert main([experiment, "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: bad value for 'schedule'")
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
 
-@pytest.mark.parametrize("experiment, key", [
-    ("rate", "checkpoints"), ("ergodicity", "checkpoints"), ("cf-check", "n"),
-])
-def test_explicit_schedule_shorter_than_run_is_config_error(tmp_path, capsys, experiment, key):
-    args = ["--reference", "oracle"] if experiment == "rate" else []
-    code = main([
-        experiment, "--alpha", "1.5", *args,
-        "--schedule", "explicit:0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5",
-        "--out", str(tmp_path / "x"),
-    ])
+def test_rho_toy_at_or_below_omega_is_refused_at_its_key(tmp_path, capsys):
+    # c-over-n:0.5 at theta = 1/alpha = 2/3 has omega = 4/3, above the default
+    # rho_toy = 0.5: located at rho_toy where it is given, else at schedule.
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--schedule", "c-over-n:0.5", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --schedule: bad value for 'schedule': 'c-over-n:0.5'")
+    assert "rho_toy = 0.5 <= omega = 1.3333333333333333" in err
+    assert main(["schedule", "--schedule", "c-over-n:0.5", "--rho_toy", "1", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --rho_toy: bad value for 'rho_toy': 1.0")
+    cfg = tmp_path / "cfg"
+    # rho_toy = omega exactly
+    cfg.write_text("experiment = schedule\nschedule = c-over-n:0.5\nrho_toy = 4/3\n")
+    assert main(["schedule", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: bad value for 'rho_toy'")
+    cfg.write_text("experiment = schedule\nrho_toy = 0.1\nschedule = c-over-n:0.5\n")
+    assert main(["schedule", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: bad value for 'rho_toy'")
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
+
+
+@pytest.mark.parametrize("experiment, args", [
+    ("cf-check", []),
+    ("rate", ["--reference", "oracle", "--scheme", "pareto-em"]),
+    ("rate", ["--reference", "oracle", "--scheme", "stable-em"]),
+], ids=["cf-check", "rate-oracle-pareto-em", "rate-oracle-stable-em"])
+def test_chain_law_oracle_refuses_a_unit_first_step_before_running(
+    tmp_path, capsys, monkeypatch, experiment, args
+):
+    import stableem.experiments as experiments
+
+    def run_ensemble(run, workers=1):
+        raise AssertionError("no ensemble may run")
+
+    monkeypatch.setattr(experiments, "run_ensemble", run_ensemble)
+    out = str(tmp_path / "x")
+    code = main([experiment, "--alpha", "1.5", *args, "--schedule", "c-over-n:1", "--out", out])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --schedule: {key} asks for") and "only 8 steps" in err
+    assert err.startswith("error: --schedule: bad value for 'schedule': 'c-over-n:1'")
+    assert "gamma_1 = 1.0" in err
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"experiment = {experiment}\nalpha = 1.5\nschedule = c-over-rho-n:3,2\n")
+    assert main([experiment, "--config", str(cfg), *args, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: bad value for 'schedule'")
+    assert not os.path.exists(out + ".json") and not os.path.exists(out + ".csv")
 
 
 @pytest.mark.parametrize("c, spans", [("0.5", True), ("0.9", False)])
@@ -129,17 +160,6 @@ def test_pareto_oracle_rows_carry_quadrature_error(tmp_path):
         assert float(row["signed_error"]) == -w1  # E|Y_n| < E|X_inf| on this chain
         assert 0.0 <= float(row["oracle_err"]) < 1e-6 * w1
     assert json.load(open(out + ".json"))["fit_spans_sign_change"] is False
-
-
-def test_explicit_schedule_has_no_omega_cross_check(tmp_path):
-    cfg = tmp_path / "cfg"
-    steps = ",".join(["0.5"] * 64)
-    cfg.write_text(f"experiment = schedule\nschedule = explicit:{steps}\nrho_toy = 1.0\nn_max = 64\n")
-    out = str(tmp_path / "sched")
-    assert main(["schedule", "--config", str(cfg), "--out", out]) == 0
-    summary = json.load(open(out + ".json"))
-    assert summary["omega_numeric_tail"] is None
-    assert summary["verdict"] is True
 
 
 @pytest.mark.parametrize("c, inside, verdict", [("0.5", False, None), ("0.9", True, True)])

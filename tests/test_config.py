@@ -108,9 +108,9 @@ def test_parse_schedule_families():
     s = parse_schedule("c-over-rho-n:2,0.5", 2 / 3)
     assert s.gamma_at(1) == pytest.approx(4.0)
     assert parse_schedule("poly:0.1,0.5", 1.0).gamma_at(4) == pytest.approx(0.05)
-    assert parse_schedule("explicit:0.5,0.25", 1.0).gamma_at(2) == 0.25
-    with pytest.raises(ConfigError):
-        parse_schedule("fibonacci:1", 1.0)
+    for unknown in ("fibonacci:1", "explicit:0.5,0.25"):
+        with pytest.raises(ConfigError, match="unknown schedule family"):
+            parse_schedule(unknown, 1.0)
     with pytest.raises(ConfigError):
         parse_schedule("poly:0.1", 1.0)
 
@@ -203,6 +203,7 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "kappa", "0.5"),
     ("rate", "m", "39"),  # an ensemble reference needs 2 chains in each of 20 batches
     ("ergodicity", "schedule", "poly:0.1"),
+    ("rate", "schedule", "explicit:0.5,0.4,0.3"),  # every schedule is a closed formula
     ("cf-check", "lambdas", "0.5,inf"),
     ("cf-check", "lambdas", "0.5,nan"),
     ("certify-drift", "box", "0"),  # every pair would be x = y = 0, so nothing is tested
@@ -235,6 +236,25 @@ def test_only_an_ensemble_reference_needs_m_to_fill_the_batches():
     assert ExperimentConfig(experiment="rate", alpha=1.5, reference="oracle", m=1).m == 1
     with pytest.raises(ConfigError, match="bad value for 'm': 39"):
         ExperimentConfig(experiment="rate", alpha=1.5, m=39)
+
+
+def test_only_the_chain_law_oracles_need_steps_below_one():
+    # gamma_1 = 1: exact-ou and the ensemble reference take it, the chain-law oracles do not.
+    for scheme in ("pareto-em", "stable-em", "exact-ou"):
+        ExperimentConfig(experiment="rate", alpha=1.5, scheme=scheme, schedule="c-over-n:1")
+    ExperimentConfig(
+        experiment="rate", alpha=1.5, scheme="exact-ou", reference="oracle", schedule="c-over-n:1"
+    )
+    ExperimentConfig(experiment="ergodicity", alpha=1.5, schedule="c-over-n:1")
+    for scheme in ("pareto-em", "stable-em"):
+        with pytest.raises(ConfigError, match="bad value for 'schedule'"):
+            ExperimentConfig(
+                experiment="rate", alpha=1.5, scheme=scheme, reference="oracle",
+                schedule="c-over-n:1",
+            )
+    assert ExperimentConfig(experiment="cf-check", alpha=1.5, schedule="poly:0.99,0.5").schedule
+    with pytest.raises(ConfigError, match="gamma_1 = 1.0"):
+        ExperimentConfig(experiment="cf-check", alpha=1.5, schedule="poly:1,0.5")
 
 
 def test_cf_check_accepts_only_pareto_em():

@@ -26,18 +26,6 @@ def test_polynomial_values():
     assert t[2] == pytest.approx(0.1 * (1 + 2**-0.5))
 
 
-def test_explicit_validation():
-    StepSchedule.explicit([0.5, 0.5, 0.25])
-    with pytest.raises(ValueError):
-        StepSchedule.explicit([0.25, 0.5])  # increasing
-    with pytest.raises(ValueError):
-        StepSchedule.explicit([0.5, 0.0])
-    with pytest.raises(ValueError):
-        StepSchedule.explicit([])
-    with pytest.raises(IndexError):
-        StepSchedule.explicit([0.5]).gamma_at(2)
-
-
 def test_t_grid_matches_exact_sum():
     s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
     t = s.t_grid(1000)
@@ -50,8 +38,7 @@ def test_t_grid_matches_exact_sum():
     (StepSchedule.c_over_rho_n(c=2.0, rho=0.5), 20000),
     (StepSchedule.polynomial(gamma1=0.5, a=0.7), 20000),
     (StepSchedule.polynomial(gamma1=0.1, a=0.5), 20000),
-    (StepSchedule.explicit([1.0 / k**0.7 for k in range(1, 3001)]), 3000),
-], ids=["c-over-rho-n", "poly:0.5,0.7", "poly:0.1,0.5", "explicit"])
+], ids=["c-over-rho-n", "poly:0.5,0.7", "poly:0.1,0.5"])
 def test_gamma_at_is_the_step_gammas_takes(s, n):
     # One formula on an index array: a reported gamma_k is the step the
     # chains took.  A scalar power differs from the array power in the last
@@ -68,12 +55,6 @@ def test_omega_closed_forms():
     assert omega_of(StepSchedule.polynomial(0.1, 0.5, theta=0.5)) == 0.0
     # polynomial with a = 1: omega = theta / gamma1
     assert omega_of(StepSchedule.polynomial(0.25, 1.0, theta=0.5)) == pytest.approx(2.0)
-
-
-def test_omega_explicit_tail_estimate():
-    base = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
-    s = StepSchedule.explicit(base.gammas(20000), theta=2.0 / 3.0)
-    assert omega_of(s) == pytest.approx(1.0 / 6.0, rel=1e-3)
 
 
 def test_rho_theory_values():
@@ -101,18 +82,19 @@ def test_diagnostics_recurrence_matches_direct_sum():
 def test_diagnostics_requires_rho_above_omega():
     s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)  # omega = 1/6
     with pytest.raises(ValueError):
-        decay_diagnostics(s, rho=0.1, n_max=10)
+        decay_diagnostics(s, rho=0.1, n_max=10, alpha=1.5)
 
 
 def test_n_star_definition():
-    s = StepSchedule.explicit([0.5] * 8)
-    diag = decay_diagnostics(s, rho=1.0, n_max=8)
-    # t_n = n/2; n*[n] = max{i : t_n - t_i > 1} = n - 3 once that is >= 0
-    assert diag.n_star[0] == -1  # t_1 = 0.5
-    assert diag.n_star[1] == -1  # t_2 = 1.0, gap never exceeds 1
-    assert diag.n_star[2] == 0   # t_3 = 1.5 > 1 + t_0
-    assert diag.n_star[3] == 1
-    assert diag.n_star[7] == 5
+    s = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=0.5)  # gamma_n = 1/(2n), omega = 1
+    diag = decay_diagnostics(s, rho=1.5, n_max=200, alpha=1.5)
+    # n*[n] = max{i : t_n - t_i > 1}, and -1 when t_n <= 1
+    for n in range(1, 201):
+        past = [i for i in range(n) if diag.t[n] - diag.t[i] > 1.0]
+        assert diag.n_star[n - 1] == (past[-1] if past else -1), n
+    assert diag.n_star[2] == -1  # t_3 = 11/12
+    assert diag.n_star[3] == 0   # t_4 = 25/24 > 1 + t_0
+    assert diag.n_star[199] > 0
 
 
 def test_v_ratio_respects_bound():
@@ -155,10 +137,6 @@ _WINDOW_SCHEDULES = {
     "c-over-rho-n": (StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0), 0.5),
     "c-over-rho-n-small": (StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=0.5), 1.5),
     "poly": (StepSchedule.polynomial(gamma1=0.3, a=0.5, theta=0.5), 0.5),
-    "explicit": (
-        StepSchedule.explicit([2.0, 1.5, 1.2] + [1.0 / k for k in range(2, 1500)], theta=0.7),
-        1.0,
-    ),
 }
 
 
@@ -175,7 +153,7 @@ def test_windowed_sum_matches_definition(name):
         ), n
     for n in empty:
         assert diag.windowed_sum_ratio(n) == 0.0
-    assert bool(empty) == (name in ("c-over-rho-n", "explicit"))
+    assert bool(empty) == (name == "c-over-rho-n")  # gamma_1..gamma_3 = 4, 2, 4/3
     for n in (0, -1, n_max + 1):
         with pytest.raises(ValueError):
             diag.windowed_sum_ratio(n)
