@@ -170,7 +170,6 @@ KEYS = {
     "m": Key(_count, 200_000),
     "checkpoints": Key(_spec(parse_checkpoints), "128..8192 geometric"),
     "x0": Key(_number, 0.0),
-    "kappa": Key(_bounded(_number, lambda k: k >= 1.0, "be at least 1"), 1.2),
     "reference": Key(_one_of("ensemble", "oracle"), "ensemble"),
     "workers": Key(_bounded(_integer, lambda n: n >= 0, "be at least 0"), 0),  # 0: env or 1
     "n": Key(_count, 512),
@@ -185,7 +184,7 @@ KEYS = {
     "n_max": Key(_count, 100_000),
     "sampler": Key(_one_of("stable-1d", "stable-vec", "pareto"), "stable-1d"),
     "count": Key(_count, 10_000),
-    "pairs": Key(_count, 10_000),
+    "pairs": Key(_bounded(_integer, lambda n: n >= 1000, "be at least 1000"), 10_000),
     "box": Key(_bounded(_number, lambda b: b > 0.0, "be > 0"), 20.0),
     "seed": Key(_bounded(_integer, lambda s: 0 <= s < 1 << 64, "lie in [0, 2^64)"), 0),
     "out": Key(str, None),  # None: the experiment's name
@@ -195,10 +194,7 @@ KEYS = {
 EXPERIMENT_KEYS = {
     name: keys + ("seed", "out")
     for name, keys in {
-        "rate": (
-            "alpha", "scheme", "schedule", "m", "checkpoints", "x0", "kappa", "reference",
-            "workers",
-        ),
+        "rate": ("alpha", "scheme", "schedule", "m", "checkpoints", "x0", "reference", "workers"),
         "weak-error": ("alpha", "x0", "gammas", "mc", "test_fn"),
         "ergodicity": ("alpha", "schedule", "m", "checkpoints", "x", "y", "workers"),
         "cf-check": ("alpha", "scheme", "schedule", "m", "n", "x0", "lambdas", "workers"),

@@ -10,7 +10,7 @@ point pairs, because exact global verification is not possible in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -86,26 +86,29 @@ def drift_by_name(name: str, dim: int) -> DriftModel:
 @dataclass
 class CertificationReport:
     passed: bool
-    checks: dict = field(default_factory=dict)   # check name -> worst margin
-    witness: dict | None = None                  # first violated inequality
+    checks: dict          # check name -> worst margin, max(lhs - bound)
+    witness: dict | None  # the first violated inequality
+
+
+TOL = 1e-9  # slack of the exact inequalities, for rounding
+FD_EPS = 1e-4  # finite-difference step: balances truncation against rounding for doubles
+FD_TOL = 1e-3 + 10.0 * np.finfo(float).eps / (FD_EPS * FD_EPS)  # of the second difference
 
 
 def certify_assumptions(
-    m: DriftModel,
-    n_pairs: int,
-    box: float,
-    rng: np.random.Generator,
-    fd_eps: float = 1e-4,
-    tol: float = 1e-9,
+    m: DriftModel, n_pairs: int, box: float, rng: np.random.Generator
 ) -> CertificationReport:
     """Probabilistic certificate for the claimed drift constants.
 
-    Draws n_pairs pairs (x, y) uniform in [-box, box]^d and checks:
-    Lipschitz |b(x)-b(y)| <= L |x-y| (relative tolerance), dissipativity
-    <x-y, b(x)-b(y)> <= -theta1 |x-y|^2 + K, the linear-growth and
-    first-order consequences, and (if theta2 is claimed) a central second
-    difference in random directions.  fd_eps balances truncation against
-    rounding for doubles.
+    Draws n_pairs pairs (x, y) uniform in [-box, box]^d and checks one row
+    lhs <= bound per claimed inequality, its tolerance inside the bound:
+    Lipschitz |b(x)-b(y)| <= L |x-y| (relative), dissipativity
+    <x-y, b(x)-b(y)> <= -theta1 |x-y|^2 + K, linear growth
+    |b(x)| <= |b(0)| + L |x|, and if theta2 is claimed, central second and
+    first differences in random directions against theta2 and L.  The worst
+    margin of a check is max(lhs - bound); the certificate passes exactly
+    when every worst margin is <= 0, and its witness is the worst point of
+    the first check that fails.
     """
     if n_pairs < 1000:
         raise ValueError("need n_pairs >= 1000 for a meaningful certificate")
@@ -114,71 +117,44 @@ def certify_assumptions(
     y = rng.uniform(-box, box, (n_pairs, d))
     bx, by = m(x), m(y)
     dxy = np.linalg.norm(x - y, axis=1)
-    dbxy = np.linalg.norm(bx - by, axis=1)
-
-    report = CertificationReport(passed=True)
-
-    def fail(check, idx, lhs, rhs):
-        report.passed = False
-        if report.witness is None:
-            report.witness = {
-                "check": check,
-                "x": x[idx].tolist(),
-                "y": y[idx].tolist(),
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-            }
-
-    # Lipschitz, relative tolerance.
-    margin = dbxy - m.lipschitz_l * dxy * (1.0 + tol)
-    report.checks["lipschitz"] = float(margin.max())
-    if np.any(margin > 0):
-        i = int(np.argmax(margin))
-        fail("lipschitz", i, dbxy[i], m.lipschitz_l * dxy[i])
-
-    # Dissipativity.
-    inner = np.sum((x - y) * (bx - by), axis=1)
-    rhs = -m.dissip_theta1 * dxy**2 + m.dissip_k + tol
-    report.checks["dissipativity"] = float((inner - rhs).max())
-    if np.any(inner > rhs):
-        i = int(np.argmax(inner - rhs))
-        fail("dissipativity", i, inner[i], rhs[i])
-
-    # Linear growth: |b(x)| <= |b(0)| + L |x|.
     b0 = np.linalg.norm(m(np.zeros((1, d)))[0])
-    growth = np.linalg.norm(bx, axis=1) - (b0 + m.lipschitz_l * np.linalg.norm(x, axis=1) + tol)
-    report.checks["linear_growth"] = float(growth.max())
-    if np.any(growth > 0):
-        i = int(np.argmax(growth))
-        fail("linear_growth", i, np.linalg.norm(bx[i]), b0 + m.lipschitz_l * np.linalg.norm(x[i]))
-
+    rows = [
+        ("lipschitz", np.linalg.norm(bx - by, axis=1), m.lipschitz_l * dxy * (1.0 + TOL)),
+        (
+            "dissipativity",
+            np.sum((x - y) * (bx - by), axis=1),
+            -m.dissip_theta1 * dxy**2 + m.dissip_k + TOL,
+        ),
+        (
+            "linear_growth",
+            np.linalg.norm(bx, axis=1),
+            b0 + m.lipschitz_l * np.linalg.norm(x, axis=1) + TOL,
+        ),
+    ]
     if m.hessian_theta2 is not None:
         n_fd = min(n_pairs, 2000)
-        u1 = rng.standard_normal((n_fd, d))
-        u1 /= np.linalg.norm(u1, axis=1, keepdims=True)
-        u2 = rng.standard_normal((n_fd, d))
-        u2 /= np.linalg.norm(u2, axis=1, keepdims=True)
-        xs = x[:n_fd]
-        e = fd_eps
+        u1, u2 = (
+            u / np.linalg.norm(u, axis=1, keepdims=True)
+            for u in (rng.standard_normal((n_fd, d)), rng.standard_normal((n_fd, d)))
+        )
+        xs, e = x[:n_fd], FD_EPS
         second = (
             m(xs + e * u2 + e * u1)
             - m(xs + e * u2 - e * u1)
             - m(xs - e * u2 + e * u1)
             + m(xs - e * u2 - e * u1)
         ) / (4.0 * e * e)
-        mag2 = np.linalg.norm(second, axis=1)
-        fd_tol = 1e-3 + 10.0 * np.finfo(float).eps / (e * e)
-        report.checks["second_directional"] = float((mag2 - m.hessian_theta2).max())
-        if np.any(mag2 > m.hessian_theta2 + fd_tol):
-            i = int(np.argmax(mag2))
-            fail("second_directional", i, mag2[i], m.hessian_theta2 + fd_tol)
+        first = (m(xs + e * u1) - m(xs - e * u1)) / (2.0 * e)  # |grad_u b| <= L
+        mag2, mag1 = np.linalg.norm(second, axis=1), np.linalg.norm(first, axis=1)
+        rows.append(("second_directional", mag2, np.full(n_fd, m.hessian_theta2 + FD_TOL)))
+        rows.append(("first_directional", mag1, np.full(n_fd, m.lipschitz_l + 1e-6)))
 
-        # First-order consequence: |grad_u b| <= L.
-        first = (m(xs + e * u1) - m(xs - e * u1)) / (2.0 * e)
-        mag1 = np.linalg.norm(first, axis=1)
-        report.checks["first_directional"] = float((mag1 - m.lipschitz_l).max())
-        if np.any(mag1 > m.lipschitz_l + 1e-6):
-            i = int(np.argmax(mag1))
-            fail("first_directional", i, mag1[i], m.lipschitz_l)
-
-    return report
+    checks, witness = {}, None
+    for check, lhs, bound in rows:
+        margin = lhs - bound
+        i = int(np.argmax(margin))  # the first NaN, if any
+        checks[check] = float(margin[i])
+        if witness is None and not margin[i] <= 0:
+            witness = {"check": check, "x": x[i].tolist(), "y": y[i].tolist(),
+                       "lhs": float(lhs[i]), "rhs": float(bound[i])}
+    return CertificationReport(all(v <= 0 for v in checks.values()), checks, witness)

@@ -107,6 +107,7 @@ def _target_exponent(scheme: str, alpha: float):
 
 
 SLOPE_TOL = 0.15  # the Pareto-EM gate: |slope - (2 - alpha)/alpha| <= SLOPE_TOL
+KAPPA = 1.2  # the moment exponent of criterion 7, reported as moment_kappa
 
 # Each scheme's exact W1 to nu at step n (time t_n); names resolve at call time, for wrappers.
 _ORACLES = {
@@ -180,7 +181,7 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
         ref = _invariant_draws(alpha, cfg.m, cfg.seed, rngmod.INVARIANT_STREAM + j)[: xs.size]
         w1 = w1_sorted_1d(xs, ref)
         stderr = metrics.w1_gap_stderr(alpha, xs, ref, ref_a, ref_b)  # of w1 - floor
-        moment = empirical_moment(row, cfg.kappa, alpha) if cfg.kappa < alpha else float("nan")
+        moment = empirical_moment(row, KAPPA, alpha) if KAPPA < alpha else float("nan")
         rows.append({
             "n": n,
             "t_n": float(t[n]),
@@ -196,7 +197,7 @@ def _ensemble_rows(cfg: ExperimentConfig, schedule, checkpoints, summary: dict) 
     summary["m_used"] = cfg.m - result.abort_count
     moments = [r["moment_kappa"] for r in rows]
     if np.all(np.isfinite(moments)):
-        summary["kappa"] = cfg.kappa
+        summary["kappa"] = KAPPA
         summary["moment_bounded"] = bool(max(moments) <= 2.0 * moments[0])
     return rows
 
@@ -420,11 +421,16 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 
-    # Numerical tail estimate of omega for cross-checking the closed form.
+    # The ratio under omega's limsup at k = 10 n_max, cross-checked against its
+    # leading term theta a k^{a-1} / gamma_1: the closed-form omega where the
+    # steps are harmonic (c-over-rho-n, poly at a = 1), and a term that tends
+    # to omega = 0 for poly at a < 1.
     th = schedule.theta
     k = cfg.n_max * 10
     gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
     omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
+    a = schedule.a or 1.0  # c-over-rho-n has no a: its steps are harmonic
+    leading = diag.omega if a == 1.0 else th * a * k ** (a - 1.0) / schedule.gamma_at(1)
 
     ns = [1]
     while ns[-1] * 2 <= cfg.n_max:
@@ -454,7 +460,7 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
         "v_ratio_final": rows[-1]["v_over_gamma_theta"],
         "exp_decay_ratio_final": rows[-1]["exp_decay_ratio"],
     })
-    omega_ok = abs(omega_numeric - diag.omega) <= 0.01 * max(abs(diag.omega), 1e-30)
+    omega_ok = abs(omega_numeric - leading) <= 0.01 * max(abs(leading), 1e-30)
     verdict = bool(
         rows[-1]["v_over_gamma_theta"] <= diag.bound
         and omega_ok

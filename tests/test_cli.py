@@ -42,6 +42,38 @@ def test_schedule_csv_matches_benchmark_reference(tmp_path):
     assert Path(out + ".csv").read_bytes() == reference
 
 
+@pytest.mark.parametrize("schedule", ["poly:0.5,0.7", "poly:0.1,0.5"])
+def test_schedule_passes_on_sub_harmonic_poly(tmp_path, schedule):
+    # omega = 0 for a < 1, while the tail ratio at k = 10 n_max is about its
+    # leading term theta a k^{a-1} / gamma_1 > 0: that term is what it is checked against.
+    out = str(tmp_path / "sched")
+    argv = ["--schedule", schedule, "--n_max", "100000", "--rho_toy", "4", "--out", out]
+    assert main(["schedule", *argv]) == 0
+    summary = json.load(open(out + ".json"))
+    assert summary["omega_closed_form"] == 0.0 and summary["omega_numeric_tail"] > 0.0
+
+
+def test_schedule_fails_when_the_closed_form_omega_is_wrong(tmp_path, monkeypatch):
+    import stableem.schedule as schedule
+
+    omega_of = schedule.omega_of
+    monkeypatch.setattr(schedule, "omega_of", lambda s: 1.1 * omega_of(s))
+    out = str(tmp_path / "sched")
+    assert main(["schedule", "--schedule", "c-over-rho-n:2,0.5", "--out", out]) == 2
+    summary = json.load(open(out + ".json"))
+    # the recurrence and decay checks hold, so the omega cross-check is what fails
+    assert summary["omega_closed_form"] == pytest.approx(1.1 / 6)
+    assert summary["v_ratio_final"] <= summary["recurrence_bound"]
+    assert summary["exp_decay_ratio_final"] < 1e-3
+
+
+def test_certify_drift_refuses_too_few_pairs_at_its_flag(tmp_path, capsys):
+    out = str(tmp_path / "cert")
+    assert main(["certify-drift", "--pairs", "999", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --pairs: bad value for 'pairs': '999'")
+    assert not os.path.exists(out + ".json")
+
+
 @pytest.mark.parametrize("experiment", ["rate", "ergodicity", "cf-check", "schedule"])
 def test_explicit_schedule_is_refused_at_its_key(tmp_path, capsys, experiment):
     # Every schedule is a closed formula; a step list is an unknown family.

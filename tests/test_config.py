@@ -97,10 +97,12 @@ def test_number_syntax(tmp_path):
 
 
 def test_slope_tol_is_not_a_key(tmp_path):
-    # the Pareto-EM gate's tolerance is a constant of the verdict
-    path = _write(tmp_path, "experiment = rate\nalpha = 1.5\nslope_tol = 5\n")
-    with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'slope_tol'"):
-        load_config(path)
+    # the Pareto-EM gate's tolerance and criterion 7's moment exponent are
+    # constants of the rate experiment
+    for key, value in (("slope_tol", "5"), ("kappa", "0.5")):
+        path = _write(tmp_path, f"experiment = rate\nalpha = 1.5\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"cfg:3: unknown key '{key}'"):
+            load_config(path)
 
 
 def test_parse_schedule_families():
@@ -159,7 +161,7 @@ def _minimal(experiment):
 
 
 def test_each_experiment_echoes_exactly_its_keys():
-    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 56
+    assert sum(len(keys) for keys in EXPERIMENT_KEYS.values()) == 55
     for experiment, keys in EXPERIMENT_KEYS.items():
         assert {"seed", "out"} <= set(keys)
         cfg = ExperimentConfig(experiment=experiment, **_minimal(experiment))
@@ -200,7 +202,6 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("weak-error", "gammas", "2^-3..abc"),
     ("weak-error", "gammas", "0.1,-0.05,0,0.02"),
     ("weak-error", "gammas", "0.1,inf"),
-    ("rate", "kappa", "0.5"),
     ("rate", "m", "39"),  # an ensemble reference needs 2 chains in each of 20 batches
     ("ergodicity", "schedule", "poly:0.1"),
     ("rate", "schedule", "explicit:0.5,0.4,0.3"),  # every schedule is a closed formula
@@ -209,6 +210,7 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("certify-drift", "box", "0"),  # every pair would be x = y = 0, so nothing is tested
     ("certify-drift", "box", "nan"),
     ("certify-drift", "box", "inf"),
+    ("certify-drift", "pairs", "999"),  # too few pairs for a meaningful certificate
     ("rate", "x0", "10^400"),
     ("rate", "x0", "1/0"),
     ("schedule", "rho_toy", "nan"),

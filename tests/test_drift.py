@@ -43,6 +43,33 @@ def test_certify_fails_with_witness_on_wrong_constants():
     assert rep.witness is not None
     assert rep.witness["check"] == "lipschitz"
     assert rep.witness["lhs"] > rep.witness["rhs"]
+    # the witness's bound is the one enforced, tolerance included
+    assert rep.witness["lhs"] - rep.witness["rhs"] == rep.checks["lipschitz"]
+
+
+@pytest.mark.parametrize("name", ["ou", "perturbed-ou:0.3", "perturbed-ou:0.49"])
+def test_certificate_passes_exactly_when_every_worst_margin_is_at_most_zero(name):
+    for seed in range(5):
+        for dim in (1, 2, 3):
+            rep = certify_assumptions(drift_by_name(name, dim), 2000, 10.0, derive_stream(seed, 0))
+            assert rep.passed == all(m <= 0 for m in rep.checks.values())
+            assert rep.passed and rep.witness is None
+
+
+def test_certificate_fails_on_a_drift_that_returns_nan():
+    # a NaN margin is not <= 0: no inequality was shown to hold there
+    holed = DriftModel(
+        fn=lambda x: np.where(np.abs(x) < 1.0, np.nan, -x),
+        dim=1,
+        lipschitz_l=1.0,
+        dissip_theta1=1.0,
+        dissip_k=0.0,
+        name="holed",
+    )
+    rep = certify_assumptions(holed, 2000, 10.0, derive_stream(4, 0))
+    assert not rep.passed
+    assert rep.witness["check"] == "lipschitz"
+    assert np.isnan(rep.checks["lipschitz"])
 
 
 def test_certify_detects_missing_dissipativity():
