@@ -43,7 +43,6 @@ from .metrics import (
     RateFit,
     ecf,
     rate_fit,
-    w1_exact_lp,
     w1_gap_stderr,
     w1_sorted_1d,
 )

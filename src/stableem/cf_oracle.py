@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
 from .sampling import check_noise, noise_constants
@@ -57,7 +56,11 @@ def first_order_cf_coefficient(alpha: float) -> float:
 @lru_cache(maxsize=4096)
 def _pareto_cf_quad(alpha: float, lam: float) -> float:
     # Fourier-weighted adaptive quadrature on [1, inf); QUADPACK handles the
-    # oscillation cycle by cycle with extrapolation.
+    # oscillation cycle by cycle with extrapolation.  Imported here, at its one
+    # use: scipy.integrate (and scipy.optimize behind it) would add about
+    # 0.4 s to the start-up of every process, most of which never get here.
+    from scipy.integrate import quad
+
     val, err = quad(lambda r: alpha * r ** (-alpha - 1.0), 1.0, np.inf, weight="cos", wvar=lam)
     if err > 1e-7:
         raise RuntimeError(f"pareto_cf quadrature achieved only {err:.2e} at lambda={lam}")

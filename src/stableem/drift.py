@@ -108,7 +108,8 @@ def certify_assumptions(
     first differences in random directions against theta2 and L.  The worst
     margin of a check is max(lhs - bound); the certificate passes exactly
     when every worst margin is <= 0, and its witness is the worst point of
-    the first check that fails.
+    the first check that fails: x and y, or for the differences x and the
+    unit directions they used, enough to recompute its lhs.
     """
     if n_pairs < 1000:
         raise ValueError("need n_pairs >= 1000 for a meaningful certificate")
@@ -118,17 +119,20 @@ def certify_assumptions(
     bx, by = m(x), m(y)
     dxy = np.linalg.norm(x - y, axis=1)
     b0 = np.linalg.norm(m(np.zeros((1, d)))[0])
+    pair = {"x": x, "y": y}
     rows = [
-        ("lipschitz", np.linalg.norm(bx - by, axis=1), m.lipschitz_l * dxy * (1.0 + TOL)),
+        ("lipschitz", np.linalg.norm(bx - by, axis=1), m.lipschitz_l * dxy * (1.0 + TOL), pair),
         (
             "dissipativity",
             np.sum((x - y) * (bx - by), axis=1),
             -m.dissip_theta1 * dxy**2 + m.dissip_k + TOL,
+            pair,
         ),
         (
             "linear_growth",
             np.linalg.norm(bx, axis=1),
             b0 + m.lipschitz_l * np.linalg.norm(x, axis=1) + TOL,
+            pair,
         ),
     ]
     if m.hessian_theta2 is not None:
@@ -146,15 +150,17 @@ def certify_assumptions(
         ) / (4.0 * e * e)
         first = (m(xs + e * u1) - m(xs - e * u1)) / (2.0 * e)  # |grad_u b| <= L
         mag2, mag1 = np.linalg.norm(second, axis=1), np.linalg.norm(first, axis=1)
-        rows.append(("second_directional", mag2, np.full(n_fd, m.hessian_theta2 + FD_TOL)))
-        rows.append(("first_directional", mag1, np.full(n_fd, m.lipschitz_l + 1e-6)))
+        rows.append(("second_directional", mag2, np.full(n_fd, m.hessian_theta2 + FD_TOL),
+                     {"x": xs, "u1": u1, "u2": u2}))
+        rows.append(("first_directional", mag1, np.full(n_fd, m.lipschitz_l + 1e-6),
+                     {"x": xs, "u1": u1}))
 
     checks, witness = {}, None
-    for check, lhs, bound in rows:
+    for check, lhs, bound, at in rows:
         margin = lhs - bound
         i = int(np.argmax(margin))  # the first NaN, if any
         checks[check] = float(margin[i])
         if witness is None and not margin[i] <= 0:
-            witness = {"check": check, "x": x[i].tolist(), "y": y[i].tolist(),
+            witness = {"check": check, **{k: v[i].tolist() for k, v in at.items()},
                        "lhs": float(lhs[i]), "rhs": float(bound[i])}
     return CertificationReport(all(v <= 0 for v in checks.values()), checks, witness)

@@ -421,16 +421,15 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
 
-    # The ratio under omega's limsup at k = 10 n_max, cross-checked against its
-    # leading term theta a k^{a-1} / gamma_1: the closed-form omega where the
-    # steps are harmonic (c-over-rho-n, poly at a = 1), and a term that tends
-    # to omega = 0 for poly at a < 1.
+    # The ratio under omega's limsup at k = 10 n_max, cross-checked against the
+    # closed-form omega plus, for poly at a < 1, the term theta a k^{a-1} / gamma_1
+    # by which the ratio still exceeds its limit omega = 0 there.
     th = schedule.theta
     k = cfg.n_max * 10
     gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
     omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
     a = schedule.a or 1.0  # c-over-rho-n has no a: its steps are harmonic
-    leading = diag.omega if a == 1.0 else th * a * k ** (a - 1.0) / schedule.gamma_at(1)
+    leading = diag.omega + (th * a * k ** (a - 1.0) / schedule.gamma_at(1) if a < 1.0 else 0.0)
 
     ns = [1]
     while ns[-1] * 2 <= cfg.n_max:

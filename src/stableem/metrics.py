@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-_LP_MAX = 256
 W1_BATCHES = 20  # contiguous slices behind the batch-means error of w1_gap_stderr
 
 
@@ -33,25 +31,6 @@ def w1_sorted_1d(xs, ys) -> float:
     if xs.size == 0:
         raise ValueError("need at least one sample")
     return float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))
-
-
-def w1_exact_lp(xs, ys) -> float:
-    """Exact W1 between two equal-size 1-D empirical measures as a balanced linear assignment.
-
-    Solved with a shortest-augmenting-path assignment solver on the
-    |x - y| cost matrix, with no use of the monotone rearrangement, so it
-    checks ``w1_sorted_1d``; restricted to m <= 256 (oracle scale).
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError(f"need two 1-D samples of one size, got shapes {xs.shape} and {ys.shape}")
-    m = xs.size
-    if m > _LP_MAX:
-        raise ValueError(f"exact LP limited to m <= {_LP_MAX}, got {m}")
-    cost = np.abs(xs[:, None] - ys[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
 
 
 def w1_gap_stderr(alpha: float, xs, ys, ref_a=None, ref_b=None) -> float:

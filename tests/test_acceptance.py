@@ -11,13 +11,14 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from stableem.cli import main
 from stableem.config import ExperimentConfig
 from stableem.drift import builtin_ou
 from stableem.em import EnsembleRun, empirical_moment, run_ensemble
 from stableem.experiments import run_experiment
-from stableem.metrics import rate_fit, w1_exact_lp, w1_sorted_1d
+from stableem.metrics import rate_fit, w1_sorted_1d
 from stableem.cf_oracle import pareto_cf, stable_em_chain_scale_pow
 from stableem.rng import derive_stream
 from stableem.sampling import (
@@ -33,6 +34,28 @@ HALF_N = "c-over-n:0.5"  # gamma_n = 1/(2n)
 # gamma_n = 0.9/n: omega = 1/(0.9 alpha) < 1 = theta1 of b(x) = -x at every
 # alpha in ALPHAS, and gamma_1 < 1 as the stable scale recurrence needs.
 STABLE_N = "c-over-n:0.9"
+_LP_MAX = 256
+
+
+def w1_exact_lp(xs, ys) -> float:
+    """Exact W1 between two equal-size 1-D empirical measures as a balanced linear assignment.
+
+    Solved with a shortest-augmenting-path assignment solver on the
+    |x - y| cost matrix, with no use of the monotone rearrangement, so it
+    checks ``w1_sorted_1d``; restricted to m <= 256 (oracle scale).  It is
+    criterion 5's reference, kept in the tests so that ``stableem`` starts
+    without importing scipy.optimize.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"need two 1-D samples of one size, got shapes {xs.shape} and {ys.shape}")
+    m = xs.size
+    if m > _LP_MAX:
+        raise ValueError(f"exact LP limited to m <= {_LP_MAX}, got {m}")
+    cost = np.abs(xs[:, None] - ys[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def _report(num, desc, ok):

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,14 @@ from stableem.cli import main
 from stableem.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    """Run the suite's interpreter on args, with the stableem this suite imports first on its path."""
+    src = str(Path(stableem.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_schedule_subcommand_smoke(tmp_path, capsys):
@@ -63,6 +73,24 @@ def test_schedule_fails_when_the_closed_form_omega_is_wrong(tmp_path, monkeypatc
     summary = json.load(open(out + ".json"))
     # the recurrence and decay checks hold, so the omega cross-check is what fails
     assert summary["omega_closed_form"] == pytest.approx(1.1 / 6)
+    assert summary["v_ratio_final"] <= summary["recurrence_bound"]
+    assert summary["exp_decay_ratio_final"] < 1e-3
+
+
+def test_schedule_fails_when_the_closed_form_omega_of_sub_harmonic_poly_is_wrong(tmp_path, monkeypatch):
+    # At a < 1 the tail ratio is checked against omega plus its leading term,
+    # so a wrong omega there fails the cross-check too.
+    import stableem.schedule as schedule
+
+    omega_of = schedule.omega_of
+    monkeypatch.setattr(
+        schedule, "omega_of", lambda s: 0.1 if s.a is not None and s.a < 1.0 else omega_of(s)
+    )
+    out = str(tmp_path / "sched")
+    argv = ["--schedule", "poly:0.5,0.7", "--n_max", "100000", "--rho_toy", "4", "--out", out]
+    assert main(["schedule", *argv]) == 2
+    summary = json.load(open(out + ".json"))
+    assert summary["omega_closed_form"] == 0.1
     assert summary["v_ratio_final"] <= summary["recurrence_bound"]
     assert summary["exp_decay_ratio_final"] < 1e-3
 
@@ -577,3 +605,30 @@ def test_summary_has_schedule_keys_only_where_a_schedule_is_built(tmp_path):
     rate, drift = json.load(open(rate + ".json")), json.load(open(drift + ".json"))
     assert "schedule" in rate and "omega" in rate and "rho_toy" not in rate
     assert not {"schedule", "omega", "rho_toy"} & set(drift)
+
+
+def test_start_up_imports_no_scipy_integrate_or_optimize():
+    # scipy.integrate (with scipy.optimize, scipy.sparse and scipy.linalg
+    # behind it) took about 0.4 s of every process's start-up; only the
+    # |lambda| > 10 Pareto-CF fallback imports it, when it is reached.
+    code = (
+        "import sys, stableem, stableem.cli\n"
+        "stableem.load_config('tests/data/ensemble-cf.cfg')\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(repr(stableem.pareto_cf(1.5, 20.0)))\n"
+    )
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+    loaded, fallback = run.stdout.split()
+    assert loaded == "[]"
+    # the fallback still imports and runs its quadrature when it is reached
+    assert float(fallback) == stableem.pareto_cf(1.5, 20.0)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    argv = ["schedule", "--schedule", "c-over-n:0.5", "--n_max", "1000", "--rho_toy", "4", "--out"]
+    run = _python("-m", "stableem", *argv, str(tmp_path / "m"))
+    code = main([*argv, str(tmp_path / "main")])
+    assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stableem.drift import (
+    FD_EPS,
     DriftModel,
     builtin_ou,
     builtin_perturbed_ou,
@@ -45,6 +46,28 @@ def test_certify_fails_with_witness_on_wrong_constants():
     assert rep.witness["lhs"] > rep.witness["rhs"]
     # the witness's bound is the one enforced, tolerance included
     assert rep.witness["lhs"] - rep.witness["rhs"] == rep.checks["lipschitz"]
+
+
+def test_directional_witness_reproduces_its_lhs():
+    # -x + 0.3 sin x has second directional derivatives up to 0.3, so a
+    # claimed theta2 = 0 fails the second difference; its witness carries the
+    # point and both directions that difference used, and no unread y.
+    fn = lambda x: -x + 0.3 * np.sin(x)  # noqa: E731
+    lying = DriftModel(fn=fn, dim=2, lipschitz_l=1.3, dissip_theta1=0.7, dissip_k=0.0,
+                       hessian_theta2=0.0, name="lying-theta2")
+    rep = certify_assumptions(lying, 2000, 10.0, derive_stream(0, 0))
+    assert not rep.passed
+    w = rep.witness
+    assert w["check"] == "second_directional"
+    assert set(w) == {"check", "x", "u1", "u2", "lhs", "rhs"}
+    x, u1, u2, e = np.array(w["x"]), np.array(w["u1"]), np.array(w["u2"]), FD_EPS
+    assert np.linalg.norm(u1) == pytest.approx(1.0) and np.linalg.norm(u2) == pytest.approx(1.0)
+    second = (
+        fn(x + e * u2 + e * u1) - fn(x + e * u2 - e * u1) - fn(x - e * u2 + e * u1)
+        + fn(x - e * u2 - e * u1)
+    ) / (4.0 * e * e)
+    assert np.linalg.norm(second) == w["lhs"]
+    assert w["lhs"] - w["rhs"] == rep.checks["second_directional"]
 
 
 @pytest.mark.parametrize("name", ["ou", "perturbed-ou:0.3", "perturbed-ou:0.49"])

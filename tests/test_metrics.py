@@ -5,12 +5,12 @@ from stableem.metrics import (
     W1_BATCHES,
     ecf,
     rate_fit,
-    w1_exact_lp,
     w1_gap_stderr,
     w1_sorted_1d,
 )
 from stableem.rng import derive_stream
 from stableem.sampling import sample_stable_1d
+from test_acceptance import w1_exact_lp  # criterion 5's assignment-solver reference
 
 
 def test_sorted_1d_trivial():
