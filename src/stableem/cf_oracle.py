@@ -9,14 +9,15 @@ laws reduce to quadratures of CF differences.
 The Pareto-EM chain CF prod_j phi(c_j l) has one accumulator,
 ``_log_chain_cf``.  For 0 <= x <= r (r = ``_LOG_SERIES_RADIUS``)
 
-    log phi(x) = sum_t a_t x^{e_t},   e_t = p alpha + 2k,
+    log phi(x) = sum_{p,k} g_pk x^{p alpha + 2k},
 
-so the steps with c_j |l| <= r contribute sum_t a_t |l|^{e_t} S_t, where
-S_t sums c_j^{e_t} over those steps: a cumulative sum over the ascending
-coefficients, read at the split.  Only the few steps with c_j |l| > r are
-evaluated one by one.  r = 0.1 (halved for alpha close to 2, where the
-expansion would not converge at 0.1); terms below 2^-64 |log phi(r)| at
-x = r are dropped (``_log_series``).
+so the steps with c_j |l| <= r contribute sum_{p,k} g_pk S_pk u^p v^k with
+u = |l|^alpha, v = l^2 and S_pk the sum of c_j^{p alpha + 2k} over those
+steps: a Horner evaluation in v, then in u, whose coefficients are the power
+sums read at the split.  Only the few steps with c_j |l| > r are evaluated
+one by one.  r = 0.1 (halved for alpha close to 2, where the expansion
+would not converge at 0.1); terms below 2^-64 |log phi(r)| at x = r are
+dropped (``_log_series``).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _pareto_cf_m1(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _log_series(alpha: float):
-    """(a, e, r): log phi(x) = sum_t a_t x^{e_t} to double precision on [0, r].
+    """(g, r): log phi(x) = sum_{p,k} g[p, k] x^{p alpha + 2k} to double precision on [0, r].
 
     log phi = log(1 + m) with m(x) = -C x^alpha + alpha sum_k c_k x^{2k}
     (``first_order_cf_coefficient`` and ``_series_coeffs``), and
@@ -119,7 +120,10 @@ def _log_series(alpha: float):
     of the collected terms, those below the tolerance at x = r are dropped.
     The tolerance is ``_LOG_SERIES_TOL`` |log phi(r)|.  Each dropped term
     shrinks faster than log phi as x decreases, so x = r is the worst case.
-    Terms are returned in ascending order of exponent.
+    g holds the kept coefficients, zero where a term is dropped, on the rows
+    and columns that keep one.  A term is indexed by how it was built, not by
+    its exponent: at rational alpha two (p, k) can share one (at alpha = 1.5,
+    x^6 is both (4, 0) and (0, 3)).
     """
     big_c = first_order_cf_coefficient(alpha)
     c = alpha * _series_coeffs(alpha)
@@ -151,11 +155,10 @@ def _log_series(alpha: float):
         for k in range(1, c.size + 1):
             nxt[:, k:] += c[k - 1] * power[:, :-k]
         power = nxt
-    p, k = np.nonzero(acc)
-    a, e = acc[p, k], p * alpha + 2.0 * k
-    keep = np.abs(a) * r**e >= tol
-    order = np.argsort(e[keep], kind="stable")
-    return a[keep][order], e[keep][order], r
+    p, k = np.indices(acc.shape)
+    grid = np.where(np.abs(acc) * r ** (p * alpha + 2.0 * k) >= tol, acc, 0.0)
+    p, k = np.nonzero(grid)
+    return grid[: p.max() + 1, : k.max() + 1], r
 
 
 def _log_abs_pareto_cf(alpha: float, x: np.ndarray):
@@ -174,33 +177,61 @@ def _log_chain_cf(alpha: float, coef: np.ndarray, lam: np.ndarray):
 
     The steps with c_j |l| <= r enter through the power sums of the module
     docstring; the rest go through ``_log_abs_pareto_cf``.  Power sums are
-    taken over c_j / max c, so they cannot overflow; a node whose scaled
-    powers (|l| max c)^e could overflow takes the one-by-one path for every
-    step.
+    taken over w_j = c_j / max c, so they cannot overflow; a node whose
+    scaled powers (|l| max c)^e could overflow takes the one-by-one path for
+    every step.  A power sum depends on its split alone and every operation
+    on the nodes is element-wise, so a node gets the same bits in any call.
     """
-    a, e, r = _log_series(alpha)
+    g, r = _log_series(alpha)
+    top = [int(np.flatnonzero(row)[-1]) for row in g]  # the last k kept at each p
+    terms = sum(top) + len(top)  # every (p, k <= top[p]), p-major
     lam = np.abs(np.asarray(lam, dtype=float))
     cs = np.sort(coef)
     n, c_max = cs.size, float(cs[-1])
+    e_max = max(p * alpha + 2.0 * kp for p, kp in enumerate(top))
     with np.errstate(divide="ignore"):
         split = np.searchsorted(cs, r / lam, side="right")
         scaled = lam * c_max
-        split[e[-1] * np.log(scaled) > math.log(np.finfo(float).max / n)] = 0
-    # S[i, t] = sum_{j < split_i} (c_j / c_max)^{e_t}, read from cumulative
-    # sums of positive terms taken in step blocks of bounded memory.
+        split[e_max * np.log(scaled) > math.log(np.finfo(float).max / n)] = 0
+    # sums[t, i] = sum_{j < reads_i} w_j^{p alpha + 2k} for the t-th (p, k).
+    # Steps go in blocks of 2^18 powers (2 MiB), each power a running product
+    # of w^alpha and w^2.  Whole blocks add their totals and the block a read
+    # ends in adds a cumulative sum up to the read, so a read's sums do not
+    # depend on the other reads.
     reads, row_of = np.unique(split, return_inverse=True)
-    sums = np.zeros((reads.size, e.size))
-    carry = np.zeros(e.size)
-    block = max(1, (1 << 20) // e.size)
-    w = cs / c_max
-    for j0 in range(0, n, block):
-        cum = np.cumsum(w[j0 : j0 + block, None] ** e, axis=0) + carry
-        hit = (reads > j0) & (reads <= j0 + cum.shape[0])
-        sums[hit] = cum[reads[hit] - j0 - 1]
-        carry = cum[-1]
+    sums = np.zeros((terms, reads.size))
+    carry = np.zeros(terms)
+    block, last = max(1, (1 << 18) // terms), int(split.max(initial=0))
+    for j0 in range(0, last, block):
+        w = cs[j0 : min(j0 + block, last)] / c_max
+        w_alpha, w_sq = w**alpha, w * w
+        w_sq_k = np.empty((g.shape[1], w.size))
+        w_sq_k[0] = 1.0
+        for k in range(1, w_sq_k.shape[0]):
+            np.multiply(w_sq_k[k - 1], w_sq, out=w_sq_k[k])
+        powers = np.empty((terms, w.size))
+        w_alpha_p, t = np.ones(w.size), 0
+        for kp in top:
+            np.multiply(w_sq_k[: kp + 1], w_alpha_p, out=powers[t : t + kp + 1])
+            w_alpha_p, t = w_alpha_p * w_alpha, t + kp + 1
+        ends = np.flatnonzero((reads > j0) & (reads <= j0 + block))
+        if ends.size:
+            cum = np.cumsum(powers[:, : reads[ends[-1]] - j0], axis=1)
+            sums[:, ends] = carry[:, None] + cum[:, reads[ends] - j0 - 1]
+        carry += powers.sum(axis=1)
+    sums *= np.concatenate([row[: kp + 1] for row, kp in zip(g, top)])[:, None]
+    # Horner in v = x^2 along each p, then in u = x^alpha across them.
     log_mag = np.zeros(lam.size)
     inner = split > 0
-    log_mag[inner] = (scaled[inner, None] ** e * sums[row_of[inner]]) @ a
+    x, at = scaled[inner], row_of[inner]
+    u, v = x**alpha, x * x
+    total = np.zeros(x.size)
+    for row in reversed(np.split(sums, np.cumsum(np.add(top, 1))[:-1])):
+        h = row[-1][at]
+        for coeff in row[-2::-1]:
+            h = h * v + coeff[at]
+        total = total * u + h
+    log_mag[inner] = total
     # The c_j |l| > r remainder, flattened over (node, step).
     count = n - split
     node = np.repeat(np.arange(lam.size), count)
@@ -319,9 +350,12 @@ def _gap_nodes(alpha: float, stride: int = 1):
 def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -> OracleW1:
     """W1 between the Pareto-EM chain law (x0=0) and the OU invariant law.
 
-    Both laws are symmetric; their CDFs cross only at the origin for the
-    schedules of interest (verified numerically in the test suite), so W1
-    equals |E|Y_n| - E|X_inf|| = (2/pi) |int (phi_n - phi_nu)/l^2 dl|.
+    Returns w1 = |E|Y_n| - E|X_inf|| = (2/pi) |int (phi_n - phi_nu)/l^2 dl|
+    for these symmetric laws.  Since |x| is 1-Lipschitz this is a lower bound
+    on W1; it equals W1 only if the CDFs cross once, at the origin.  They
+    can cross again: at alpha = 1.8, n = 128 the CDF gap changes sign near
+    x = 13 (ROADMAP item 7), and ``oracle_err`` does not cover the mass so
+    missed.
 
     The CF gap is formed in log space with expm1: near the origin both CFs
     are within an ulp of 1.0, and a direct subtraction would turn rounding

@@ -388,10 +388,10 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
     lambdas = cfg.lambda_list()
     emp = ecf(xs, np.asarray(lambdas))
+    oracles = pareto_em_chain_cf(alpha, schedule, cfg.x0, n, lambdas)
     rows = []
     ok = True
-    for lam, e in zip(lambdas, emp):
-        oracle = pareto_em_chain_cf(alpha, schedule, cfg.x0, n, lam)
+    for lam, e, oracle in zip(lambdas, emp, oracles.tolist()):
         diff = abs(e - oracle)
         ok &= diff <= threshold
         rows.append({

@@ -137,22 +137,52 @@ def test_chain_cf_one_step_brute_force():
     assert pareto_em_chain_cf(alpha, s, x0, 1, lam) == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 @pytest.mark.parametrize("n, lam_max", [(16, 300.0), (512, 30.0)])
-def test_chain_cf_matches_direct_product(n, lam_max):
+def test_chain_cf_matches_direct_product(alpha, n, lam_max):
     # The grid has nodes whose steps split between the power sums and the
     # one-by-one path; at n = 16 the largest c_j l also pass the series
     # cutoff, so the quadrature branch runs.
-    alpha, x0 = 1.5, 0.5
+    x0 = 0.5
     grid = np.geomspace(1e-3, lam_max, 120)
     lams = np.concatenate([-grid[::-1], [0.0], grid])
     coef, p1 = _pareto_chain_coeffs(alpha, HALF_N, n)
-    r = _log_series(alpha)[2]
+    r = _log_series(alpha)[1]
     assert np.any((coef.min() * np.abs(lams) <= r) & (coef.max() * np.abs(lams) > r))
     assert (float(coef.max()) * lam_max > _SERIES_CUTOFF) is (n == 16)
     log_mag, sign = _direct_log_chain_cf(alpha, coef, lams)
     want = np.exp(1j * lams * p1 * x0) * sign * np.exp(log_mag)
     got = pareto_em_chain_cf(alpha, HALF_N, x0, n, lams)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+def test_chain_cf_matches_direct_product_at_depth(alpha):
+    # At n = 2^17 every step of every gap node enters through the power
+    # sums, over 2^17 steps and up to 202 terms; every 50th node of the W1
+    # oracle's joined rules keeps the direct product to a few seconds.
+    n = 1 << 17
+    nodes = np.concatenate([_gap_nodes(alpha, stride)[0] for stride in (1, 2)])[::50]
+    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
+    assert float(coef.max()) * nodes.max() <= _log_series(alpha)[1]
+    want_log_mag, want_sign = _direct_log_chain_cf(alpha, coef, nodes)
+    log_mag, sign = _log_chain_cf(alpha, coef, nodes)
+    np.testing.assert_allclose(log_mag, want_log_mag, rtol=1e-12)
+    np.testing.assert_array_equal(sign, want_sign)
+
+
+@pytest.mark.parametrize("alpha, n", [(1.2, 16), (1.5, 512), (1.8, 8192)])
+def test_chain_cf_node_bits_do_not_depend_on_the_call(alpha, n):
+    # A node's power sums depend on its own split only, and the rest is
+    # element-wise, so each node alone gets the bits it gets in a joined call:
+    # the cf-check oracle column is the same in one call as in one per lambda.
+    nodes = np.concatenate([_gap_nodes(alpha, stride)[0] for stride in (1, 2)])
+    nodes = np.concatenate([nodes[::97], [0.0, 1e13]])
+    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
+    joined = _log_chain_cf(alpha, coef, nodes)
+    alone = [_log_chain_cf(alpha, coef, nodes[i : i + 1]) for i in range(nodes.size)]
+    np.testing.assert_array_equal(joined[0], [log_mag[0] for log_mag, _ in alone])
+    np.testing.assert_array_equal(joined[1], [sign[0] for _, sign in alone])
 
 
 def test_chain_cf_far_nodes_take_direct_path():
@@ -174,7 +204,9 @@ def test_chain_cf_far_nodes_take_direct_path():
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_log_series_matches_log1p_at_split_radius(alpha):
-    a, e, r = _log_series(alpha)
+    g, r = _log_series(alpha)
+    p, k = np.nonzero(g)
+    a, e = g[p, k], p * alpha + 2.0 * k
     assert r == 0.1  # the split radius is not halved below alpha ~ 1.96
     for x in (r, r / 3.0, r / 100.0):
         want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([x]))[0]))
@@ -186,7 +218,9 @@ def test_log_series_radius_shrinks_near_two():
     # radius keeps the series exact there.  The reference loses digits of its
     # own as alpha -> 2, where C x^alpha and alpha c_1 x^2 in m nearly cancel.
     for alpha in (1.97, 1.995):
-        a, e, r = _log_series(alpha)
+        g, r = _log_series(alpha)
+        p, k = np.nonzero(g)
+        a, e = g[p, k], p * alpha + 2.0 * k
         assert r < 0.1
         want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([r]))[0]))
         assert math.fsum(a * r**e) == pytest.approx(want, rel=1e-13, abs=0.0)
