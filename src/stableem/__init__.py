@@ -7,7 +7,15 @@ law: exact samplers, characteristic-function oracles, W1 estimators,
 step-schedule diagnostics, and a reproducible parallel ensemble engine.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
+
+import os
+
+# Before any submodule imports NumPy: an OpenBLAS thread pool spins on every
+# core for about 0.13 s after the import, CPU time the process pays, while
+# every BLAS call here is on arrays too small to gain from threads.  A value
+# already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cf_oracle import (
     OracleW1,

@@ -1,10 +1,13 @@
 """Characteristic-function oracles for the 1-D Pareto innovation and chain laws.
 
 These give a deterministic, non-Monte-Carlo ground truth for chain-law
-tests on the 1-D OU drift: the Pareto-EM chain law is an explicit product
-of innovation CFs, the stable-EM chain law is a pure stable law whose
-scale obeys a one-line recurrence, and W1 distances between symmetric
-laws reduce to quadratures of CF differences.
+tests on the 1-D OU drift.  From x0, both EM schemes give
+Y_n = P_1 x0 + sum_j w_j xi_j with P_1 = prod_k (1 - gamma_k) and the chain
+weights w_j = gamma_j^{1/alpha} prod_{k>j} (1 - gamma_k) (``_chain_weights``):
+xi_j is standard stable for stable-EM, so its chain law is stable of scale
+(sum_j w_j^alpha)^{1/alpha}, and Pareto over beta for Pareto-EM, whose chain
+CF is the product of the innovation CFs at c_j l, c_j = w_j / beta.  W1
+distances between symmetric laws reduce to quadratures of CF differences.
 
 The Pareto-EM chain CF prod_j phi(c_j l) has one accumulator,
 ``_log_chain_cf``.  For 0 <= x <= r (r = ``_LOG_SERIES_RADIUS``)
@@ -27,7 +30,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .sampling import check_noise, noise_constants
 from .schedule import StepSchedule
@@ -242,18 +244,17 @@ def _log_chain_cf(alpha: float, coef: np.ndarray, lam: np.ndarray):
     return log_mag, np.where(flips % 2 == 1, -1.0, 1.0)
 
 
-def _pareto_chain_coeffs(alpha: float, schedule: StepSchedule, n: int):
-    """Per-step innovation coefficients gamma_j^{1/alpha}/beta * prod_{k>j}(1-gamma_k)."""
-    beta = noise_constants(alpha, 1).beta
+def _chain_weights(alpha: float, schedule: StepSchedule, n: int):
+    """The chain weights w_j = gamma_j^{1/alpha} prod_{k>j}(1 - gamma_k), j = 1..n, and P_1.
+
+    P_1 = prod_k (1 - gamma_k) is the factor of x0.
+    """
     g = schedule.gammas(n)
     if np.any(g >= 1.0):
-        raise ValueError("chain CF needs all gamma_j < 1 (contraction factors in (0,1))")
-    log1mg = np.log1p(-g)
+        raise ValueError("the chain law needs every gamma_j < 1 (contraction factors in (0, 1))")
     # suffix[j] = sum_{k=j+1..n} log(1-gamma_k) for j = 1..n (0-based j-1)
-    suffix = np.concatenate([np.cumsum(log1mg[::-1])[::-1], [0.0]])
-    log_p1 = suffix[0]
-    coef = g ** (1.0 / alpha) / beta * np.exp(suffix[1:])
-    return coef, math.exp(log_p1)
+    suffix = np.concatenate([np.cumsum(np.log1p(-g)[::-1])[::-1], [0.0]])
+    return g ** (1.0 / alpha) * np.exp(suffix[1:]), math.exp(suffix[0])
 
 
 def pareto_em_chain_cf(alpha: float, schedule: StepSchedule, x0: float, n: int, lam):
@@ -267,8 +268,8 @@ def pareto_em_chain_cf(alpha: float, schedule: StepSchedule, x0: float, n: int, 
     if n == 0:
         out = np.exp(1j * lam_arr * x0)
         return complex(out[0]) if np.ndim(lam) == 0 else out
-    coef, p1 = _pareto_chain_coeffs(alpha, schedule, n)
-    log_mag, sign = _log_chain_cf(alpha, coef, lam_arr)
+    w, p1 = _chain_weights(alpha, schedule, n)
+    log_mag, sign = _log_chain_cf(alpha, w / noise_constants(alpha, 1).beta, lam_arr)
     out = np.exp(1j * lam_arr * p1 * x0) * sign * np.exp(log_mag)
     return complex(out[0]) if np.ndim(lam) == 0 else out
 
@@ -281,22 +282,16 @@ def stable_ou_invariant_cf(alpha: float, lam):
 
 def stable_mean_abs(alpha: float) -> float:
     """E|Z| for the standard stable law with CF exp(-|l|^alpha)."""
-    return 2.0 / math.pi * _gamma(1.0 - 1.0 / alpha)
+    return 2.0 / math.pi * math.gamma(1.0 - 1.0 / alpha)
 
 
 def stable_em_chain_scale_pow(alpha: float, schedule: StepSchedule, n: int) -> float:
-    """s_n with stable-EM chain law (x0=0 part) = stable of scale s_n^{1/alpha}.
+    """s_n = sum_j w_j^alpha: the stable-EM chain law from x0 = 0 is stable of scale s_n^{1/alpha}.
 
-    The recursion Y' = (1-gamma)Y + gamma^{1/alpha} Z closes within the
-    stable scale family: s_{k+1} = (1-gamma)^alpha s_k + gamma.
+    The same s_n solves the recurrence s_{k+1} = (1-gamma)^alpha s_k + gamma
+    of one step Y' = (1-gamma)Y + gamma^{1/alpha} Z.
     """
-    g = schedule.gammas(n)
-    if np.any(g >= 1.0):
-        raise ValueError("scale recurrence needs all gamma_j < 1")
-    s = 0.0
-    for gi in g:
-        s = (1.0 - gi) ** alpha * s + gi
-    return s
+    return float(np.sum(_chain_weights(alpha, schedule, n)[0] ** alpha))
 
 
 def exact_ou_scale_pow(alpha: float, t):
@@ -363,16 +358,20 @@ def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -
     adds |W1 on the 240-edge rule - W1 on the rule that keeps every other
     edge| (both rules share one ``_log_chain_cf`` call over their joined
     nodes) and the leading-order mass below l = eps = _GAP_LAM_MIN that
-    both rules drop: near 0 the gap is (C sum_j c_j^alpha - 1/alpha) l^{alpha-2},
-    so that mass is (2/pi) |C sum_j c_j^alpha - 1/alpha| eps^{alpha-1}/(alpha-1).
+    both rules drop: near 0 the gap is (s_n - 1/alpha) l^{alpha-2}, with
+    s_n = C sum_j c_j^alpha = sum_j w_j^alpha, so that mass is
+    (2/pi) |s_n - 1/alpha| eps^{alpha-1}/(alpha-1).
     """
     rules = [_gap_nodes(alpha, stride) for stride in (1, 2)]
     nodes = np.concatenate([nodes for nodes, _ in rules])
-    coef, _ = _pareto_chain_coeffs(alpha, schedule, n)
-    if float(coef.max()) * float(nodes.max()) > _SERIES_CUTOFF:
+    w, _ = _chain_weights(alpha, schedule, n)
+    coef = w / noise_constants(alpha, 1).beta
+    reach = float(coef.max()) * float(nodes.max())
+    if reach > _SERIES_CUTOFF:
         raise ValueError(
-            "innovation coefficients exceed the CF series range; "
-            "this oracle needs gamma_1 < 1 schedules at moderate depth"
+            f"at n = {n} the largest innovation coefficient times the largest CF node is "
+            f"{reach:.4g}, past the CF series cutoff {_SERIES_CUTOFF:g}: "
+            "the checkpoints must start deeper"
         )
     log_phi_n, sign = _log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
@@ -384,7 +383,7 @@ def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -
     (_, w_fine), (_, w_coarse) = rules
     fine = -float(w_fine @ gap[: w_fine.size]) * 2.0 / math.pi
     coarse = -float(w_coarse @ gap[w_fine.size :]) * 2.0 / math.pi
-    drift = first_order_cf_coefficient(alpha) * float(np.sum(coef**alpha)) - 1.0 / alpha
+    drift = float(np.sum(w**alpha)) - 1.0 / alpha
     tail = 2.0 / math.pi * abs(drift) * _GAP_LAM_MIN ** (alpha - 1.0) / (alpha - 1.0)
     return OracleW1(abs(fine), fine, float(abs(abs(fine) - abs(coarse)) + tail))
 

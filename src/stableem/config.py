@@ -18,7 +18,7 @@ import os
 from typing import Callable, NamedTuple
 
 from .drift import drift_by_name
-from .metrics import W1_BATCHES
+from .metrics import FIT_POINTS, W1_BATCHES
 from .schedule import StepSchedule, omega_of
 
 
@@ -83,17 +83,22 @@ def _spec(parse):
 
 
 def parse_schedule(spec: str, theta: float) -> StepSchedule:
-    """Schedule syntax: c-over-n:G1 | c-over-rho-n:C,RHO | poly:G1,A; each a closed formula."""
+    """Schedule syntax: poly:G1,A, the step formula gamma_k = G1 / k^A.
+
+    c-over-n:C (G1 = C) and c-over-rho-n:C,RHO (G1 = C / RHO) spell its A = 1 case.
+    """
     name, _, rest = spec.partition(":")
     try:
         if name == "c-over-n":
-            return StepSchedule.c_over_rho_n(c=_number(rest), rho=1.0, theta=theta)
+            return StepSchedule(gamma1=_number(rest), theta=theta)
         if name == "c-over-rho-n":
             c, rho = (_number(v) for v in rest.split(","))
-            return StepSchedule.c_over_rho_n(c=c, rho=rho, theta=theta)
+            if c <= 0.0 or rho <= 0.0:
+                raise ValueError("c-over-rho-n needs positive c and rho")
+            return StepSchedule(gamma1=c / rho, theta=theta)
         if name == "poly":
             g1, a = (_number(v) for v in rest.split(","))
-            return StepSchedule.polynomial(gamma1=g1, a=a, theta=theta)
+            return StepSchedule(gamma1=g1, a=a, theta=theta)
     except ValueError as exc:
         raise ConfigError(f"bad schedule spec {spec!r}") from exc
     raise ConfigError(f"unknown schedule family {name!r}")
@@ -262,6 +267,13 @@ class ExperimentConfig:
                 f"{where_given.get('m', '')}bad value for 'm': {self.m} (reference = ensemble "
                 f"needs m >= {2 * W1_BATCHES}, 2 chains in each of {W1_BATCHES} batches)"
             )
+        # Exact-OU's verdict fits nothing; the other schemes' rate fit needs FIT_POINTS.
+        fitted = experiment == "rate" and self.scheme != "exact-ou"
+        if fitted and (count := len(self.checkpoint_list())) < FIT_POINTS:
+            raise ConfigError(
+                f"{where_given.get('checkpoints', '')}bad value for 'checkpoints': "
+                f"{self.checkpoints!r} (a rate fit needs {FIT_POINTS} checkpoints, got {count})"
+            )
         if experiment == "rate" and self.reference == "oracle" and self.x0 != 0.0:
             raise ConfigError(
                 f"{where_given.get('x0', '')}oracle reference needs x0 = 0, got x0 = {self.x0!r}"
@@ -281,8 +293,8 @@ class ExperimentConfig:
                 f"{where_given.get(key, '')}bad value for {key!r}: {getattr(self, key)!r} "
                 f"(need rho_toy > omega, got rho_toy = {self.rho_toy!r} <= omega = {omega!r})"
             )
-        # The chain-law oracles contract by 1 - gamma_j at every step; both
-        # schedule families decrease, so gamma_1 < 1 covers every step.
+        # The chain-law oracles contract by 1 - gamma_j at every step; the
+        # steps decrease, so gamma_1 < 1 covers every step.
         chain_law = experiment == "cf-check" or (
             experiment == "rate" and self.reference == "oracle" and self.scheme != "exact-ou"
         )

@@ -39,7 +39,7 @@ from .cf_oracle import (
 from .config import ExperimentConfig
 from .drift import builtin_ou, certify_assumptions, drift_by_name
 from .em import EXACT_OU, PARETO_EM, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble
-from .metrics import W1_BATCHES, ecf, rate_fit, w1_sorted_1d
+from .metrics import FIT_POINTS, W1_BATCHES, ecf, rate_fit, w1_sorted_1d
 from .sampling import (
     noise_constants,
     sample_pareto_vec,
@@ -219,7 +219,7 @@ def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | No
         return bool(gap <= tol) if floor else None
 
     usable = [(r["gamma_n"], r["w1"]) for r in rows if r["used"]]
-    if len(usable) < 4:
+    if len(usable) < FIT_POINTS:
         raise RuntimeError(
             f"only {len(usable)} checkpoints rise above 5x the statistical floor "
             f"({floor:.4g}); raise m or use reference=oracle"
@@ -307,7 +307,7 @@ def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             for r in rows
             if r[f"{scheme_key}_err"] > 5.0 * r[f"{scheme_key}_stderr"]
         ]
-        slopes[scheme_key] = rate_fit(pts).slope if len(pts) >= 4 else None
+        slopes[scheme_key] = rate_fit(pts).slope if len(pts) >= FIT_POINTS else None
     summary["pareto_slope"] = slopes["pareto"]
     summary["stable_slope"] = slopes["stable"]
     summary["pareto_target"] = 2.0 / alpha
@@ -428,8 +428,8 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     k = cfg.n_max * 10
     gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
     omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
-    a = schedule.a or 1.0  # c-over-rho-n has no a: its steps are harmonic
-    leading = diag.omega + (th * a * k ** (a - 1.0) / schedule.gamma_at(1) if a < 1.0 else 0.0)
+    a = schedule.a
+    leading = diag.omega + (th * a * k ** (a - 1.0) / schedule.gamma1 if a < 1.0 else 0.0)
 
     ns = [1]
     while ns[-1] * 2 <= cfg.n_max:
@@ -476,12 +476,8 @@ def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
 def run_sample(cfg: ExperimentConfig) -> ExperimentReport:
     alpha = float(cfg.alpha)
     gen = rngmod.derive_stream(cfg.seed, 0)
-    if cfg.sampler == "stable-1d":
-        data = sample_stable_1d(alpha, gen, cfg.count)[:, None]
-    elif cfg.sampler == "stable-vec":
-        data = sample_stable_vec(alpha, cfg.dim, gen, cfg.count)
-    else:  # pareto
-        data = sample_pareto_vec(alpha, cfg.dim, gen, cfg.count)
+    sampler = sample_pareto_vec if cfg.sampler == "pareto" else sample_stable_vec
+    data = sampler(alpha, cfg.dim, gen, cfg.count)
     rows = [
         {"index": i, **{f"x{j}": float(v) for j, v in enumerate(row)}}
         for i, row in enumerate(data)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 W1_BATCHES = 20  # contiguous slices behind the batch-means error of w1_gap_stderr
+FIT_POINTS = 4  # the fewest points a rate fit takes
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def ecf(samples, lambdas) -> np.ndarray:
 def rate_fit(points) -> RateFit:
     """OLS of log W1 against log gamma; the slope is the empirical rate exponent.
 
-    Nonpositive W1 values are dropped with a warning; fewer than 4
+    Nonpositive W1 values are dropped with a warning; fewer than FIT_POINTS
     surviving points is an error.
     """
     pts = [(float(g), float(w)) for g, w in points]
@@ -81,8 +82,8 @@ def rate_fit(points) -> RateFit:
         import warnings
 
         warnings.warn(f"dropped {len(pts) - len(kept)} nonpositive W1 points from rate fit")
-    if len(kept) < 4:
-        raise ValueError(f"need >= 4 positive points for a rate fit, got {len(kept)}")
+    if len(kept) < FIT_POINTS:
+        raise ValueError(f"need >= {FIT_POINTS} positive points for a rate fit, got {len(kept)}")
     lg = np.log([g for g, _ in kept])
     lw = np.log([w for _, w in kept])
     design = np.vstack([lg, np.ones_like(lg)]).T

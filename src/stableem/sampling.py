@@ -24,20 +24,20 @@ variate arrays, one piece of transform scratch and the innovations.  Its
 ``stableem.em`` and transforms them in pieces of ``_PIECE``, so the
 transform's passes run in cache.  The transforms write their temporaries
 into the scratch and overwrite their spent variates, so a holder allocates
-nothing per draw.  The 1-D samplers draw through a holder of their own,
-and each worker thread of the ensemble engine through one holder per run.
-The d > 1 samplers, which only ``stableem sample`` and the tests use, are
-plain NumPy expressions: the isotropic stable vector subordinates normals
-to Kanter's one-sided transform, and the radial Pareto vector scales a
-normal direction.
+nothing per draw.  The 1-D samplers, and the vector samplers at d = 1,
+draw through a holder of their own, and each worker thread of the
+ensemble engine through one holder per run.  The d > 1 samplers, which
+only ``stableem sample`` and the tests use, are plain NumPy expressions:
+the isotropic stable vector subordinates normals to Kanter's one-sided
+transform, and the radial Pareto vector scales a normal direction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def check_noise(alpha: float, dim: int) -> None:
@@ -64,15 +64,15 @@ def noise_constants(alpha: float, dim: int) -> NoiseConstants:
     digits over the argument range of interest.
     """
     check_noise(alpha, dim)
-    sigma = 2.0 * np.pi ** (dim / 2.0) / np.exp(gammaln(dim / 2.0))
+    sigma = 2.0 * math.pi ** (dim / 2.0) / math.exp(math.lgamma(dim / 2.0))
     d_alpha = (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * np.pi ** (-dim / 2.0)
-        * np.exp(gammaln((dim + alpha) / 2.0) - gammaln(1.0 - alpha / 2.0))
+        * math.pi ** (-dim / 2.0)
+        * math.exp(math.lgamma((dim + alpha) / 2.0) - math.lgamma(1.0 - alpha / 2.0))
     )
     beta = (alpha / (sigma * d_alpha)) ** (1.0 / alpha)
-    return NoiseConstants(sigma_dm1=float(sigma), d_alpha=float(d_alpha), beta=float(beta))
+    return NoiseConstants(sigma_dm1=sigma, d_alpha=d_alpha, beta=beta)
 
 
 CMS = "cms"  # 1-D symmetric alpha-stable, Chambers-Mallows-Stuck
@@ -227,11 +227,14 @@ def sample_stable_1d(alpha: float, rng: np.random.Generator, size: int) -> np.nd
 def sample_stable_vec(alpha: float, dim: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` isotropic alpha-stable vectors with CF exp(-|lambda|^alpha), shape (size, dim).
 
-    Gaussian subordination (also for dim == 1): Z = sqrt(2 S) G, S = Kanter's
-    positive (alpha/2)-stable of u and w, G standard normal; u, w and then g
-    are each drawn in one call.
+    When dim == 1, the CMS draws of ``sample_stable_1d`` as one column.  When
+    dim > 1, Gaussian subordination: Z = sqrt(2 S) G, S = Kanter's positive
+    (alpha/2)-stable of u and w, G standard normal; u, w and then g are each
+    drawn in one call.
     """
     check_noise(alpha, dim)
+    if dim == 1:
+        return Innovations(CMS, size).draw(rng, alpha, size)[:, None]
     u, w = rng.random(size), rng.standard_exponential(size)
     g = rng.standard_normal((size, dim))
     return np.sqrt(2.0 * _kanter(alpha / 2.0, u, w))[:, None] * g

@@ -1,15 +1,13 @@
 """Decreasing step-size schedules and their ergodicity diagnostics.
 
-A schedule is an infinite decreasing sequence given by a closed formula,
-one of two families:
-
-* ``c-over-rho-n``: gamma_k = c / (rho * k),
-* ``poly``:         gamma_k = gamma1 * k^{-a} with a in (0, 1].
+A schedule is the infinite decreasing sequence gamma_k = gamma1 / k^a with
+a in (0, 1].  The config spells a = 1 also as ``c-over-n:c`` (gamma1 = c)
+and ``c-over-rho-n:c,rho`` (gamma1 = c / rho).
 
 Alongside the steps themselves the module computes the partial sums t_n,
-the limsup quantity omega (closed-form for both families), the theoretical
-ergodicity constant rho, and the v_n / n* sequences used to sanity-check
-the step-size decay recurrence numerically.  The windowed sum over the last
+the limsup quantity omega (closed-form), the theoretical ergodicity
+constant rho, and the v_n / n* sequences used to sanity-check the
+step-size decay recurrence numerically.  The windowed sum over the last
 unit of time before t_n is evaluated on demand, only at the n a caller asks
 for (``ScheduleDiagnostics.windowed_sum_ratio``).
 """
@@ -24,53 +22,31 @@ import numpy as np
 
 from .sampling import check_noise
 
-C_OVER_RHO_N = "c-over-rho-n"
-POLYNOMIAL = "poly"
-
 
 @dataclass(frozen=True)
 class StepSchedule:
-    family: str
+    """gamma_k = gamma1 / k^a, with weight exponent theta for the diagnostics."""
+
+    gamma1: float
+    a: float = 1.0
     theta: float = 1.0
-    c: float | None = None
-    rho: float | None = None
-    gamma1: float | None = None
-    a: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.family == C_OVER_RHO_N:
-            if self.c is None or self.rho is None or self.c <= 0 or self.rho <= 0:
-                raise ValueError("c-over-rho-n needs positive c and rho")
-        elif self.family == POLYNOMIAL:
-            if self.gamma1 is None or self.gamma1 <= 0:
-                raise ValueError("poly needs positive gamma1")
-            if self.a is None or not 0.0 < self.a <= 1.0:
-                raise ValueError("poly needs exponent a in (0, 1]")
-        else:
-            raise ValueError(f"unknown schedule family {self.family!r}")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def c_over_rho_n(cls, c: float, rho: float, theta: float = 1.0) -> "StepSchedule":
-        return cls(family=C_OVER_RHO_N, c=c, rho=rho, theta=theta)
-
-    @classmethod
-    def polynomial(cls, gamma1: float, a: float, theta: float = 1.0) -> "StepSchedule":
-        return cls(family=POLYNOMIAL, gamma1=gamma1, a=a, theta=theta)
-
-    # -- evaluation ---------------------------------------------------------
+        if not 0.0 < self.gamma1 < math.inf:
+            raise ValueError(f"gamma1 must be positive and finite, got {self.gamma1}")
+        if not 0.0 < self.a <= 1.0:
+            raise ValueError(f"the exponent a must lie in (0, 1], got {self.a}")
 
     def _steps(self, k: np.ndarray) -> np.ndarray:
-        """gamma_k at 1-based float indices k: the one formula of each family.
+        """gamma_k at 1-based float indices k: the one step formula.
 
-        Always on an array: NumPy's scalar and array power can differ in the last bit.
+        Divided, not multiplied by k^-a: at a = 1 that is gamma1 / k, so every
+        c / k step is rounded once.  Always on an array: NumPy's scalar and
+        array power can differ in the last bit.
         """
-        if self.family == C_OVER_RHO_N:
-            return self.c / (self.rho * k)
-        return self.gamma1 * k ** (-self.a)
+        return self.gamma1 / k**self.a
 
     def gamma_at(self, k: int) -> float:
         """The k-th step size, 1-based; equal to gammas(n)[k - 1] for every n >= k."""
@@ -97,23 +73,16 @@ class StepSchedule:
         return t
 
     def describe(self) -> str:
-        if self.family == C_OVER_RHO_N:
-            return f"c-over-rho-n:c={self.c},rho={self.rho},theta={self.theta}"
         return f"poly:gamma1={self.gamma1},a={self.a},theta={self.theta}"
 
 
 def omega_of(s: StepSchedule) -> float:
     """limsup_k (gamma_k^theta - gamma_{k+1}^theta) / gamma_{k+1}^{1+theta}, in closed form.
 
-    theta * rho / c for c-over-rho-n; for poly, theta / gamma1 at a = 1 and
-    0 for a < 1, where the steps decay sub-harmonically.
+    theta / gamma1 at a = 1 (theta rho / c for c-over-rho-n), and 0 for
+    a < 1, where the steps decay sub-harmonically.
     """
-    th = s.theta
-    if s.family == C_OVER_RHO_N:
-        return th * s.rho / s.c
-    if s.a < 1.0:
-        return 0.0
-    return th / s.gamma1
+    return s.theta / s.gamma1 if s.a == 1.0 else 0.0
 
 
 def rho_theory(alpha: float, d: int) -> float:

@@ -32,7 +32,7 @@ from stableem.schedule import StepSchedule, decay_diagnostics
 ALPHAS = (1.2, 1.5, 1.8)
 HALF_N = "c-over-n:0.5"  # gamma_n = 1/(2n)
 # gamma_n = 0.9/n: omega = 1/(0.9 alpha) < 1 = theta1 of b(x) = -x at every
-# alpha in ALPHAS, and gamma_1 < 1 as the stable scale recurrence needs.
+# alpha in ALPHAS, and gamma_1 < 1 as the chain weights need.
 STABLE_N = "c-over-n:0.9"
 _LP_MAX = 256
 
@@ -188,7 +188,7 @@ def test_criterion_05_w1_oracle_equivalence_and_axioms():
 
 def test_criterion_06_schedule_decay_identities():
     alpha, theta = 1.5, 2.0 / 3.0
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=theta)
+    s = StepSchedule(gamma1=4.0, theta=theta)
     diag = decay_diagnostics(s, rho=0.5, n_max=100_000, alpha=alpha)
     closed = 0.5 / (alpha * 2.0)  # = 1/6
     k = 1_000_000
@@ -208,7 +208,7 @@ def test_criterion_06_schedule_decay_identities():
 
 def test_criterion_07_moment_bounded_along_chains():
     alpha, kappa = 1.5, 1.2
-    sched = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / alpha)
+    sched = StepSchedule(gamma1=0.5, theta=1.0 / alpha)
     cps = tuple(2**k for k in range(7, 14))
     ok, details = True, []
     for scheme in ("pareto-em", "stable-em"):

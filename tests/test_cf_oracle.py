@@ -5,11 +5,11 @@ import pytest
 
 from stableem.cf_oracle import (
     _SERIES_CUTOFF,
+    _chain_weights,
     _gap_nodes,
     _log_chain_cf,
     _log_series,
     _pareto_cf_m1_series,
-    _pareto_chain_coeffs,
     exact_ou_scale_pow,
     first_order_cf_coefficient,
     pareto_cf,
@@ -22,10 +22,17 @@ from stableem.cf_oracle import (
     w1_pareto_chain_vs_invariant,
     w1_stable_chain_vs_invariant,
 )
+from stableem.config import parse_schedule
 from stableem.sampling import noise_constants
 from stableem.schedule import StepSchedule
 
-HALF_N = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=2.0 / 3.0)  # gamma_n = 1/(2n)
+HALF_N = StepSchedule(gamma1=0.5, theta=2.0 / 3.0)  # gamma_n = 1/(2n)
+
+
+def _pareto_coeffs(alpha, schedule, n):
+    """The Pareto-EM chain's innovation coefficients c_j = w_j / beta, and P_1."""
+    w, p1 = _chain_weights(alpha, schedule, n)
+    return w / noise_constants(alpha, 1).beta, p1
 
 
 def _direct_log_chain_cf(alpha, coef, lam):
@@ -55,7 +62,7 @@ def _direct_log_chain_cf(alpha, coef, lam):
 def _direct_w1_pareto(alpha, schedule, n):
     """Reference W1 oracle: the same CF-gap quadrature over the direct product."""
     nodes, weights = _gap_nodes(alpha)
-    coef, _ = _pareto_chain_coeffs(alpha, schedule, n)
+    coef, _ = _pareto_coeffs(alpha, schedule, n)
     log_phi_n, sign = _direct_log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
     gap = np.where(
@@ -129,7 +136,7 @@ def test_chain_cf_zero_steps_is_point_mass():
 
 
 def test_chain_cf_one_step_brute_force():
-    s = StepSchedule.c_over_rho_n(c=0.25, rho=1.0)  # gamma_1 = 0.25
+    s = StepSchedule(gamma1=0.25)  # gamma_1 = 0.25
     alpha, x0, lam = 1.5, 1.0, 1.3
     beta = noise_constants(alpha, 1).beta
     # one step: Y1 = (1-g) x0 + (g^{1/a}/beta) Z
@@ -146,7 +153,7 @@ def test_chain_cf_matches_direct_product(alpha, n, lam_max):
     x0 = 0.5
     grid = np.geomspace(1e-3, lam_max, 120)
     lams = np.concatenate([-grid[::-1], [0.0], grid])
-    coef, p1 = _pareto_chain_coeffs(alpha, HALF_N, n)
+    coef, p1 = _pareto_coeffs(alpha, HALF_N, n)
     r = _log_series(alpha)[1]
     assert np.any((coef.min() * np.abs(lams) <= r) & (coef.max() * np.abs(lams) > r))
     assert (float(coef.max()) * lam_max > _SERIES_CUTOFF) is (n == 16)
@@ -163,7 +170,7 @@ def test_chain_cf_matches_direct_product_at_depth(alpha):
     # oracle's joined rules keeps the direct product to a few seconds.
     n = 1 << 17
     nodes = np.concatenate([_gap_nodes(alpha, stride)[0] for stride in (1, 2)])[::50]
-    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
+    coef, _ = _pareto_coeffs(alpha, HALF_N, n)
     assert float(coef.max()) * nodes.max() <= _log_series(alpha)[1]
     want_log_mag, want_sign = _direct_log_chain_cf(alpha, coef, nodes)
     log_mag, sign = _log_chain_cf(alpha, coef, nodes)
@@ -178,7 +185,7 @@ def test_chain_cf_node_bits_do_not_depend_on_the_call(alpha, n):
     # the cf-check oracle column is the same in one call as in one per lambda.
     nodes = np.concatenate([_gap_nodes(alpha, stride)[0] for stride in (1, 2)])
     nodes = np.concatenate([nodes[::97], [0.0, 1e13]])
-    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
+    coef, _ = _pareto_coeffs(alpha, HALF_N, n)
     joined = _log_chain_cf(alpha, coef, nodes)
     alone = [_log_chain_cf(alpha, coef, nodes[i : i + 1]) for i in range(nodes.size)]
     np.testing.assert_array_equal(joined[0], [log_mag[0] for log_mag, _ in alone])
@@ -224,7 +231,7 @@ def test_log_series_radius_shrinks_near_two():
         assert r < 0.1
         want = math.log1p(float(_pareto_cf_m1_series(alpha, np.array([r]))[0]))
         assert math.fsum(a * r**e) == pytest.approx(want, rel=1e-13, abs=0.0)
-    coef, _ = _pareto_chain_coeffs(1.97, HALF_N, 256)
+    coef, _ = _pareto_coeffs(1.97, HALF_N, 256)
     lams = np.linspace(0.0, 20.0, 41)
     got = pareto_em_chain_cf(1.97, HALF_N, 0.0, 256, lams)
     log_mag, sign = _direct_log_chain_cf(1.97, coef, lams)
@@ -238,7 +245,7 @@ def test_chain_cf_modulus_bounded():
 
 
 def test_chain_cf_rejects_unit_steps():
-    s = StepSchedule.c_over_rho_n(c=1.0, rho=1.0)  # gamma_1 = 1
+    s = StepSchedule(gamma1=1.0)  # gamma_1 = 1
     with pytest.raises(ValueError):
         pareto_em_chain_cf(1.5, s, 0.0, 2, 1.0)
 
@@ -248,6 +255,24 @@ def test_stable_scale_recurrence():
     # deep in the schedule the scale approaches the invariant one
     s_big = stable_em_chain_scale_pow(1.5, HALF_N, 200_000)
     assert s_big == pytest.approx(1.0 / 1.5, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("spec", ["c-over-n:0.5", "c-over-n:0.9", "poly:0.5,0.7"])
+def test_stable_scale_is_the_sum_of_the_chain_weights(alpha, spec):
+    # The reference is the one-step recurrence s' = (1 - gamma)^alpha s + gamma
+    # of Y' = (1 - gamma) Y + gamma^{1/alpha} Z; s_n = sum_j w_j^alpha unrolls it.
+    schedule = parse_schedule(spec, 1.0 / alpha)
+    ns = (1, 7, 256, 8192, 1 << 16)
+    want, s = {}, 0.0
+    for k, g in enumerate(schedule.gammas(ns[-1]).tolist(), start=1):
+        s = (1.0 - g) ** alpha * s + g
+        if k in ns:
+            want[k] = s
+    for n in ns:
+        assert stable_em_chain_scale_pow(alpha, schedule, n) == pytest.approx(
+            want[n], rel=5e-14, abs=0.0
+        ), n
 
 
 def test_exact_ou_scale():
@@ -320,7 +345,7 @@ def test_pareto_oracle_err_covers_mass_below_quadrature(alpha, n):
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg).ravel()
     weights = (half[:, None] * wg).ravel()
-    coef, _ = _pareto_chain_coeffs(alpha, HALF_N, n)
+    coef, _ = _pareto_coeffs(alpha, HALF_N, n)
     log_phi_n, _ = _direct_log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha
     gap = np.exp(log_phi_inv) * np.expm1(log_phi_n - log_phi_inv) / nodes**2

@@ -443,6 +443,20 @@ def test_too_few_usable_checkpoints_names_the_key_to_raise(tmp_path, capsys):
     assert not os.path.exists(out + ".json")
 
 
+def test_pareto_oracle_out_of_series_range_names_the_checkpoint(tmp_path, capsys):
+    # gamma_1 = 0.9 < 1, but at n = 1 the one coefficient times the largest
+    # quadrature node passes the series cutoff; from n = 2 on it does not.
+    out = str(tmp_path / "rate")
+    argv = ["rate", "--alpha", "1.5", "--reference", "oracle", "--schedule", "c-over-n:0.9"]
+    assert main([*argv, "--checkpoints", "1..64 geometric", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: at n = 1 the largest innovation coefficient times the largest CF node is "
+        "12.78, past the CF series cutoff 10: the checkpoints must start deeper\n"
+    )
+    assert not os.path.exists(out + ".json")
+    assert main([*argv, "--checkpoints", "2..64 geometric", "--out", out]) in (0, 2)
+
+
 def test_oracle_rate_summary_has_no_abort_count(tmp_path):
     out = str(tmp_path / "run")
     main(["rate", "--alpha", "1.5", "--reference", "oracle", "--checkpoints", "8..64 geometric",
@@ -607,23 +621,32 @@ def test_summary_has_schedule_keys_only_where_a_schedule_is_built(tmp_path):
     assert not {"schedule", "omega", "rho_toy"} & set(drift)
 
 
-def test_start_up_imports_no_scipy_integrate_or_optimize():
-    # scipy.integrate (with scipy.optimize, scipy.sparse and scipy.linalg
-    # behind it) took about 0.4 s of every process's start-up; only the
-    # |lambda| > 10 Pareto-CF fallback imports it, when it is reached.
+def test_start_up_imports_no_scipy_integrate_or_optimize(monkeypatch):
+    # Start-up imports NumPy and no scipy module at all: Gamma comes from
+    # math, and only the |lambda| > 10 Pareto-CF fallback imports
+    # scipy.integrate, when it is reached.  OPENBLAS_NUM_THREADS defaults to 1
+    # before NumPy is imported, and a value already set is kept.
     code = (
-        "import sys, stableem, stableem.cli\n"
+        "import os, sys, stableem.cli\n"
         "stableem.load_config('tests/data/ensemble-cf.cfg')\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
         "print(repr(stableem.pareto_cf(1.5, 20.0)))\n"
+        "print('scipy.integrate' in sys.modules)\n"
     )
-    run = _python("-c", code)
-    assert run.returncode == 0, run.stderr
-    loaded, fallback = run.stdout.split()
-    assert loaded == "[]"
-    # the fallback still imports and runs its quadrature when it is reached
-    assert float(fallback) == stableem.pareto_cf(1.5, 20.0)
+    for preset in (None, "3"):
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        run = _python("-c", code)
+        assert run.returncode == 0, run.stderr
+        loaded, threads, fallback, integrate = run.stdout.split()
+        assert loaded == "[]"
+        assert threads == (preset or "1")
+        # the fallback still imports and runs its quadrature when it is reached
+        assert float(fallback) == stableem.pareto_cf(1.5, 20.0)
+        assert integrate == "True"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):

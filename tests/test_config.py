@@ -8,6 +8,7 @@ from stableem.config import (
     REQUIRED,
     ConfigError,
     ExperimentConfig,
+    flag_values,
     key_spec,
     load_config,
     parse_checkpoints,
@@ -205,6 +206,10 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "m", "39"),  # an ensemble reference needs 2 chains in each of 20 batches
     ("ergodicity", "schedule", "poly:0.1"),
     ("rate", "schedule", "explicit:0.5,0.4,0.3"),  # every schedule is a closed formula
+    ("rate", "schedule", "c-over-rho-n:-1,-2"),  # c / rho > 0, but c and rho must be positive
+    ("rate", "schedule", "c-over-rho-n:1,0"),
+    ("rate", "schedule", "poly:0.5,1.5"),  # a in (0, 1]
+    ("rate", "checkpoints", "16..64 geometric"),  # the pareto-em rate fit needs 4
     ("cf-check", "lambdas", "0.5,inf"),
     ("cf-check", "lambdas", "0.5,nan"),
     ("certify-drift", "box", "0"),  # every pair would be x = y = 0, so nothing is tested
@@ -257,6 +262,34 @@ def test_only_the_chain_law_oracles_need_steps_below_one():
     assert ExperimentConfig(experiment="cf-check", alpha=1.5, schedule="poly:0.99,0.5").schedule
     with pytest.raises(ConfigError, match="gamma_1 = 1.0"):
         ExperimentConfig(experiment="cf-check", alpha=1.5, schedule="poly:1,0.5")
+
+
+def test_only_a_fitted_rate_needs_four_checkpoints(tmp_path):
+    three = "16..64 geometric"
+    for scheme in ("pareto-em", "stable-em"):
+        for reference in ("ensemble", "oracle"):
+            with pytest.raises(
+                ConfigError,
+                match=r"^--checkpoints: bad value for 'checkpoints': '16\.\.64 geometric' "
+                r"\(a rate fit needs 4 checkpoints, got 3\)",
+            ):
+                ExperimentConfig(
+                    experiment="rate", alpha=1.5, scheme=scheme, reference=reference,
+                    **flag_values({"checkpoints": three}),
+                )
+        assert ExperimentConfig(
+            experiment="rate", alpha=1.5, scheme=scheme, checkpoints="16..128 geometric"
+        ).checkpoint_list() == (16, 32, 64, 128)
+    # exact-ou's verdict fits nothing: it takes any count, as tests/data/ensemble-rate.cfg does
+    for reference in ("ensemble", "oracle"):
+        cfg = ExperimentConfig(
+            experiment="rate", alpha=1.5, scheme="exact-ou", reference=reference, checkpoints="64"
+        )
+        assert cfg.checkpoint_list() == (64,)
+    assert load_config(str(ROOT / "tests" / "data" / "ensemble-rate.cfg")).checkpoint_list() == (
+        16, 32, 64,
+    )
+    assert ExperimentConfig(experiment="ergodicity", alpha=1.5, checkpoints="8,16").checkpoints
 
 
 def test_cf_check_accepts_only_pareto_em():

@@ -23,7 +23,7 @@ from stableem.sampling import (
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
-SCHED = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / ALPHA)
+SCHED = StepSchedule(gamma1=0.5, theta=1.0 / ALPHA)
 OU = builtin_ou(1)
 
 

@@ -38,7 +38,7 @@ def _ensemble_run(alpha, dim):
         scheme="stable-em",
         alpha=alpha,
         drift=builtin_ou(dim),
-        schedule=StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=1.0 / 1.5),
+        schedule=StepSchedule(gamma1=0.5, theta=1.0 / 1.5),
         m_chains=1,
         x0=0.0,
         checkpoints=(1,),
@@ -66,6 +66,21 @@ def test_noise_constants_identity():
         for d in (1, 2, 5):
             nc = noise_constants(alpha, d)
             assert abs(nc.beta**alpha * nc.sigma_dm1 * nc.d_alpha - alpha) < 1e-12
+
+
+def test_noise_constants_match_scipy_gamma_to_the_last_bits():
+    # Gamma comes from math.lgamma; scipy.special is only the reference here.
+    special = pytest.importorskip("scipy.special")
+    for alpha in np.linspace(1.05, 1.95, 19):
+        for d in (1, 2, 3, 5, 10):
+            nc = noise_constants(alpha, d)
+            sigma = 2.0 * math.pi ** (d / 2.0) / special.gamma(d / 2.0)
+            d_alpha = (
+                alpha * 2.0 ** (alpha - 1.0) * math.pi ** (-d / 2.0)
+                * special.gamma((d + alpha) / 2.0) / special.gamma(1.0 - alpha / 2.0)
+            )
+            assert nc.sigma_dm1 == pytest.approx(sigma, rel=1e-14, abs=0.0)
+            assert nc.d_alpha == pytest.approx(d_alpha, rel=1e-14, abs=0.0)
 
 
 def test_beta_frozen_value():
@@ -178,6 +193,14 @@ def test_sampler_shapes():
     assert sample_stable_vec(1.5, 3, gen, 5).shape == (5, 3)
     assert sample_pareto_vec(1.5, 1, gen, 5).shape == (5, 1)
     assert sample_pareto_vec(1.5, 3, gen, 1).shape == (1, 3)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_stable_vec_at_dim_one_is_the_cms_sampler(alpha):
+    size = _PIECE + 7
+    vec = sample_stable_vec(alpha, 1, derive_stream(15, 3), size)
+    assert vec.shape == (size, 1)
+    np.testing.assert_array_equal(vec[:, 0], sample_stable_1d(alpha, derive_stream(15, 3), size))
 
 
 def test_sampler_determinism():

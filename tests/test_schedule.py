@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stableem.config import parse_schedule
 from stableem.schedule import (
     StepSchedule,
     decay_diagnostics,
@@ -12,14 +13,14 @@ from stableem.schedule import (
 
 
 def test_c_over_rho_n_values():
-    s = StepSchedule.c_over_rho_n(c=0.5, rho=1.0)
+    s = StepSchedule(gamma1=0.5)
     assert s.gamma_at(1) == 0.5
     assert s.gamma_at(10) == pytest.approx(0.05)
     np.testing.assert_allclose(s.gammas(4), [0.5, 0.25, 0.5 / 3, 0.125])
 
 
 def test_polynomial_values():
-    s = StepSchedule.polynomial(gamma1=0.1, a=0.5)
+    s = StepSchedule(gamma1=0.1, a=0.5)
     assert s.gamma_at(4) == pytest.approx(0.05)
     t = s.t_grid(2)
     assert t[0] == 0.0
@@ -27,7 +28,7 @@ def test_polynomial_values():
 
 
 def test_t_grid_matches_exact_sum():
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
     t = s.t_grid(1000)
     assert t[0] == 0.0
     for n in (1, 10, 1000):
@@ -35,9 +36,9 @@ def test_t_grid_matches_exact_sum():
 
 
 @pytest.mark.parametrize("s, n", [
-    (StepSchedule.c_over_rho_n(c=2.0, rho=0.5), 20000),
-    (StepSchedule.polynomial(gamma1=0.5, a=0.7), 20000),
-    (StepSchedule.polynomial(gamma1=0.1, a=0.5), 20000),
+    (StepSchedule(gamma1=4.0), 20000),
+    (StepSchedule(gamma1=0.5, a=0.7), 20000),
+    (StepSchedule(gamma1=0.1, a=0.5), 20000),
 ], ids=["c-over-rho-n", "poly:0.5,0.7", "poly:0.1,0.5"])
 def test_gamma_at_is_the_step_gammas_takes(s, n):
     # One formula on an index array: a reported gamma_k is the step the
@@ -48,13 +49,13 @@ def test_gamma_at_is_the_step_gammas_takes(s, n):
 
 
 def test_omega_closed_forms():
-    # c/(rho n): omega = theta * rho / c
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    # 2/(0.5 n) = 4/n: omega = theta / gamma1 = theta * rho / c
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
     assert omega_of(s) == pytest.approx(1.0 / 6.0, abs=1e-15)
     # polynomial with a < 1: steps decay sub-harmonically, omega = 0
-    assert omega_of(StepSchedule.polynomial(0.1, 0.5, theta=0.5)) == 0.0
+    assert omega_of(StepSchedule(0.1, 0.5, theta=0.5)) == 0.0
     # polynomial with a = 1: omega = theta / gamma1
-    assert omega_of(StepSchedule.polynomial(0.25, 1.0, theta=0.5)) == pytest.approx(2.0)
+    assert omega_of(StepSchedule(0.25, 1.0, theta=0.5)) == pytest.approx(2.0)
 
 
 def test_rho_theory_values():
@@ -73,20 +74,20 @@ def _v_direct(diag, n):
 
 
 def test_diagnostics_recurrence_matches_direct_sum():
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
     diag = decay_diagnostics(s, rho=0.5, n_max=500, alpha=1.5)
     for n in (1, 5, 50, 500):
         assert diag.v[n] == pytest.approx(_v_direct(diag, n), abs=1e-12)
 
 
 def test_diagnostics_requires_rho_above_omega():
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)  # omega = 1/6
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)  # omega = 1/6
     with pytest.raises(ValueError):
         decay_diagnostics(s, rho=0.1, n_max=10, alpha=1.5)
 
 
 def test_n_star_definition():
-    s = StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=0.5)  # gamma_n = 1/(2n), omega = 1
+    s = StepSchedule(gamma1=0.5, theta=0.5)  # gamma_n = 1/(2n), omega = 1
     diag = decay_diagnostics(s, rho=1.5, n_max=200, alpha=1.5)
     # n*[n] = max{i : t_n - t_i > 1}, and -1 when t_n <= 1
     for n in range(1, 201):
@@ -98,7 +99,7 @@ def test_n_star_definition():
 
 
 def test_v_ratio_respects_bound():
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
     diag = decay_diagnostics(s, rho=0.5, n_max=5000, alpha=1.5)
     assert np.all(diag.v_over_gamma_theta <= diag.bound)
     assert all(math.isfinite(diag.windowed_sum_ratio(n)) for n in range(2, 5001))
@@ -109,7 +110,7 @@ def test_windowed_sum_equals_whole_array_loop():
     # reference: the accessor does the same arithmetic, so it must agree bit
     # for bit (at theta = 2/3 a scalar power of gamma_n differs from the
     # array power in the last bit at some n).
-    s = StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0)
+    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
     alpha, n_max = 1.5, 500
     diag = decay_diagnostics(s, rho=0.5, n_max=n_max, alpha=alpha)
     g, t, th = s.gammas(n_max), s.t_grid(n_max), s.theta
@@ -134,9 +135,9 @@ def _windowed_sum_by_definition(s, alpha, n):
 
 
 _WINDOW_SCHEDULES = {
-    "c-over-rho-n": (StepSchedule.c_over_rho_n(c=2.0, rho=0.5, theta=2.0 / 3.0), 0.5),
-    "c-over-rho-n-small": (StepSchedule.c_over_rho_n(c=0.5, rho=1.0, theta=0.5), 1.5),
-    "poly": (StepSchedule.polynomial(gamma1=0.3, a=0.5, theta=0.5), 0.5),
+    "c-over-rho-n": (StepSchedule(gamma1=4.0, theta=2.0 / 3.0), 0.5),
+    "c-over-rho-n-small": (StepSchedule(gamma1=0.5, theta=0.5), 1.5),
+    "poly": (StepSchedule(gamma1=0.3, a=0.5, theta=0.5), 0.5),
 }
 
 
@@ -161,6 +162,24 @@ def test_windowed_sum_matches_definition(name):
 
 def test_theta_validation():
     with pytest.raises(ValueError):
-        StepSchedule.c_over_rho_n(c=1.0, rho=1.0, theta=1.5)
+        StepSchedule(gamma1=1.0, theta=1.5)
     with pytest.raises(ValueError):
-        StepSchedule.c_over_rho_n(c=-1.0, rho=1.0)
+        StepSchedule(gamma1=-1.0)
+    for bad in ({"gamma1": math.inf}, {"gamma1": 0.5, "a": 0.0}, {"gamma1": 0.5, "a": 1.5}):
+        with pytest.raises(ValueError):
+            StepSchedule(**bad)
+
+
+@pytest.mark.parametrize("spec, c, rho", [
+    ("c-over-n:0.5", 0.5, 1.0),
+    ("c-over-n:0.9", 0.9, 1.0),
+    ("c-over-rho-n:2,0.5", 2.0, 0.5),
+])
+def test_c_over_rho_n_spellings_are_the_harmonic_steps_bit_for_bit(spec, c, rho):
+    # gamma1 / k with gamma1 = c / rho rounds each step once, as c / (rho k) does.
+    theta = 1.0 / 1.5
+    s = parse_schedule(spec, theta)
+    assert (s.gamma1, s.a) == (c / rho, 1.0)
+    k = np.arange(1, 2_000_001, dtype=float)
+    np.testing.assert_array_equal(s.gammas(k.size), c / (rho * k))
+    assert omega_of(s) == theta * rho / c
