@@ -95,7 +95,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _invariant_draws(alpha: float, m: int, seed: int, stream_id: int) -> np.ndarray:
     gen = rngmod.derive_stream(seed, stream_id)
-    return alpha ** (-1.0 / alpha) * sample_stable_1d(alpha, gen, m)
+    draws = sample_stable_1d(alpha, gen, m)
+    draws *= alpha ** (-1.0 / alpha)  # in place: the same bits as the product, one m-array
+    return draws
 
 
 def _target_exponent(scheme: str, alpha: float):

@@ -8,6 +8,7 @@ import numpy as np
 
 W1_BATCHES = 20  # contiguous slices behind the batch-means error of w1_gap_stderr
 FIT_POINTS = 4  # the fewest points a rate fit takes
+ECF_SLICE = 8192  # samples per slice of ecf: 0.5 MiB of complex terms at 4 lambdas
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,35 @@ def w1_gap_stderr(alpha: float, xs, ys, ref_a=None, ref_b=None) -> float:
 
 
 def ecf(samples, lambdas) -> np.ndarray:
-    """Empirical characteristic function (1/m) sum_i exp(i lambda x_i) of 1-D samples."""
+    """Empirical characteristic function (1/m) sum_i exp(i lambda x_i) at L lambdas, shape (L,).
+
+    The terms exp(i lambda x_i) are built ECF_SLICE samples at a time, so no
+    (m, L) array is held.  Each slice's terms fill rows 1..k of a buffer
+    whose row 0 holds the sum of the slices before it (the first slice has
+    no row 0), and the rows are added in order along axis 0.  That is the
+    order of ``np.exp(1j * np.multiply.outer(x, lam)).mean(axis=0)``, which
+    adds the m rows one after another, and the division by m comes last as
+    there; so the result is that expression's, bit for bit.
+    """
     x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"need a non-empty 1-D sample, got shape {x.shape}")
     lam = np.asarray(lambdas, dtype=float)
-    return np.exp(1j * np.multiply.outer(x, lam)).mean(axis=0)  # (m, L), averaged over axis 0
+    if lam.ndim != 1:
+        raise ValueError(f"need a 1-D array of lambdas, got shape {lam.shape}")
+    size = min(ECF_SLICE, x.size)
+    phase = np.empty((size, lam.size))
+    rows = np.empty((size + 1, lam.size), dtype=complex)
+    first = 1
+    for lo in range(0, x.size, size):
+        k = min(size, x.size - lo)
+        np.multiply.outer(x[lo : lo + k], lam, out=phase[:k])
+        terms = rows[1 : k + 1]
+        np.multiply(1j, phase[:k], out=terms)
+        np.exp(terms, out=terms)
+        rows[0] = np.add.reduce(rows[first : k + 1], axis=0)
+        first = 0
+    return rows[0] / x.size
 
 
 def rate_fit(points) -> RateFit:

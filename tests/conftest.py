@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -28,3 +29,22 @@ def block_spy(monkeypatch):
     monkeypatch.setattr(em, "_run_block", spy_block)
     monkeypatch.setattr(em, "Innovations", spy_buffer)
     return spy
+
+
+@pytest.fixture
+def traced_peak():
+    """Return peak(fn, *args, **kwargs): the most bytes tracemalloc saw allocated during the call.
+
+    Only allocations made while fn runs count, so inputs built before the
+    call are not part of the peak.
+    """
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

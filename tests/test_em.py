@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ def test_each_block_runs_once_under_fast_thread_switching(monkeypatch, block_spy
     np.testing.assert_array_equal(got.samples, want.samples)
 
 
-def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
+def test_footprint_is_the_snapshots_and_one_workspace_per_worker(traced_peak):
     # Two buffers of one 32-step chunk of 2048 chains each (six arrays of
     # 32 x 2048 doubles: u, w, three scratch, innovations), plus the snapshots:
     # about 6 MB, whatever n is.
@@ -239,13 +238,7 @@ def test_footprint_is_the_snapshots_and_one_workspace_per_worker():
         checkpoints=(16, 64, 256, 1024),
         master_seed=42,
     )
-    tracemalloc.start()
-    try:
-        run_ensemble(cfg, workers=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10e6
+    assert traced_peak(run_ensemble, cfg, workers=2) <= 10e6
 
 
 def test_exact_ou_one_step_law():

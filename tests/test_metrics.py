@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stableem.metrics import (
+    ECF_SLICE,
     W1_BATCHES,
     ecf,
     rate_fit,
@@ -131,6 +132,37 @@ def test_ecf_basics():
     np.testing.assert_allclose(ecf(x, lams), np.ones(2))
     # point mass at 1: ecf(l) = exp(i l)
     np.testing.assert_allclose(ecf(np.ones(10), lams), np.exp(1j * lams))
+
+
+@pytest.mark.parametrize("m", [1, ECF_SLICE - 1, ECF_SLICE, ECF_SLICE + 1, 3 * ECF_SLICE + 5])
+def test_ecf_is_the_matrix_mean_bit_for_bit(m):
+    x = np.random.default_rng(m).standard_cauchy(m)
+    lams = np.array([0.0, -0.7, 0.5, 2.0, 13.0])
+    want = np.exp(1j * np.multiply.outer(x, lams)).mean(axis=0)
+    assert np.array_equal(ecf(x, lams), want)
+
+
+@pytest.mark.parametrize(
+    "samples, lambdas, shape",
+    [
+        (np.zeros(0), [1.0], r"\(0,\)"),
+        (np.zeros((3, 2)), [1.0], r"\(3, 2\)"),
+        (1.0, [1.0], r"\(\)"),
+        (np.zeros(3), 1.0, r"\(\)"),
+        (np.zeros(3), np.ones((2, 2)), r"\(2, 2\)"),
+    ],
+)
+def test_ecf_rejects_a_sample_or_lambdas_of_the_wrong_shape(samples, lambdas, shape):
+    with pytest.raises(ValueError, match=f"got shape {shape}"):
+        ecf(samples, lambdas)
+
+
+def test_ecf_holds_one_slice_not_the_sample_by_lambda_matrix(traced_peak):
+    # The (m, L) complex matrix of m = 1e6 samples at 4 lambdas is 64 MB, and
+    # the expression that builds it peaks at about 1.3e8 bytes; a slice of
+    # ECF_SLICE samples is about 0.9 MB with its real scratch.
+    x = np.random.default_rng(3).standard_cauchy(1_000_000)
+    assert traced_peak(ecf, x, [0.25, 0.5, 1.0, 2.0]) <= 2e6
 
 
 def test_rate_fit_exact_power_law():
