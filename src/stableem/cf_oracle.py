@@ -1,13 +1,14 @@
 """Characteristic-function oracles for the 1-D Pareto innovation and chain laws.
 
-These give a deterministic, non-Monte-Carlo ground truth for chain-law
-tests on the 1-D OU drift.  From x0, both EM schemes give
+These give a deterministic, non-Monte-Carlo ground truth, from NumPy alone,
+for chain-law tests on the 1-D OU drift.  From x0, both EM schemes give
 Y_n = P_1 x0 + sum_j w_j xi_j with P_1 = prod_k (1 - gamma_k) and the chain
 weights w_j = gamma_j^{1/alpha} prod_{k>j} (1 - gamma_k) (``_chain_weights``):
 xi_j is standard stable for stable-EM, so its chain law is stable of scale
 (sum_j w_j^alpha)^{1/alpha}, and Pareto over beta for Pareto-EM, whose chain
-CF is the product of the innovation CFs at c_j l, c_j = w_j / beta.  W1
-distances between symmetric laws reduce to quadratures of CF differences.
+CF is the product of the innovation CFs phi(c_j l), c_j = w_j / beta (phi: a
+series up to |l| = 10, a continued fraction beyond).  W1 distances between
+symmetric laws reduce to quadratures of CF differences.
 
 The Pareto-EM chain CF prod_j phi(c_j l) has one accumulator,
 ``_log_chain_cf``.  For 0 <= x <= r (r = ``_LOG_SERIES_RADIUS``)
@@ -36,6 +37,7 @@ from .schedule import StepSchedule
 
 _SERIES_CUTOFF = 10.0
 _SERIES_TERMS = 40
+_FRACTION_DEPTH = 64  # 22 terms of the continued fraction reach double precision at |l| = 10
 # Split radius of the log-series: at 0.3 its majorant exceeds 1 at alpha = 1.8
 # and the expansion diverges; at 0.1 it stays below 1/2 up to alpha ~ 1.96.
 _LOG_SERIES_RADIUS = 0.1
@@ -54,20 +56,6 @@ def _series_coeffs(alpha: float) -> np.ndarray:
 def first_order_cf_coefficient(alpha: float) -> float:
     """C with 1 - phi(l) ~ C |l|^alpha as l -> 0: beta^alpha of the 1-D ``noise_constants``."""
     return noise_constants(alpha, 1).beta ** alpha
-
-
-@lru_cache(maxsize=4096)
-def _pareto_cf_quad(alpha: float, lam: float) -> float:
-    # Fourier-weighted adaptive quadrature on [1, inf); QUADPACK handles the
-    # oscillation cycle by cycle with extrapolation.  Imported here, at its one
-    # use: scipy.integrate (and scipy.optimize behind it) would add about
-    # 0.4 s to the start-up of every process, most of which never get here.
-    from scipy.integrate import quad
-
-    val, err = quad(lambda r: alpha * r ** (-alpha - 1.0), 1.0, np.inf, weight="cos", wvar=lam)
-    if err > 1e-7:
-        raise RuntimeError(f"pareto_cf quadrature achieved only {err:.2e} at lambda={lam}")
-    return val
 
 
 def _pareto_cf_m1_series(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
@@ -89,9 +77,8 @@ def _pareto_cf_m1_series(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
 def pareto_cf(alpha: float, lam):
     """CF of the 1-D Pareto innovation: alpha * int_1^inf cos(l r) r^{-alpha-1} dr.
 
-    Real and even, in [-1, 1].  Small arguments use an exact power series
-    around the |l|^alpha singular term; large arguments fall back to
-    oscillatory quadrature.
+    Real and even, in [-1, 1]: an exact power series around the |l|^alpha
+    term up to |l| = 10, Legendre's continued fraction for Gamma beyond.
     """
     check_noise(alpha, 1)
     out = 1.0 + _pareto_cf_m1(alpha, np.abs(np.atleast_1d(np.asarray(lam, dtype=float))))
@@ -99,13 +86,30 @@ def pareto_cf(alpha: float, lam):
 
 
 def _pareto_cf_m1(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
-    """phi - 1 at |l| values: the series up to the cutoff, quadrature beyond."""
+    """phi - 1 at |l| values: the series up to the cutoff, the continued fraction beyond."""
     small = lam_abs <= _SERIES_CUTOFF
     out = np.empty_like(lam_abs)
     out[small] = _pareto_cf_m1_series(alpha, lam_abs[small])
-    for i in np.nonzero(~small)[0]:
-        out[i] = _pareto_cf_quad(alpha, float(lam_abs[i])) - 1.0
+    if not small.all():
+        out[~small] = _pareto_cf_m1_fraction(alpha, lam_abs[~small])
     return out
+
+
+def _pareto_cf_m1_fraction(alpha: float, lam_abs: np.ndarray) -> np.ndarray:
+    """phi(lam) - 1 past the series cutoff, by Legendre's continued fraction (DLMF 8.9.2).
+
+    int_1^inf e^{i l r} r^{-alpha-1} dr = (-i l)^alpha Gamma(-alpha, -i l) = e^{i l} h with
+    h = 1/(b_0 + a_1/(b_1 + ...)), b_k = 2k + 1 + alpha - i l, a_k = -k (k + alpha), so
+    phi = alpha Re[e^{i l} h].  Summed from the bottom at a fixed depth in real arithmetic:
+    a stopping rule per node, or complex ufuncs, would make a node's bits depend on the
+    other nodes of its call.
+    """
+    re = im = 0.0  # a_{k+1}/(b_{k+1} + ...), then h
+    for k in range(_FRACTION_DEPTH, -1, -1):
+        p, q = 2 * k + 1 + alpha + re, im - lam_abs
+        s = (-k * (k + alpha) if k else 1.0) / (p * p + q * q)
+        re, im = s * p, -s * q
+    return alpha * (np.cos(lam_abs) * re - np.sin(lam_abs) * im) - 1.0
 
 
 @lru_cache(maxsize=32)
@@ -367,6 +371,7 @@ def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -
     w, _ = _chain_weights(alpha, schedule, n)
     coef = w / noise_constants(alpha, 1).beta
     reach = float(coef.max()) * float(nodes.max())
+    # Not a limit of the CF: past it oracle_err misses the truncation at lam_max (ROADMAP item 7).
     if reach > _SERIES_CUTOFF:
         raise ValueError(
             f"at n = {n} the largest innovation coefficient times the largest CF node is "

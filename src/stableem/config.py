@@ -187,7 +187,7 @@ KEYS = {
     "y": Key(_number, -5.0),
     "rho_toy": Key(_number, 0.5),
     "n_max": Key(_count, 100_000),
-    "sampler": Key(_one_of("stable-1d", "stable-vec", "pareto"), "stable-1d"),
+    "sampler": Key(_one_of("stable-vec", "pareto", **{"stable-1d": "stable-vec"}), "stable-vec"),
     "count": Key(_count, 10_000),
     "pairs": Key(_bounded(_integer, lambda n: n >= 1000, "be at least 1000"), 10_000),
     "box": Key(_bounded(_number, lambda b: b > 0.0, "be > 0"), 20.0),
@@ -282,11 +282,6 @@ class ExperimentConfig:
             # Coupled from one start the distance is 0 at every step: no decay to fit.
             where = where_given.get("y") or where_given.get("x", "")
             raise ConfigError(f"{where}x and y must differ, got x = y = {self.x!r}")
-        if experiment == "sample" and self.sampler == "stable-1d" and self.dim != 1:
-            raise ConfigError(
-                f"{where_given.get('dim', '')}bad value for 'dim': {self.dim} "
-                "(sampler = stable-1d draws 1-D variates; use stable-vec for dim > 1)"
-            )
         if experiment == "schedule" and self.rho_toy <= (omega := omega_of(self.build_schedule())):
             key = "rho_toy" if "rho_toy" in where_given else "schedule"
             raise ConfigError(

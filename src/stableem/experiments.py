@@ -385,7 +385,7 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
     schedule = cfg.build_schedule()
     result = _ensemble(cfg, PARETO_EM, schedule, cfg.x0, (n,))
     xs = result.samples[0]
-    xs = xs[np.isfinite(xs)]
+    xs = xs[np.isfinite(xs)] if result.abort_count else xs
     threshold = 4.0 / math.sqrt(xs.size)
 
     lambdas = cfg.lambda_list()

@@ -94,9 +94,9 @@ class Innovations:
 
     def __init__(self, kind: str, size: int):
         self.kind = kind
+        self.out = np.empty(size)
         self.variates = tuple(np.empty(size) for _ in range(2 if kind == CMS else 1))
         self.scratch = tuple(np.empty(min(size, _PIECE)) for _ in range(3 if kind == CMS else 0))
-        self.out = np.empty(size)
 
     def draw(self, gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
         """Draw and transform ``size`` innovations into the first ``size`` entries of ``out``.

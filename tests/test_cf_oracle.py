@@ -9,6 +9,7 @@ from stableem.cf_oracle import (
     _gap_nodes,
     _log_chain_cf,
     _log_series,
+    _pareto_cf_m1_fraction,
     _pareto_cf_m1_series,
     exact_ou_scale_pow,
     first_order_cf_coefficient,
@@ -40,7 +41,7 @@ def _direct_log_chain_cf(alpha, coef, lam):
 
     Step chunks of about 2^16 pairs stay in cache.  Arguments up to the
     series cutoff take log1p of the series value of phi - 1; beyond it,
-    log|phi| of the quadrature.
+    log|phi| of the continued fraction.
     """
     lam = np.abs(np.asarray(lam, dtype=float))
     log_mag = np.zeros(lam.size)
@@ -88,13 +89,25 @@ def test_pareto_cf_even():
 
 
 def test_pareto_cf_series_quad_agree_near_crossover():
-    # the series and the oscillatory quadrature must agree at the same point
-    from stableem.cf_oracle import _pareto_cf_m1_series, _pareto_cf_quad
-
+    # the series and the continued fraction must agree at the same point,
+    # the cutoff included (measured: within 1.4e-12)
     for alpha in (1.2, 1.5, 1.8):
-        for lam in (6.0, 9.5):
-            series = 1.0 + float(_pareto_cf_m1_series(alpha, np.array([lam]))[0])
-            assert series == pytest.approx(_pareto_cf_quad(alpha, lam), abs=1e-8)
+        lams = np.array([6.0, 9.5, _SERIES_CUTOFF])
+        series, fraction = _pareto_cf_m1_series(alpha, lams), _pareto_cf_m1_fraction(alpha, lams)
+        np.testing.assert_allclose(series, fraction, rtol=0.0, atol=5e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_pareto_cf_fraction_matches_incomplete_gamma(alpha):
+    # phi(l) = alpha Re[(-i l)^alpha Gamma(-alpha, -i l)], at 40 digits; at
+    # l = 10 pareto_cf itself reads the series.
+    mpmath = pytest.importorskip("mpmath")
+    lams = [10.0, 10.5, 20.0, 100.0, 1e4, 1e6]
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = [float(mpmath.re(a * (-1j * x) ** a * mpmath.gammainc(-a, -1j * x))) for x in lams]
+    got = 1.0 + _pareto_cf_m1_fraction(alpha, np.array(lams))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_pareto_cf_against_direct_quadrature():
@@ -149,7 +162,7 @@ def test_chain_cf_one_step_brute_force():
 def test_chain_cf_matches_direct_product(alpha, n, lam_max):
     # The grid has nodes whose steps split between the power sums and the
     # one-by-one path; at n = 16 the largest c_j l also pass the series
-    # cutoff, so the quadrature branch runs.
+    # cutoff, so the continued-fraction branch runs.
     x0 = 0.5
     grid = np.geomspace(1e-3, lam_max, 120)
     lams = np.concatenate([-grid[::-1], [0.0], grid])

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import stableem
+from stableem.cf_oracle import _SERIES_CUTOFF, _chain_weights
 from stableem.cli import main
 from stableem.config import load_config
+from stableem.sampling import noise_constants
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -417,6 +419,30 @@ def test_ensemble_summary_reports_aborted_chains(tmp_path, monkeypatch, experime
     assert "abort_count" not in header and "m_used" not in header
 
 
+def test_cf_check_passes_the_engine_row_itself_when_no_chain_aborts(tmp_path, monkeypatch):
+    # With every chain finite there is nothing to filter: the ECF reads the
+    # engine's positions row, not a copy of it.
+    import stableem.experiments as experiments
+
+    seen = {}
+    real_run, real_ecf = experiments.run_ensemble, experiments.ecf
+
+    def run_ensemble(run, workers=1):
+        seen["result"] = real_run(run, workers=workers)
+        return seen["result"]
+
+    def ecf(xs, lam):
+        seen["xs"] = xs
+        return real_ecf(xs, lam)
+
+    monkeypatch.setattr(experiments, "run_ensemble", run_ensemble)
+    monkeypatch.setattr(experiments, "ecf", ecf)
+    argv = ["--alpha", "1.5", "--m", "400", "--n", "16", "--out", str(tmp_path / "cf")]
+    assert main(["cf-check", *argv]) in (0, 2)
+    assert seen["result"].abort_count == 0
+    assert np.shares_memory(seen["xs"], seen["result"].samples[0])
+
+
 def test_aborts_that_leave_too_few_chains_to_slice_are_an_error(tmp_path, monkeypatch, capsys):
     _with_aborts(monkeypatch)
     cfg = tmp_path / "cfg"
@@ -556,16 +582,15 @@ def test_ergodicity_from_one_start_is_rejected_before_running(tmp_path, capsys, 
     assert not os.path.exists(out + ".json")
 
 
-def test_stable_1d_sampler_refuses_a_dimension(tmp_path, capsys):
-    # stable-1d draws one column; a dim it would ignore is named with its line or flag.
-    cfg = tmp_path / "cfg"
-    cfg.write_text("experiment = sample\nalpha = 1.5\nsampler = stable-1d\ndim = 3\n")
-    out = str(tmp_path / "sample")
-    assert main(["sample", "--config", str(cfg), "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg}:4: bad value for 'dim': 3")
-    assert main(["sample", "--alpha", "1.5", "--dim", "2", "--out", out]) == 1  # default stable-1d
-    assert capsys.readouterr().err.startswith("error: --dim: bad value for 'dim': 2")
-    assert not os.path.exists(out + ".json")
+def test_stable_1d_sampler_is_stable_vec(tmp_path):
+    # stable-1d is another name for stable-vec, at any dim.
+    out = {}
+    for sampler in ("stable-1d", "stable-vec"):
+        out[sampler] = str(tmp_path / sampler)
+        argv = ["--alpha", "1.5", "--sampler", sampler, "--dim", "3", "--count", "50"]
+        assert main(["sample", *argv, "--out", out[sampler]]) == 0
+    csvs = [Path(path + ".csv").read_bytes() for path in out.values()]
+    assert csvs[0] == csvs[1]
 
 
 def test_weak_error_needs_two_antithetic_pairs(tmp_path, capsys):
@@ -622,17 +647,15 @@ def test_summary_has_schedule_keys_only_where_a_schedule_is_built(tmp_path):
 
 
 def test_start_up_imports_no_scipy_integrate_or_optimize(monkeypatch):
-    # Start-up imports NumPy and no scipy module at all: Gamma comes from
-    # math, and only the |lambda| > 10 Pareto-CF fallback imports
-    # scipy.integrate, when it is reached.  OPENBLAS_NUM_THREADS defaults to 1
+    # Start-up imports NumPy and no scipy module at all, and neither does the
+    # Pareto CF past the series cutoff.  OPENBLAS_NUM_THREADS defaults to 1
     # before NumPy is imported, and a value already set is kept.
     code = (
         "import os, sys, stableem.cli\n"
         "stableem.load_config('tests/data/ensemble-cf.cfg')\n"
+        "stableem.pareto_cf(1.5, 20.0)\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
-        "print(repr(stableem.pareto_cf(1.5, 20.0)))\n"
-        "print('scipy.integrate' in sys.modules)\n"
     )
     for preset in (None, "3"):
         if preset is None:
@@ -641,12 +664,42 @@ def test_start_up_imports_no_scipy_integrate_or_optimize(monkeypatch):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
         run = _python("-c", code)
         assert run.returncode == 0, run.stderr
-        loaded, threads, fallback, integrate = run.stdout.split()
+        loaded, threads = run.stdout.split()
         assert loaded == "[]"
         assert threads == (preset or "1")
-        # the fallback still imports and runs its quadrature when it is reached
-        assert float(fallback) == stableem.pareto_cf(1.5, 20.0)
-        assert integrate == "True"
+
+
+def test_runtime_runs_with_every_scipy_import_blocked(tmp_path):
+    # The runtime needs NumPy only: with a finder that refuses every scipy
+    # module, the Pareto oracle rate run writes its pinned CSV, and cf-check
+    # and pareto_cf run past the series cutoff (c_j lambda reaches about 70).
+    cfg = load_config("tests/data/ensemble-cf.cfg")
+    coef = _chain_weights(cfg.alpha, cfg.build_schedule(), cfg.n)[0]
+    assert coef.max() / noise_constants(cfg.alpha, 1).beta * 1000.0 > _SERIES_CUTOFF
+    rate, cf = str(tmp_path / "rate"), str(tmp_path / "cf")
+    runs = [
+        ["rate", "--config", "tests/data/rate-oracle-pareto.cfg", "--out", rate],
+        ["cf-check", "--config", "tests/data/ensemble-cf.cfg", "--lambdas", "0.5,1000",
+         "--out", cf],
+    ]
+    code = (
+        "import json, sys\n"
+        "class NoSciPy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoSciPy())\n"
+        "import stableem.cli\n"
+        f"codes = [stableem.cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, stableem.pareto_cf(1.5, 20.0)]))\n"
+    )
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+    codes, phi = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert phi == stableem.pareto_cf(1.5, 20.0)
+    reference = (ROOT / "tests" / "data" / "rate-oracle-pareto.csv").read_bytes()
+    assert Path(rate + ".csv").read_bytes() == reference
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):

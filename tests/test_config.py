@@ -221,7 +221,6 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("schedule", "rho_toy", "nan"),
     ("weak-error", "x0", "nan"),
     ("weak-error", "mc", "3"),  # one antithetic pair has no standard error
-    ("sample", "dim", "2"),  # the default sampler, stable-1d, is 1-D
     ("sample", "seed", "-7"),  # streams take seeds in [0, 2^64), unmasked
     ("sample", "seed", "18446744073709551616"),
 ])
