@@ -414,17 +414,3 @@ def w1_exact_ou_vs_invariant(alpha: float, t: float) -> OracleW1:
     """W1 between the exact OU law at time t (x0=0) and the invariant law."""
     return _closed_form_w1(alpha, exact_ou_scale_pow(alpha, t))
 
-
-def pareto_chain_cdf_gap(alpha: float, schedule: StepSchedule, n: int, xs) -> np.ndarray:
-    """F_chain(x) - F_invariant(x) by Gil-Pelaez inversion, for crossing checks.
-
-    Dense trapezoid in lambda; adequate for |x| up to ~10.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    lam_max = (40.0 * alpha) ** (1.0 / alpha) + 10.0
-    lam = np.linspace(1e-8, lam_max, 6000)
-    gap_cf = pareto_em_chain_cf(alpha, schedule, 0.0, n, lam).real - stable_ou_invariant_cf(
-        alpha, lam
-    )
-    integrand = np.sin(np.outer(xs, lam)) * (gap_cf / lam)[None, :]
-    return np.trapezoid(integrand, lam, axis=1) / math.pi

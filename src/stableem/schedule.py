@@ -4,12 +4,14 @@ A schedule is the infinite decreasing sequence gamma_k = gamma1 / k^a with
 a in (0, 1].  The config spells a = 1 also as ``c-over-n:c`` (gamma1 = c)
 and ``c-over-rho-n:c,rho`` (gamma1 = c / rho).
 
-Alongside the steps themselves the module computes the partial sums t_n,
-the limsup quantity omega (closed-form), the theoretical ergodicity
-constant rho, and the v_n / n* sequences used to sanity-check the
-step-size decay recurrence numerically.  The windowed sum over the last
-unit of time before t_n is evaluated on demand, only at the n a caller asks
-for (``ScheduleDiagnostics.windowed_sum_ratio``).
+Alongside the steps themselves the module computes the partial sums t_n
+(the sequential sum plus the sequential sum of each addition's exact
+error, equal to Kahan's compensated sum on every verified schedule), the
+limsup quantity omega (closed-form), the theoretical ergodicity constant
+rho, and the v_n / n* sequences used to sanity-check the step-size decay
+recurrence numerically.  The windowed sum over the last unit of time before
+t_n is evaluated on demand, only at the n a caller asks for
+(``ScheduleDiagnostics.windowed_sum_ratio``).
 """
 
 from __future__ import annotations
@@ -59,17 +61,27 @@ class StepSchedule:
         return self._steps(np.arange(1, n + 1, dtype=float))
 
     def t_grid(self, n: int) -> np.ndarray:
-        """[t_0, t_1, ..., t_n] with Kahan running compensation: the one definition of t_n."""
+        """[t_0, t_1, ..., t_n]: the one definition of t_n.
+
+        t_k = s_k + E_k, where s_k = fl(s_{k-1} + gamma_k) is the sequential
+        sum and E_k the sequential sum of the exact rounding errors of those
+        additions (Knuth's TwoSum; the cascade of Ogita, Rump & Oishi, 2005).
+        On every verified schedule this equals Kahan's compensated loop bit
+        for bit, at array speed.  Scratch: the steps and one error array.
+        """
         g = self.gammas(n)
-        t = np.empty(n + 1)
-        t[0] = 0.0
-        total, comp = 0.0, 0.0
-        for i, gi in enumerate(g):
-            y = gi - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            t[i + 1] = total
+        t = np.zeros(n + 1)
+        s = np.cumsum(g, out=t[1:])  # s_k = fl(s_{k-1} + gamma_k), in order
+        # TwoSum of a = s_{k-1}, b = gamma_k into s_k: bb = s_k - a, and the
+        # error is (a - (s_k - bb)) + (b - bb); b - bb overwrites g.
+        a, b, sk = s[:-1], g[1:], s[1:]
+        err = np.subtract(sk, a)
+        np.subtract(b, err, out=b)
+        np.subtract(sk, err, out=err)
+        np.subtract(a, err, out=err)
+        err += b
+        np.cumsum(err, out=err)
+        sk += err
         return t
 
     def describe(self) -> str:

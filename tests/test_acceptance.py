@@ -102,6 +102,34 @@ def test_criterion_01_pareto_rate_is_optimal():
     assert _report(1, "; ".join(details), ok)
 
 
+def _aitken(x0, x1, x2):
+    """Aitken's delta-squared limit of three successive terms."""
+    return x2 - (x2 - x1) ** 2 / ((x2 - x1) - (x1 - x0))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_pareto_rate_inside_step_size_hypothesis_at_depth(alpha):
+    # On HALF_N criterion 1 at alpha = 1.2 reads the forgetting exponent
+    # alpha c = 0.6, outside omega < theta1.  Inside it, on STABLE_N, the
+    # Pareto rate needs depth: at alpha = 1.2 the local slopes still climb
+    # at 2^20, so the gate reads Aitken's limit of the last three.
+    cfg = ExperimentConfig(
+        experiment="rate",
+        alpha=alpha,
+        scheme="pareto-em",
+        schedule=STABLE_N,
+        checkpoints="8192..1048576 geometric",
+        reference="oracle",
+        seed=42,
+    )
+    rep = run_experiment(cfg)
+    assert [r["n"] for r in rep.rows] == [2**k for k in range(13, 21)]
+    assert rep.summary["omega"] < builtin_ou(1).dissip_theta1
+    assert len({np.sign(r["signed_error"]) for r in rep.rows}) == 1
+    limit = _aitken(*(r["local_slope"] for r in rep.rows[-3:]))
+    assert limit == pytest.approx((2.0 - alpha) / alpha, abs=0.03)
+
+
 def test_criterion_02_stable_rate_floor():
     # The gamma^{1/alpha} rate is promised under the step-size hypothesis
     # omega < rho, with rho = theta1 for the OU drift; for c-over-n that is

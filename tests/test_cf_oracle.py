@@ -14,7 +14,6 @@ from stableem.cf_oracle import (
     exact_ou_scale_pow,
     first_order_cf_coefficient,
     pareto_cf,
-    pareto_chain_cdf_gap,
     pareto_em_chain_cf,
     stable_em_chain_scale_pow,
     stable_mean_abs,
@@ -371,6 +370,19 @@ def test_pareto_oracle_err_covers_mass_below_quadrature(alpha, n):
 def test_w1_pareto_chain_decreases():
     vals = [w1_pareto_chain_vs_invariant(1.5, HALF_N, n).w1 for n in (64, 256, 1024)]
     assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+def pareto_chain_cdf_gap(alpha, schedule, n, xs):
+    """F_chain(x) - F_invariant(x) by Gil-Pelaez inversion, for crossing checks.
+
+    Dense trapezoid in lambda; adequate for |x| up to ~10.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    lam_max = (40.0 * alpha) ** (1.0 / alpha) + 10.0
+    lam = np.linspace(1e-8, lam_max, 6000)
+    gap_cf = pareto_em_chain_cf(alpha, schedule, 0.0, n, lam).real - stable_ou_invariant_cf(alpha, lam)
+    integrand = np.sin(np.outer(xs, lam)) * (gap_cf / lam)[None, :]
+    return np.trapezoid(integrand, lam, axis=1) / math.pi
 
 
 def test_pareto_chain_cdf_single_crossing():

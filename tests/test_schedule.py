@@ -32,7 +32,39 @@ def test_t_grid_matches_exact_sum():
     t = s.t_grid(1000)
     assert t[0] == 0.0
     for n in (1, 10, 1000):
-        assert t[n] == pytest.approx(math.fsum(s.gammas(n)), abs=1e-12)
+        assert t[n] == math.fsum(s.gammas(n))
+
+
+def _kahan_t_grid(s, n):
+    """[t_0, ..., t_n] by Kahan's compensated loop, one step at a time: t_grid's reference."""
+    g = s.gammas(n)
+    t = np.empty(n + 1)
+    t[0] = 0.0
+    total, comp = 0.0, 0.0
+    for i, gi in enumerate(g):
+        y = gi - comp
+        x = total + y
+        comp = (x - total) - y
+        total = x
+        t[i + 1] = total
+    return t
+
+
+@pytest.mark.parametrize("spec", [
+    "c-over-n:0.5", "c-over-n:0.9", "c-over-n:1", "c-over-rho-n:2,0.5", "poly:0.5,0.7", "poly:0.1,0.5",
+])
+def test_t_grid_is_the_kahan_loop_bit_for_bit(spec):
+    # The cascade (sequential sum plus the sum of each addition's exact
+    # error) must give Kahan's t_n at every n <= 2^20: a moved bit is a
+    # change of definition.  A shorter grid is a prefix of the longer one.
+    s = parse_schedule(spec, 1.0 / 1.5)
+    n = 2**20
+    t = s.t_grid(n)
+    assert np.array_equal(t, _kahan_t_grid(s, n))
+    assert np.array_equal(s.t_grid(1000), t[:1001])
+    for k in (0, 1, 2):
+        short = s.t_grid(k)
+        assert short.shape == (k + 1,) and np.array_equal(short, _kahan_t_grid(s, k))
 
 
 @pytest.mark.parametrize("s, n", [
