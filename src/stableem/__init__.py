@@ -7,7 +7,7 @@ law: exact samplers, characteristic-function oracles, W1 estimators,
 step-schedule diagnostics, and a reproducible parallel ensemble engine.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 import os
 

@@ -43,6 +43,9 @@ _FRACTION_DEPTH = 64  # 22 terms of the continued fraction reach double precisio
 _LOG_SERIES_RADIUS = 0.1
 _LOG_SERIES_TOL = 2.0**-64  # dropped terms, relative to |log phi(r)|
 _GAP_LAM_MIN = 1e-14  # lower end of the W1 oracle's CF-gap quadrature
+# The W1 oracle refuses max_j c_j * lam_max above this: oracle_err misses the
+# truncation of the gap integral there (ROADMAP item 7).  Not a limit of the CF.
+_GAP_REACH_MAX = 10.0
 
 
 @lru_cache(maxsize=32)
@@ -371,12 +374,11 @@ def w1_pareto_chain_vs_invariant(alpha: float, schedule: StepSchedule, n: int) -
     w, _ = _chain_weights(alpha, schedule, n)
     coef = w / noise_constants(alpha, 1).beta
     reach = float(coef.max()) * float(nodes.max())
-    # Not a limit of the CF: past it oracle_err misses the truncation at lam_max (ROADMAP item 7).
-    if reach > _SERIES_CUTOFF:
+    if reach > _GAP_REACH_MAX:
         raise ValueError(
             f"at n = {n} the largest innovation coefficient times the largest CF node is "
-            f"{reach:.4g}, past the CF series cutoff {_SERIES_CUTOFF:g}: "
-            "the checkpoints must start deeper"
+            f"{reach:.4g}, past {_GAP_REACH_MAX:g}, where oracle_err misses the truncation "
+            "of the gap integral at that node: the checkpoints must start deeper"
         )
     log_phi_n, sign = _log_chain_cf(alpha, coef, nodes)
     log_phi_inv = -(nodes**alpha) / alpha

@@ -82,7 +82,7 @@ def _spec(parse):
     return check
 
 
-def parse_schedule(spec: str, theta: float) -> StepSchedule:
+def parse_schedule(spec: str) -> StepSchedule:
     """Schedule syntax: poly:G1,A, the step formula gamma_k = G1 / k^A.
 
     c-over-n:C (G1 = C) and c-over-rho-n:C,RHO (G1 = C / RHO) spell its A = 1 case.
@@ -90,18 +90,23 @@ def parse_schedule(spec: str, theta: float) -> StepSchedule:
     name, _, rest = spec.partition(":")
     try:
         if name == "c-over-n":
-            return StepSchedule(gamma1=_number(rest), theta=theta)
+            return StepSchedule(gamma1=_number(rest))
         if name == "c-over-rho-n":
             c, rho = (_number(v) for v in rest.split(","))
             if c <= 0.0 or rho <= 0.0:
                 raise ValueError("c-over-rho-n needs positive c and rho")
-            return StepSchedule(gamma1=c / rho, theta=theta)
+            return StepSchedule(gamma1=c / rho)
         if name == "poly":
             g1, a = (_number(v) for v in rest.split(","))
-            return StepSchedule(gamma1=g1, a=a, theta=theta)
+            return StepSchedule(gamma1=g1, a=a)
     except ValueError as exc:
         raise ConfigError(f"bad schedule spec {spec!r}") from exc
     raise ConfigError(f"unknown schedule family {name!r}")
+
+
+def doubling(lo: int, hi: int) -> tuple[int, ...]:
+    """lo, 2 lo, 4 lo, ... up to hi: the checkpoints of 'lo..hi geometric'."""
+    return tuple(lo << k for k in range((hi // lo).bit_length()))
 
 
 def parse_checkpoints(spec: str) -> tuple[int, ...]:
@@ -115,12 +120,7 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
         lo, hi = int(lo_s), int(hi_s)
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad checkpoint range {spec!r}")
-        cps = []
-        c = lo
-        while c <= hi:
-            cps.append(c)
-            c *= 2
-        return tuple(cps)
+        return doubling(lo, hi)
     cps = tuple(int(v) for v in spec.split(","))
     if cps[0] < 1 or any(a >= b for a, b in zip(cps, cps[1:])):
         raise ConfigError(f"checkpoints must be positive and strictly increasing: {spec!r}")
@@ -170,7 +170,7 @@ KEYS = {
     ),
     "dim": Key(_count, 1),
     "drift": Key(_spec(lambda v: drift_by_name(v, 1)), "ou"),
-    "schedule": Key(_spec(lambda v: parse_schedule(v, 1.0)), "c-over-n:0.5"),
+    "schedule": Key(_spec(parse_schedule), "c-over-n:0.5"),
     "theta": Key(_bounded(_number, lambda t: 0.0 < t <= 1.0, "lie in (0, 1]"), None),  # None: 1/alpha
     "m": Key(_count, 200_000),
     "checkpoints": Key(_spec(parse_checkpoints), "128..8192 geometric"),
@@ -282,7 +282,9 @@ class ExperimentConfig:
             # Coupled from one start the distance is 0 at every step: no decay to fit.
             where = where_given.get("y") or where_given.get("x", "")
             raise ConfigError(f"{where}x and y must differ, got x = y = {self.x!r}")
-        if experiment == "schedule" and self.rho_toy <= (omega := omega_of(self.build_schedule())):
+        if experiment == "schedule" and self.rho_toy <= (
+            omega := omega_of(self.build_schedule(), self.effective_theta)
+        ):
             key = "rho_toy" if "rho_toy" in where_given else "schedule"
             raise ConfigError(
                 f"{where_given.get(key, '')}bad value for {key!r}: {getattr(self, key)!r} "
@@ -320,7 +322,7 @@ class ExperimentConfig:
         return self._parse("workers", env, "STABLEEM_WORKERS: ") or 1
 
     def build_schedule(self) -> StepSchedule:
-        return parse_schedule(self.schedule, self.effective_theta)
+        return parse_schedule(self.schedule)
 
     def checkpoint_list(self) -> tuple[int, ...]:
         return parse_checkpoints(self.checkpoints)

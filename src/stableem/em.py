@@ -163,10 +163,10 @@ def _run_block(cfg: EnsembleRun, lo: int, hi: int, plan: tuple, ws: Innovations,
     for n in range(0, n_max, _STEP_CHUNK):
         n1 = min(n + _STEP_CHUNK, n_max)
         z = _fill_chunk(cfg, ws, lo // _BLOCK_CHAINS, n // _STEP_CHUNK, n1 - n, hi - lo)
+        z *= scale[n:n1, None]
         for s in range(n1 - n):
             step = n + s  # advancing from step index `step` to `step + 1`
             zeta = z[s]
-            zeta *= scale[step]
             # In place, with the rounding of decay*x + scale*zeta and of
             # (x + g*b(x)) + scale*zeta.
             if decay is not None:

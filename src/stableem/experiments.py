@@ -36,7 +36,7 @@ from .cf_oracle import (
     w1_pareto_chain_vs_invariant,
     w1_stable_chain_vs_invariant,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, doubling
 from .drift import builtin_ou, certify_assumptions, drift_by_name
 from .em import EXACT_OU, PARETO_EM, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble
 from .metrics import FIT_POINTS, W1_BATCHES, ecf, rate_fit, w1_sorted_1d
@@ -420,24 +420,19 @@ def run_cf_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_schedule_diagnostics(cfg: ExperimentConfig) -> ExperimentReport:
     schedule = cfg.build_schedule()
-    alpha = float(cfg.alpha)
-    diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha)
+    alpha, th = float(cfg.alpha), cfg.effective_theta
+    diag = decay_diagnostics(schedule, cfg.rho_toy, cfg.n_max, alpha=alpha, theta=th)
 
     # The ratio under omega's limsup at k = 10 n_max, cross-checked against the
     # closed-form omega plus, for poly at a < 1, the term theta a k^{a-1} / gamma_1
     # by which the ratio still exceeds its limit omega = 0 there.
-    th = schedule.theta
     k = cfg.n_max * 10
     gk, gk1 = schedule.gamma_at(k), schedule.gamma_at(k + 1)
     omega_numeric = float((gk**th - gk1**th) / gk1 ** (1.0 + th))
     a = schedule.a
     leading = diag.omega + (th * a * k ** (a - 1.0) / schedule.gamma1 if a < 1.0 else 0.0)
 
-    ns = [1]
-    while ns[-1] * 2 <= cfg.n_max:
-        ns.append(ns[-1] * 2)
-    if ns[-1] != cfg.n_max:
-        ns.append(cfg.n_max)
+    ns = sorted({*doubling(1, cfg.n_max), cfg.n_max})
     rows = [
         {
             "n": n,
@@ -516,7 +511,8 @@ def _base_summary(cfg: ExperimentConfig, schedule) -> dict:
     }
     if schedule is not None:
         summary["schedule"] = schedule.describe()
-        summary["omega"] = omega_of(schedule)
+        summary["theta"] = cfg.effective_theta
+        summary["omega"] = omega_of(schedule, cfg.effective_theta)
     return summary
 
 

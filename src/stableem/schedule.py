@@ -2,7 +2,9 @@
 
 A schedule is the infinite decreasing sequence gamma_k = gamma1 / k^a with
 a in (0, 1].  The config spells a = 1 also as ``c-over-n:c`` (gamma1 = c)
-and ``c-over-rho-n:c,rho`` (gamma1 = c / rho).
+and ``c-over-rho-n:c,rho`` (gamma1 = c / rho).  The weight exponent theta
+belongs to the theorem being checked, not to the schedule: ``omega_of`` and
+``decay_diagnostics`` take it from their caller.
 
 Alongside the steps themselves the module computes the partial sums t_n
 (the sequential sum plus the sequential sum of each addition's exact
@@ -27,15 +29,12 @@ from .sampling import check_noise
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """gamma_k = gamma1 / k^a, with weight exponent theta for the diagnostics."""
+    """gamma_k = gamma1 / k^a."""
 
     gamma1: float
     a: float = 1.0
-    theta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 0.0 < self.gamma1 < math.inf:
             raise ValueError(f"gamma1 must be positive and finite, got {self.gamma1}")
         if not 0.0 < self.a <= 1.0:
@@ -85,16 +84,18 @@ class StepSchedule:
         return t
 
     def describe(self) -> str:
-        return f"poly:gamma1={self.gamma1},a={self.a},theta={self.theta}"
+        return f"poly:gamma1={self.gamma1},a={self.a}"
 
 
-def omega_of(s: StepSchedule) -> float:
+def omega_of(s: StepSchedule, theta: float) -> float:
     """limsup_k (gamma_k^theta - gamma_{k+1}^theta) / gamma_{k+1}^{1+theta}, in closed form.
 
     theta / gamma1 at a = 1 (theta rho / c for c-over-rho-n), and 0 for
     a < 1, where the steps decay sub-harmonically.
     """
-    return s.theta / s.gamma1 if s.a == 1.0 else 0.0
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    return theta / s.gamma1 if s.a == 1.0 else 0.0
 
 
 def rho_theory(alpha: float, d: int) -> float:
@@ -144,25 +145,24 @@ class ScheduleDiagnostics:
 
 
 def decay_diagnostics(
-    s: StepSchedule, rho: float, n_max: int, alpha: float
+    s: StepSchedule, rho: float, n_max: int, alpha: float, theta: float
 ) -> ScheduleDiagnostics:
-    """Sequences probing the step-schedule decay recurrence up to n_max.
+    """Sequences probing the step-schedule decay recurrence up to n_max, at weight exponent theta.
 
     v_n follows the recurrence v_{n+1} = e^{-rho gamma_{n+1}} v_n
-    + gamma_{n+1}^{1+theta}; requires rho > omega_of(s).
+    + gamma_{n+1}^{1+theta}; requires rho > omega_of(s, theta).
     """
-    omega = omega_of(s)
+    omega = omega_of(s, theta)
     if rho <= omega:
         raise ValueError(f"need rho > omega, got rho={rho} <= omega={omega}")
-    th = s.theta
     g = s.gammas(n_max)
     t = s.t_grid(n_max)
 
     v = np.zeros(n_max + 1)
     for n in range(n_max):
-        v[n + 1] = math.exp(-rho * g[n]) * v[n] + g[n] ** (1.0 + th)
+        v[n + 1] = math.exp(-rho * g[n]) * v[n] + g[n] ** (1.0 + theta)
 
-    gth = g**th
+    gth = g**theta
     v_ratio = v[1:] / gth
     decay_ratio = np.exp(-rho * t[1:]) / gth
 
@@ -173,7 +173,7 @@ def decay_diagnostics(
     return ScheduleDiagnostics(
         omega=omega,
         rho=rho,
-        theta=th,
+        theta=theta,
         alpha=alpha,
         g=g,
         t=t,

@@ -216,8 +216,8 @@ def test_criterion_05_w1_oracle_equivalence_and_axioms():
 
 def test_criterion_06_schedule_decay_identities():
     alpha, theta = 1.5, 2.0 / 3.0
-    s = StepSchedule(gamma1=4.0, theta=theta)
-    diag = decay_diagnostics(s, rho=0.5, n_max=100_000, alpha=alpha)
+    s = StepSchedule(gamma1=4.0)
+    diag = decay_diagnostics(s, rho=0.5, n_max=100_000, alpha=alpha, theta=theta)
     closed = 0.5 / (alpha * 2.0)  # = 1/6
     k = 1_000_000
     gk, gk1 = s.gamma_at(k), s.gamma_at(k + 1)
@@ -236,7 +236,7 @@ def test_criterion_06_schedule_decay_identities():
 
 def test_criterion_07_moment_bounded_along_chains():
     alpha, kappa = 1.5, 1.2
-    sched = StepSchedule(gamma1=0.5, theta=1.0 / alpha)
+    sched = StepSchedule(gamma1=0.5)
     cps = tuple(2**k for k in range(7, 14))
     ok, details = True, []
     for scheme in ("pareto-em", "stable-em"):

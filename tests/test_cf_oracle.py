@@ -26,7 +26,7 @@ from stableem.config import parse_schedule
 from stableem.sampling import noise_constants
 from stableem.schedule import StepSchedule
 
-HALF_N = StepSchedule(gamma1=0.5, theta=2.0 / 3.0)  # gamma_n = 1/(2n)
+HALF_N = StepSchedule(gamma1=0.5)  # gamma_n = 1/(2n)
 
 
 def _pareto_coeffs(alpha, schedule, n):
@@ -274,7 +274,7 @@ def test_stable_scale_recurrence():
 def test_stable_scale_is_the_sum_of_the_chain_weights(alpha, spec):
     # The reference is the one-step recurrence s' = (1 - gamma)^alpha s + gamma
     # of Y' = (1 - gamma) Y + gamma^{1/alpha} Z; s_n = sum_j w_j^alpha unrolls it.
-    schedule = parse_schedule(spec, 1.0 / alpha)
+    schedule = parse_schedule(spec)
     ns = (1, 7, 256, 8192, 1 << 16)
     want, s = {}, 0.0
     for k, g in enumerate(schedule.gammas(ns[-1]).tolist(), start=1):

@@ -69,7 +69,7 @@ def test_schedule_fails_when_the_closed_form_omega_is_wrong(tmp_path, monkeypatc
     import stableem.schedule as schedule
 
     omega_of = schedule.omega_of
-    monkeypatch.setattr(schedule, "omega_of", lambda s: 1.1 * omega_of(s))
+    monkeypatch.setattr(schedule, "omega_of", lambda s, theta: 1.1 * omega_of(s, theta))
     out = str(tmp_path / "sched")
     assert main(["schedule", "--schedule", "c-over-rho-n:2,0.5", "--out", out]) == 2
     summary = json.load(open(out + ".json"))
@@ -86,7 +86,7 @@ def test_schedule_fails_when_the_closed_form_omega_of_sub_harmonic_poly_is_wrong
 
     omega_of = schedule.omega_of
     monkeypatch.setattr(
-        schedule, "omega_of", lambda s: 0.1 if s.a is not None and s.a < 1.0 else omega_of(s)
+        schedule, "omega_of", lambda s, theta: 0.1 if s.a < 1.0 else omega_of(s, theta)
     )
     out = str(tmp_path / "sched")
     argv = ["--schedule", "poly:0.5,0.7", "--n_max", "100000", "--rho_toy", "4", "--out", out]
@@ -471,13 +471,14 @@ def test_too_few_usable_checkpoints_names_the_key_to_raise(tmp_path, capsys):
 
 def test_pareto_oracle_out_of_series_range_names_the_checkpoint(tmp_path, capsys):
     # gamma_1 = 0.9 < 1, but at n = 1 the one coefficient times the largest
-    # quadrature node passes the series cutoff; from n = 2 on it does not.
+    # quadrature node passes the oracle's reach of 10; from n = 2 on it does not.
     out = str(tmp_path / "rate")
     argv = ["rate", "--alpha", "1.5", "--reference", "oracle", "--schedule", "c-over-n:0.9"]
     assert main([*argv, "--checkpoints", "1..64 geometric", "--out", out]) == 1
     assert capsys.readouterr().err == (
         "error: at n = 1 the largest innovation coefficient times the largest CF node is "
-        "12.78, past the CF series cutoff 10: the checkpoints must start deeper\n"
+        "12.78, past 10, where oracle_err misses the truncation of the gap integral at that "
+        "node: the checkpoints must start deeper\n"
     )
     assert not os.path.exists(out + ".json")
     assert main([*argv, "--checkpoints", "2..64 geometric", "--out", out]) in (0, 2)
@@ -631,9 +632,25 @@ def test_schedule_theta_is_one_over_its_default_alpha(tmp_path):
     summary = json.load(open(out + ".json"))
     alpha = summary["config"]["alpha"]
     assert alpha == 1.5
-    theta = float(summary["schedule"].rpartition("theta=")[2])
-    assert theta == pytest.approx(1.0 / alpha)
+    assert summary["theta"] == pytest.approx(1.0 / alpha)
     assert summary["omega"] == pytest.approx(1.0 / 6.0)
+    # The schedule is the step formula alone: theta is its own key.
+    assert summary["schedule"] == "poly:gamma1=4.0,a=1.0"
+
+
+def test_schedule_runs_at_a_theta_other_than_one_over_alpha(tmp_path):
+    # theta = 0.5 on gamma_n = 4/n: omega = theta / gamma_1 = 1/8, both in the
+    # closed form the verdict checks and in the summary's omega.
+    out = str(tmp_path / "sched")
+    argv = ["--schedule", "c-over-rho-n:2,0.5", "--theta", "0.5", "--out", out]
+    assert main(["schedule", *argv]) == 0
+    summary = json.load(open(out + ".json"))
+    assert summary["theta"] == 0.5 and summary["config"]["theta"] == 0.5
+    assert summary["omega_closed_form"] == summary["omega"] == 0.125
+    assert summary["omega_numeric_tail"] == pytest.approx(0.125, rel=1e-3)
+    assert summary["v_ratio_final"] == pytest.approx(8.0 / 3.0, rel=1e-3)
+    assert summary["recurrence_bound"] == pytest.approx(11.29, abs=0.01)
+    assert summary["verdict"] is True
 
 
 def test_summary_has_schedule_keys_only_where_a_schedule_is_built(tmp_path):

@@ -8,6 +8,7 @@ from stableem.config import (
     REQUIRED,
     ConfigError,
     ExperimentConfig,
+    doubling,
     flag_values,
     key_spec,
     load_config,
@@ -15,6 +16,7 @@ from stableem.config import (
     parse_gamma_grid,
     parse_schedule,
 )
+from stableem.experiments import _base_summary
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -107,19 +109,26 @@ def test_slope_tol_is_not_a_key(tmp_path):
 
 
 def test_parse_schedule_families():
-    assert parse_schedule("c-over-n:0.5", 1.0).gamma_at(1) == 0.5
-    s = parse_schedule("c-over-rho-n:2,0.5", 2 / 3)
+    assert parse_schedule("c-over-n:0.5").gamma_at(1) == 0.5
+    s = parse_schedule("c-over-rho-n:2,0.5")
     assert s.gamma_at(1) == pytest.approx(4.0)
-    assert parse_schedule("poly:0.1,0.5", 1.0).gamma_at(4) == pytest.approx(0.05)
+    assert parse_schedule("poly:0.1,0.5").gamma_at(4) == pytest.approx(0.05)
     for unknown in ("fibonacci:1", "explicit:0.5,0.25"):
         with pytest.raises(ConfigError, match="unknown schedule family"):
-            parse_schedule(unknown, 1.0)
+            parse_schedule(unknown)
     with pytest.raises(ConfigError):
-        parse_schedule("poly:0.1", 1.0)
+        parse_schedule("poly:0.1")
 
 
 def test_parse_checkpoints():
     assert parse_checkpoints("16..64 geometric") == (16, 32, 64)
+    # One doubling grid: the checkpoint range and the schedule experiment's rows.
+    for lo, hi in ((1, 1), (1, 100_000), (3, 97), (5, 9), (8192, 1 << 20)):
+        want, c = [], lo
+        while c <= hi:
+            want.append(c)
+            c *= 2
+        assert doubling(lo, hi) == tuple(want) == parse_checkpoints(f"{lo}..{hi} geometric")
     assert parse_checkpoints("1,5,9") == (1, 5, 9)
     with pytest.raises(ConfigError):
         parse_checkpoints("64..16 geometric")
@@ -142,10 +151,13 @@ def test_effective_theta_defaults_to_inverse_alpha():
     assert cfg.effective_theta == pytest.approx(1.0 / 1.6)
     cfg2 = ExperimentConfig(experiment="schedule", alpha=1.6, theta=0.5)
     assert cfg2.effective_theta == 0.5
-    # the experiments that do not read theta compute omega at 1/alpha
+    # the experiments that do not read theta compute omega at 1/alpha:
+    # 1/(alpha c) on their default c-over-n:0.5
     for experiment in ("rate", "ergodicity", "cf-check"):
         cfg3 = ExperimentConfig(experiment=experiment, alpha=1.6)
-        assert cfg3.build_schedule().theta == pytest.approx(1.0 / 1.6)
+        summary = _base_summary(cfg3, cfg3.build_schedule())
+        assert summary["theta"] == pytest.approx(1.0 / 1.6)
+        assert summary["omega"] == pytest.approx(1.0 / (1.6 * 0.5))
 
 
 def test_workers_env_override(monkeypatch):

@@ -22,7 +22,7 @@ from stableem.sampling import (
 from stableem.schedule import StepSchedule
 
 ALPHA = 1.5
-SCHED = StepSchedule(gamma1=0.5, theta=1.0 / ALPHA)
+SCHED = StepSchedule(gamma1=0.5)
 OU = builtin_ou(1)
 
 

@@ -38,7 +38,7 @@ def _ensemble_run(alpha, dim):
         scheme="stable-em",
         alpha=alpha,
         drift=builtin_ou(dim),
-        schedule=StepSchedule(gamma1=0.5, theta=1.0 / 1.5),
+        schedule=StepSchedule(gamma1=0.5),
         m_chains=1,
         x0=0.0,
         checkpoints=(1,),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ def test_polynomial_values():
 
 
 def test_t_grid_matches_exact_sum():
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
+    s = StepSchedule(gamma1=4.0)
     t = s.t_grid(1000)
     assert t[0] == 0.0
     for n in (1, 10, 1000):
@@ -57,7 +58,7 @@ def test_t_grid_is_the_kahan_loop_bit_for_bit(spec):
     # The cascade (sequential sum plus the sum of each addition's exact
     # error) must give Kahan's t_n at every n <= 2^20: a moved bit is a
     # change of definition.  A shorter grid is a prefix of the longer one.
-    s = parse_schedule(spec, 1.0 / 1.5)
+    s = parse_schedule(spec)
     n = 2**20
     t = s.t_grid(n)
     assert np.array_equal(t, _kahan_t_grid(s, n))
@@ -82,12 +83,12 @@ def test_gamma_at_is_the_step_gammas_takes(s, n):
 
 def test_omega_closed_forms():
     # 2/(0.5 n) = 4/n: omega = theta / gamma1 = theta * rho / c
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
-    assert omega_of(s) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    s = StepSchedule(gamma1=4.0)
+    assert omega_of(s, 2.0 / 3.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
     # polynomial with a < 1: steps decay sub-harmonically, omega = 0
-    assert omega_of(StepSchedule(0.1, 0.5, theta=0.5)) == 0.0
+    assert omega_of(StepSchedule(0.1, 0.5), 0.5) == 0.0
     # polynomial with a = 1: omega = theta / gamma1
-    assert omega_of(StepSchedule(0.25, 1.0, theta=0.5)) == pytest.approx(2.0)
+    assert omega_of(StepSchedule(0.25, 1.0), 0.5) == pytest.approx(2.0)
 
 
 def test_rho_theory_values():
@@ -106,21 +107,21 @@ def _v_direct(diag, n):
 
 
 def test_diagnostics_recurrence_matches_direct_sum():
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
-    diag = decay_diagnostics(s, rho=0.5, n_max=500, alpha=1.5)
+    s = StepSchedule(gamma1=4.0)
+    diag = decay_diagnostics(s, rho=0.5, n_max=500, alpha=1.5, theta=2.0 / 3.0)
     for n in (1, 5, 50, 500):
         assert diag.v[n] == pytest.approx(_v_direct(diag, n), abs=1e-12)
 
 
 def test_diagnostics_requires_rho_above_omega():
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)  # omega = 1/6
+    s = StepSchedule(gamma1=4.0)  # omega = 1/6 at theta = 2/3
     with pytest.raises(ValueError):
-        decay_diagnostics(s, rho=0.1, n_max=10, alpha=1.5)
+        decay_diagnostics(s, rho=0.1, n_max=10, alpha=1.5, theta=2.0 / 3.0)
 
 
 def test_n_star_definition():
-    s = StepSchedule(gamma1=0.5, theta=0.5)  # gamma_n = 1/(2n), omega = 1
-    diag = decay_diagnostics(s, rho=1.5, n_max=200, alpha=1.5)
+    s = StepSchedule(gamma1=0.5)  # gamma_n = 1/(2n), omega = 1 at theta = 1/2
+    diag = decay_diagnostics(s, rho=1.5, n_max=200, alpha=1.5, theta=0.5)
     # n*[n] = max{i : t_n - t_i > 1}, and -1 when t_n <= 1
     for n in range(1, 201):
         past = [i for i in range(n) if diag.t[n] - diag.t[i] > 1.0]
@@ -131,8 +132,8 @@ def test_n_star_definition():
 
 
 def test_v_ratio_respects_bound():
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
-    diag = decay_diagnostics(s, rho=0.5, n_max=5000, alpha=1.5)
+    s = StepSchedule(gamma1=4.0)
+    diag = decay_diagnostics(s, rho=0.5, n_max=5000, alpha=1.5, theta=2.0 / 3.0)
     assert np.all(diag.v_over_gamma_theta <= diag.bound)
     assert all(math.isfinite(diag.windowed_sum_ratio(n)) for n in range(2, 5001))
 
@@ -142,10 +143,10 @@ def test_windowed_sum_equals_whole_array_loop():
     # reference: the accessor does the same arithmetic, so it must agree bit
     # for bit (at theta = 2/3 a scalar power of gamma_n differs from the
     # array power in the last bit at some n).
-    s = StepSchedule(gamma1=4.0, theta=2.0 / 3.0)
-    alpha, n_max = 1.5, 500
-    diag = decay_diagnostics(s, rho=0.5, n_max=n_max, alpha=alpha)
-    g, t, th = s.gammas(n_max), s.t_grid(n_max), s.theta
+    s = StepSchedule(gamma1=4.0)
+    alpha, n_max, th = 1.5, 500, 2.0 / 3.0
+    diag = decay_diagnostics(s, rho=0.5, n_max=n_max, alpha=alpha, theta=th)
+    g, t = s.gammas(n_max), s.t_grid(n_max)
     gth = g**th
     for n in range(2, n_max + 1):
         i = np.arange(max(diag.n_star[n - 1] + 1, 1), n)
@@ -153,7 +154,7 @@ def test_windowed_sum_equals_whole_array_loop():
         assert diag.windowed_sum_ratio(n) == expected, n
 
 
-def _windowed_sum_by_definition(s, alpha, n):
+def _windowed_sum_by_definition(s, alpha, th, n):
     """sum_{i=n*+1}^{n-1} (t_n - t_i)^{-1/alpha} gamma_i^{1+theta} / gamma_n^theta, term by term."""
     g = [float(v) for v in s.gammas(n)]
     t = [math.fsum(g[:i]) for i in range(n + 1)]
@@ -161,28 +162,27 @@ def _windowed_sum_by_definition(s, alpha, n):
     for i in range(n + 1):
         if t[n] - t[i] > 1.0:
             n_star = i
-    th = s.theta
     terms = [(t[n] - t[i]) ** (-1.0 / alpha) * g[i - 1] ** (1.0 + th) for i in range(max(n_star + 1, 1), n)]
     return math.fsum(terms) / g[n - 1] ** th
 
 
 _WINDOW_SCHEDULES = {
-    "c-over-rho-n": (StepSchedule(gamma1=4.0, theta=2.0 / 3.0), 0.5),
-    "c-over-rho-n-small": (StepSchedule(gamma1=0.5, theta=0.5), 1.5),
-    "poly": (StepSchedule(gamma1=0.3, a=0.5, theta=0.5), 0.5),
+    "c-over-rho-n": (StepSchedule(gamma1=4.0), 0.5, 2.0 / 3.0),
+    "c-over-rho-n-small": (StepSchedule(gamma1=0.5), 1.5, 0.5),
+    "poly": (StepSchedule(gamma1=0.3, a=0.5), 0.5, 0.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_SCHEDULES))
 def test_windowed_sum_matches_definition(name):
-    s, rho = _WINDOW_SCHEDULES[name]
+    s, rho, theta = _WINDOW_SCHEDULES[name]
     n_max, alpha = 1500, 1.5
-    diag = decay_diagnostics(s, rho=rho, n_max=n_max, alpha=alpha)
+    diag = decay_diagnostics(s, rho=rho, n_max=n_max, alpha=alpha, theta=theta)
     first_past_one = int(np.argmax(diag.t > 1.0))
     empty = [n for n in range(2, n_max + 1) if s.gamma_at(n) > 1.0]  # t_n - t_{n-1} > 1
     for n in sorted({2, first_past_one, n_max, *empty}):
         assert diag.windowed_sum_ratio(n) == pytest.approx(
-            _windowed_sum_by_definition(s, alpha, n), rel=1e-12, abs=0.0
+            _windowed_sum_by_definition(s, alpha, theta, n), rel=1e-12, abs=0.0
         ), n
     for n in empty:
         assert diag.windowed_sum_ratio(n) == 0.0
@@ -192,9 +192,18 @@ def test_windowed_sum_matches_definition(name):
             diag.windowed_sum_ratio(n)
 
 
+def test_a_schedule_is_the_step_formula_alone():
+    assert [f.name for f in dataclasses.fields(StepSchedule)] == ["gamma1", "a"]
+    assert StepSchedule(gamma1=0.5).describe() == "poly:gamma1=0.5,a=1.0"
+
+
 def test_theta_validation():
-    with pytest.raises(ValueError):
-        StepSchedule(gamma1=1.0, theta=1.5)
+    # theta is the caller's: omega_of checks it, and decay_diagnostics through omega_of.
+    for bad in (1.5, 0.0):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            omega_of(StepSchedule(gamma1=1.0), bad)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            decay_diagnostics(StepSchedule(gamma1=1.0), rho=0.5, n_max=10, alpha=1.5, theta=bad)
     with pytest.raises(ValueError):
         StepSchedule(gamma1=-1.0)
     for bad in ({"gamma1": math.inf}, {"gamma1": 0.5, "a": 0.0}, {"gamma1": 0.5, "a": 1.5}):
@@ -210,8 +219,8 @@ def test_theta_validation():
 def test_c_over_rho_n_spellings_are_the_harmonic_steps_bit_for_bit(spec, c, rho):
     # gamma1 / k with gamma1 = c / rho rounds each step once, as c / (rho k) does.
     theta = 1.0 / 1.5
-    s = parse_schedule(spec, theta)
+    s = parse_schedule(spec)
     assert (s.gamma1, s.a) == (c / rho, 1.0)
     k = np.arange(1, 2_000_001, dtype=float)
     np.testing.assert_array_equal(s.gammas(k.size), c / (rho * k))
-    assert omega_of(s) == theta * rho / c
+    assert omega_of(s, theta) == theta * rho / c
