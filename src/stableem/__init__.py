@@ -7,7 +7,7 @@ law: exact samplers, characteristic-function oracles, W1 estimators,
 step-schedule diagnostics, and a reproducible parallel ensemble engine.
 """
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 import os
 

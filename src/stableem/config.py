@@ -18,6 +18,7 @@ import os
 from typing import Callable, NamedTuple
 
 from .drift import drift_by_name
+from .em import EXACT_OU, PARETO_EM, STABLE_EM
 from .metrics import FIT_POINTS, W1_BATCHES
 from .schedule import StepSchedule, omega_of
 
@@ -165,8 +166,7 @@ _count = _bounded(_integer, lambda n: n >= 1, "be at least 1")
 KEYS = {
     "alpha": Key(_alpha, REQUIRED),
     "scheme": Key(
-        _one_of("pareto-em", "stable-em", "exact-ou", pareto="pareto-em", stable="stable-em"),
-        "pareto-em",
+        _one_of(PARETO_EM, STABLE_EM, EXACT_OU, pareto=PARETO_EM, stable=STABLE_EM), PARETO_EM
     ),
     "dim": Key(_count, 1),
     "drift": Key(_spec(lambda v: drift_by_name(v, 1)), "ou"),
@@ -215,7 +215,7 @@ _PER_EXPERIMENT = {
     ("weak-error", "x0"): Key(_number, 0.5),
     ("schedule", "alpha"): Key(_alpha, 1.5),
     ("schedule", "schedule"): Key(KEYS["schedule"].parse, "c-over-rho-n:2,0.5"),  # omega = 1/6
-    ("cf-check", "scheme"): Key(_one_of("pareto-em", pareto="pareto-em"), "pareto-em"),
+    ("cf-check", "scheme"): Key(_one_of(PARETO_EM, pareto=PARETO_EM), PARETO_EM),
 }
 
 
@@ -267,13 +267,20 @@ class ExperimentConfig:
                 f"{where_given.get('m', '')}bad value for 'm': {self.m} (reference = ensemble "
                 f"needs m >= {2 * W1_BATCHES}, 2 chains in each of {W1_BATCHES} batches)"
             )
-        # Exact-OU's verdict fits nothing; the other schemes' rate fit needs FIT_POINTS.
-        fitted = experiment == "rate" and self.scheme != "exact-ou"
-        if fitted and (count := len(self.checkpoint_list())) < FIT_POINTS:
-            raise ConfigError(
-                f"{where_given.get('checkpoints', '')}bad value for 'checkpoints': "
-                f"{self.checkpoints!r} (a rate fit needs {FIT_POINTS} checkpoints, got {count})"
-            )
+        # The key whose values a fit takes as its points, the fit, and the
+        # points it needs; exact-OU's rate verdict fits nothing.
+        fit = {
+            "rate": ("checkpoints", self.checkpoint_list, "a rate fit", FIT_POINTS),
+            "ergodicity": ("checkpoints", self.checkpoint_list, "the decay fit", 2),
+            "weak-error": ("gammas", self.gamma_grid, "a weak-error slope", FIT_POINTS),
+        }.get(experiment)
+        if fit and getattr(self, "scheme", None) != EXACT_OU:
+            key, points, what, need = fit
+            if (count := len(points())) < need:
+                raise ConfigError(
+                    f"{where_given.get(key, '')}bad value for {key!r}: {getattr(self, key)!r} "
+                    f"({what} needs {need} {key}, got {count})"
+                )
         if experiment == "rate" and self.reference == "oracle" and self.x0 != 0.0:
             raise ConfigError(
                 f"{where_given.get('x0', '')}oracle reference needs x0 = 0, got x0 = {self.x0!r}"
@@ -293,7 +300,7 @@ class ExperimentConfig:
         # The chain-law oracles contract by 1 - gamma_j at every step; the
         # steps decrease, so gamma_1 < 1 covers every step.
         chain_law = experiment == "cf-check" or (
-            experiment == "rate" and self.reference == "oracle" and self.scheme != "exact-ou"
+            experiment == "rate" and self.reference == "oracle" and self.scheme != EXACT_OU
         )
         if chain_law and (gamma1 := self.build_schedule().gamma_at(1)) >= 1.0:
             raise ConfigError(

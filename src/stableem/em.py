@@ -1,8 +1,8 @@
 """The two decreasing-step EM iterations, the exact 1-D OU reference, ensembles.
 
 The ensemble engine is 1-D: it runs a drift of dimension 1 from a scalar
-x0, with the noise dZ of dX = b(X) dt + dZ.  run_ensemble advances many
-chains; ``_run_block`` holds the one definition of each scheme's step.
+x0, with the noise dZ of dX = b(X) dt + dZ.  ``step_law`` is the one
+statement of each scheme's step; run_ensemble advances many chains by it.
 
 Draw order, contract 4 (``rng.RNG_CONTRACT``), stated here once.  Chains
 run in blocks of _BLOCK_CHAINS (block k holds chains k B .. k B + B - 1;
@@ -22,9 +22,9 @@ sampler draws from stream (master_seed, i).  _BLOCK_CHAINS and _STEP_CHUNK
 are part of the draw order, so output is bit-reproducible for a fixed
 configuration regardless of worker count.
 
-run_ensemble builds the run's step plan once (``_plan``) and runs the
-blocks on one thread pool, whatever the worker count: shard t of T holds
-blocks t, t + T, t + 2T, ...  Each shard allocates one
+run_ensemble takes the laws of the run's steps once (``step_law``) and
+runs the blocks on one thread pool, whatever the worker count: shard t of
+T holds blocks t, t + T, t + 2T, ...  Each shard allocates one
 ``sampling.Innovations`` for one chunk on the pool thread that runs it,
 reuses it for every block of the shard, and draws each chunk into it
 (``_fill_chunk``).  The step loop reads the innovations' (C, B) view,
@@ -113,22 +113,25 @@ class EnsembleResult:
 # ---------------------------------------------------------------------------
 
 
-def _plan(cfg: EnsembleRun, gamma: np.ndarray) -> tuple:
-    """The run's step plan (gamma, scale, decay, rows), built once per run.
+def step_law(scheme: str, alpha: float, gamma) -> tuple:
+    """The law of one step of ``scheme`` from x at step size gamma, as (kind, scale, decay):
 
-    The step from x_n to x_{n+1} takes gamma[n] and scales its innovation
-    by scale[n]; exact-ou also decays x by decay[n] (None for the other
-    schemes).  Checkpoint n is row rows[n] of the positions array.
+    stable-em  x' = x + gamma b(x) + gamma^{1/alpha} zeta,
+    pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) Ztilde,
+    exact-ou   x' = e^{-gamma} x + sigma(gamma) zeta   (b = -x),
+
+    with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``:
+    ``kind`` is the innovation's (``sampling.CMS`` for zeta, ``PARETO`` for
+    Ztilde), ``scale`` its factor, and ``decay`` e^{-gamma} for exact-ou and
+    None for the EM schemes.  gamma may be an array of steps.
     """
-    alpha, decay = cfg.alpha, None
-    if cfg.scheme == STABLE_EM:
-        scale = gamma ** (1.0 / alpha)
-    elif cfg.scheme == PARETO_EM:
-        scale = gamma ** (1.0 / alpha) / noise_constants(alpha, 1).beta
-    else:
-        scale = exact_ou_scale_pow(alpha, gamma) ** (1.0 / alpha)
-        decay = np.exp(-gamma)
-    return gamma, scale, decay, {n: j for j, n in enumerate(cfg.checkpoints)}
+    if scheme == STABLE_EM:
+        return CMS, gamma ** (1.0 / alpha), None
+    if scheme == PARETO_EM:
+        return PARETO, gamma ** (1.0 / alpha) / noise_constants(alpha, 1).beta, None
+    if scheme == EXACT_OU:
+        return CMS, exact_ou_scale_pow(alpha, gamma) ** (1.0 / alpha), np.exp(-gamma)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _fill_chunk(cfg: EnsembleRun, ws: Innovations, block: int, chunk: int, steps: int, chains: int):
@@ -143,15 +146,12 @@ def _fill_chunk(cfg: EnsembleRun, ws: Innovations, block: int, chunk: int, steps
 
 
 def _run_block(cfg: EnsembleRun, lo: int, hi: int, plan: tuple, ws: Innovations, samples):
-    """Chains lo..hi-1 through every checkpoint, with gamma = gamma[n] of ``plan``, x_n to x_{n+1}:
+    """Chains lo..hi-1 through every checkpoint, by the steps of ``plan``.
 
-    stable-em  x' = x + gamma b(x) + gamma^{1/alpha} zeta,
-    pareto-em  x' = x + gamma b(x) + (gamma^{1/alpha}/beta) Ztilde,
-    exact-ou   x' = e^{-gamma} x + sigma(gamma) zeta   (b = -x),
-
-    with sigma(gamma)^alpha = ``cf_oracle.exact_ou_scale_pow(alpha, gamma)``.
-
-    The chains' checkpoint positions go to columns lo..hi-1 of ``samples`` (checkpoint, m).
+    ``plan`` is (gamma, scale, decay, rows): x_n to x_{n+1} is the step of
+    ``step_law`` at gamma[n], whose innovation scale is scale[n] and decay
+    (exact-ou only) decay[n].  Checkpoint n is row rows[n] of ``samples``
+    (checkpoint, m); the chains' positions go to its columns lo..hi-1.
     """
     g, scale, decay, rows = plan
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
@@ -193,13 +193,14 @@ def run_ensemble(cfg: EnsembleRun, workers: int = 1) -> EnsembleResult:
     the chains abort.
     """
     n_max = cfg.checkpoints[-1] if cfg.checkpoints else 0
-    plan = _plan(cfg, cfg.schedule.gammas(n_max) if n_max else np.empty(0))
+    gamma = cfg.schedule.gammas(n_max) if n_max else np.empty(0)
+    kind, scale, decay = step_law(cfg.scheme, cfg.alpha, gamma)
+    plan = gamma, scale, decay, {n: j for j, n in enumerate(cfg.checkpoints)}
 
     block = _BLOCK_CHAINS
     starts = range(0, cfg.m_chains, block)
     if n_max:  # a run past the engine's stream-id fields fails before any work
         rngmod.chunk_stream(len(starts) - 1, (n_max - 1) // _STEP_CHUNK)
-    kind = PARETO if cfg.scheme == PARETO_EM else CMS  # stable-em and exact-ou draw CMS
     size = min(block, cfg.m_chains) * min(n_max, _STEP_CHUNK)
     samples = np.empty((len(cfg.checkpoints), cfg.m_chains))
 

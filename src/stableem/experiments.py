@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__, metrics, rng as rngmod
 from .cf_oracle import (
-    exact_ou_scale_pow,
     pareto_em_chain_cf,
     w1_exact_ou_vs_invariant,
     w1_pareto_chain_vs_invariant,
@@ -38,13 +37,12 @@ from .cf_oracle import (
 )
 from .config import ExperimentConfig, doubling
 from .drift import builtin_ou, certify_assumptions, drift_by_name
-from .em import EXACT_OU, PARETO_EM, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble
+from .em import (
+    EXACT_OU, PARETO_EM, SCHEMES, STABLE_EM, EnsembleRun, empirical_moment, run_ensemble, step_law,
+)
 from .metrics import FIT_POINTS, W1_BATCHES, ecf, rate_fit, w1_sorted_1d
 from .sampling import (
-    noise_constants,
-    sample_pareto_vec,
-    sample_stable_1d,
-    sample_stable_vec,
+    CMS, PARETO, Innovations, sample_pareto_vec, sample_stable_1d, sample_stable_vec,
 )
 from .schedule import decay_diagnostics, omega_of, rho_theory
 
@@ -57,7 +55,8 @@ class ExperimentReport:
     verdict: bool | None  # None: informational only, exit 0
 
 
-_OU = builtin_ou(1)  # the drift of every engine run here, and of the stable-EM rate gate
+# The drift of every engine run and weak-error step here, and of the stable-EM rate gate.
+_OU = builtin_ou(1)
 
 
 def _ensemble(cfg: ExperimentConfig, scheme: str, schedule, x0: float, checkpoints):
@@ -109,6 +108,7 @@ def _target_exponent(scheme: str, alpha: float):
 
 
 SLOPE_TOL = 0.15  # the Pareto-EM gate: |slope - (2 - alpha)/alpha| <= SLOPE_TOL
+STABLE_SLOPE_TOL = 0.1  # the stable-EM gate: slope >= 1/alpha - STABLE_SLOPE_TOL
 KAPPA = 1.2  # the moment exponent of criterion 7, reported as moment_kappa
 
 # Each scheme's exact W1 to nu at step n (time t_n); names resolve at call time, for wrappers.
@@ -232,7 +232,7 @@ def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | No
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "one_sided": one_sided,
-        "slope_tol": SLOPE_TOL,
+        "slope_tol": STABLE_SLOPE_TOL if cfg.scheme == STABLE_EM else SLOPE_TOL,
     })
     if cfg.scheme == STABLE_EM:
         # The gamma^{1/alpha} rate is promised only under the step-size
@@ -241,7 +241,7 @@ def _rate_verdict(cfg: ExperimentConfig, rows: list, summary: dict) -> bool | No
         inside = bool(summary["omega"] < rho_drift)
         summary["rho_drift"] = rho_drift
         summary["step_size_hypothesis"] = inside
-        return bool(fit.slope >= target - 0.1) if inside else None
+        return bool(fit.slope >= target - STABLE_SLOPE_TOL) if inside else None
     return bool(abs(fit.slope - target) <= SLOPE_TOL and fit.r_squared >= 0.9)
 
 
@@ -258,36 +258,37 @@ _TEST_FNS = {  # the test_fn values that config accepts
 def run_weak_error_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """One-step weak error |E f(X_gamma) - E f(Y_gamma)| on the 1-D OU drift.
 
-    The exact and stable-EM steps share innovations (synchronous coupling),
-    and all estimators pair each innovation with its mirror image; the
-    antithetic average strips the odd noise component, which is what makes
-    the small-gamma points resolvable at desk-scale M.
+    Each scheme steps from x0 by its ``step_law``.  The exact and
+    stable-EM steps share innovations (synchronous coupling), and all
+    estimators pair each innovation with its mirror image; the antithetic
+    average strips the odd noise component, which is what makes the
+    small-gamma points resolvable at desk-scale M.
     """
     alpha = float(cfg.alpha)
     f = _TEST_FNS[cfg.test_fn]
     x0 = cfg.x0
-    beta = noise_constants(alpha, 1).beta
     half = cfg.mc // 2
+    gammas = np.array(cfg.gamma_grid())
+    laws = {scheme: step_law(scheme, alpha, gammas) for scheme in SCHEMES}
 
     rows = []
-    for j, g in enumerate(cfg.gamma_grid()):
+    for j, g in enumerate(gammas):
         gen = rngmod.derive_stream(cfg.seed, rngmod.AUX_STREAM + j)
-        zeta = sample_stable_1d(alpha, gen, half)
-        # Signed Pareto draws: the antithetic averages below are even in the noise.
-        pz = sample_pareto_vec(alpha, 1, gen, half)[:, 0]
+        # CMS, then signed Pareto draws: the antithetic averages below are even in the noise.
+        noise = {kind: Innovations(kind, half).draw(gen, alpha, half) for kind in (CMS, PARETO)}
 
-        sig = exact_ou_scale_pow(alpha, g) ** (1.0 / alpha)
+        def anti_vals(scheme):
+            kind, scale, decay = laws[scheme]
+            loc = decay[j] * x0 if decay is not None else x0 + g * _OU(x0)
+            return 0.5 * (f(loc + scale[j] * noise[kind]) + f(loc - scale[j] * noise[kind]))
 
-        def anti_vals(loc, scale, noise):
-            return 0.5 * (f(loc + scale * noise) + f(loc - scale * noise))
-
-        ex_vals = anti_vals(math.exp(-g) * x0, sig, zeta)
+        ex_vals = anti_vals(EXACT_OU)
         ex_mean = float(ex_vals.mean())
         ex_err = float(ex_vals.std(ddof=1) / math.sqrt(half))
         # Stable vs exact shares zeta, so difference pathwise: the common
         # noise cancels and the stderr tracks only the one-step gap.
-        st_diff = anti_vals(x0 - g * x0, g ** (1.0 / alpha), zeta) - ex_vals
-        pa_vals = anti_vals(x0 - g * x0, g ** (1.0 / alpha) / beta, pz)
+        st_diff = anti_vals(STABLE_EM) - ex_vals
+        pa_vals = anti_vals(PARETO_EM)
 
         rows.append({
             "gamma": g,
@@ -341,7 +342,7 @@ def run_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # Expected coupled distance uses the same product of per-step decay
     # factors the recursion multiplies, not exp(-t_n), so the comparison is
     # not polluted by the exp-of-sum vs product-of-exps rounding gap.
-    decay_prod = np.cumprod(np.exp(-schedule.gammas(checkpoints[-1])))
+    decay_prod = np.cumprod(step_law(EXACT_OU, cfg.alpha, schedule.gammas(checkpoints[-1]))[2])
     rows = []
     for n, xs, ys in zip(checkpoints, x, y):
         dist = np.abs(xs - ys)

@@ -12,7 +12,9 @@ import pytest
 import stableem
 from stableem.cf_oracle import _SERIES_CUTOFF, _chain_weights
 from stableem.cli import main
-from stableem.config import load_config
+from stableem.config import ExperimentConfig, load_config
+from stableem.em import PARETO_EM
+from stableem.experiments import run_experiment
 from stableem.sampling import noise_constants
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -563,8 +565,46 @@ def test_ensemble_output_matches_reference(tmp_path, name, experiment):
     cfg = ROOT / "tests" / "data" / f"{name}.cfg"
     out = str(tmp_path / name)
     assert main([experiment, "--config", str(cfg), "--out", out]) in (0, 2)
-    reference = (ROOT / "tests" / "data" / f"{name}.csv").read_bytes()
-    assert Path(out + ".csv").read_bytes() == reference
+    # Row lists, so that a moved pin names its first differing row; equal
+    # lists of lines with their endings are equal bytes.
+    reference = (ROOT / "tests" / "data" / f"{name}.csv").read_bytes().splitlines(keepends=True)
+    assert Path(out + ".csv").read_bytes().splitlines(keepends=True) == reference
+
+
+def test_weak_error_measures_the_engines_step_law(monkeypatch):
+    # A Pareto scale 1 % off in em.step_law moves the Pareto weak error and
+    # leaves the stable-EM columns, which read the other two laws, alone.
+    import stableem.experiments as experiments
+
+    cfg = ExperimentConfig(experiment="weak-error", alpha=1.5, mc=4000, seed=42)
+    rows = run_experiment(cfg).rows
+    step_law = experiments.step_law
+
+    def defective_step_law(scheme, alpha, gamma):
+        kind, scale, decay = step_law(scheme, alpha, gamma)
+        return kind, scale * 1.01 if scheme == PARETO_EM else scale, decay
+
+    monkeypatch.setattr(experiments, "step_law", defective_step_law)
+    moved = run_experiment(cfg).rows
+    assert all(a["pareto_err"] != b["pareto_err"] for a, b in zip(rows, moved))
+    for key in ("stable_err", "stable_stderr"):
+        assert [r[key] for r in moved] == [r[key] for r in rows]
+
+
+@pytest.mark.parametrize("alpha, checkpoints, verdict", [
+    (1.5, "128..8192 geometric", True),
+    (1.2, "4..32 geometric", False),  # slope 0.711: within 0.15 of 1/alpha, not within 0.1
+])
+def test_stable_em_summary_records_the_tolerance_its_verdict_applies(alpha, checkpoints, verdict):
+    cfg = ExperimentConfig(
+        experiment="rate", alpha=alpha, scheme="stable-em", reference="oracle",
+        schedule="c-over-n:0.9", checkpoints=checkpoints,
+    )
+    rep = run_experiment(cfg)
+    s = rep.summary
+    assert s["step_size_hypothesis"] and s["slope_tol"] == 0.1
+    assert rep.verdict is verdict
+    assert rep.verdict == (s["slope"] >= s["target_exponent"] - s["slope_tol"])
 
 
 def test_ergodicity_from_one_start_is_rejected_before_running(tmp_path, capsys, monkeypatch):
@@ -612,8 +652,8 @@ def test_every_key_an_experiment_reads_is_a_flag(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["index", "x0", "x1", "x2"] and len(rows) == 6
     out = str(tmp_path / "weak")
-    assert main(["weak-error", "--alpha", "1.5", "--mc", "4", "--gammas", "2^-3", "--out", out]) \
-        in (0, 2)
+    argv = ["--alpha", "1.5", "--mc", "4", "--gammas", "2^-3..2^-6"]
+    assert main(["weak-error", *argv, "--out", out]) in (0, 2)
     assert json.load(open(out + ".json"))["config"]["mc"] == 4
 
 

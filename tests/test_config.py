@@ -222,6 +222,8 @@ def test_key_that_does_not_apply_names_key_and_line(tmp_path, experiment, key, v
     ("rate", "schedule", "c-over-rho-n:1,0"),
     ("rate", "schedule", "poly:0.5,1.5"),  # a in (0, 1]
     ("rate", "checkpoints", "16..64 geometric"),  # the pareto-em rate fit needs 4
+    ("ergodicity", "checkpoints", "16"),  # a decay line needs 2 points
+    ("weak-error", "gammas", "2^-3..2^-5"),  # each slope fit needs 4
     ("cf-check", "lambdas", "0.5,inf"),
     ("cf-check", "lambdas", "0.5,nan"),
     ("certify-drift", "box", "0"),  # every pair would be x = y = 0, so nothing is tested
@@ -301,6 +303,27 @@ def test_only_a_fitted_rate_needs_four_checkpoints(tmp_path):
         16, 32, 64,
     )
     assert ExperimentConfig(experiment="ergodicity", alpha=1.5, checkpoints="8,16").checkpoints
+
+
+def test_a_fit_with_too_few_points_is_refused_at_its_key():
+    # One checkpoint would fit the decay line through one point, and three
+    # step sizes leave both weak-error slopes null: each run could only fail.
+    with pytest.raises(
+        ConfigError,
+        match=r"^--checkpoints: bad value for 'checkpoints': '16' "
+        r"\(the decay fit needs 2 checkpoints, got 1\)",
+    ):
+        ExperimentConfig(experiment="ergodicity", alpha=1.5, **flag_values({"checkpoints": "16"}))
+    with pytest.raises(
+        ConfigError,
+        match=r"^--gammas: bad value for 'gammas': '2\^-3\.\.2\^-5' "
+        r"\(a weak-error slope needs 4 gammas, got 3\)",
+    ):
+        ExperimentConfig(
+            experiment="weak-error", alpha=1.5, **flag_values({"gammas": "2^-3..2^-5"})
+        )
+    four = ExperimentConfig(experiment="weak-error", alpha=1.5, gammas="2^-3..2^-6")
+    assert four.gamma_grid() == (0.125, 0.0625, 0.03125, 0.015625)
 
 
 def test_cf_check_accepts_only_pareto_em():

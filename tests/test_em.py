@@ -81,6 +81,23 @@ def test_worker_count_does_not_change_output():
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
+def test_step_law_states_each_schemes_step():
+    # The law of one step at each gamma, against formulas written out here.
+    g = SCHED.gammas(64)
+    kind, scale, decay = em.step_law("stable-em", ALPHA, g)
+    assert kind == CMS and decay is None
+    np.testing.assert_array_equal(scale, g ** (1.0 / ALPHA))
+    kind, scale, decay = em.step_law("pareto-em", ALPHA, g)
+    assert kind == PARETO and decay is None
+    np.testing.assert_array_equal(scale, g ** (1.0 / ALPHA) / noise_constants(ALPHA, 1).beta)
+    kind, scale, decay = em.step_law("exact-ou", ALPHA, g)
+    assert kind == CMS
+    np.testing.assert_allclose(scale**ALPHA, -np.expm1(-ALPHA * g) / ALPHA, rtol=1e-14)
+    np.testing.assert_array_equal(decay, np.exp(-g))
+    with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+        em.step_law("euler", ALPHA, g)
+
+
 def _sampled(scheme, alpha, gen, size):
     """``size`` innovations of ``scheme`` from the public sampler that draws them."""
     if scheme == "pareto-em":
@@ -93,7 +110,9 @@ def _reference_ensemble(cfg):
 
     Chunk c of block k (em._BLOCK_CHAINS chains, em._STEP_CHUNK steps) is
     what the scheme's sampler draws from a newly derived stream
-    (seed, chunk_stream(k, c)), laid out in (step, chain) order.
+    (seed, chunk_stream(k, c)), laid out in (step, chain) order.  The
+    scales and decays are written out here, not read from ``em.step_law``:
+    a reference that shared the code it checks would check nothing.
     """
     alpha = cfg.alpha
     B, C = em._BLOCK_CHAINS, em._STEP_CHUNK
